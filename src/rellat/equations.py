@@ -242,7 +242,9 @@ def check_inclusion(
 
     Exhaustive: raises BudgetExceeded if |L|^k exceeds caps.eval_budget;
     returns the lexicographically least counterexample otherwise. The verdict,
-    witness, and evaluation count do not depend on `jobs`.
+    witness, and evaluation count do not depend on `jobs`. Sampled: raises
+    ValueError if samples < 1 and BudgetExceeded if samples exceeds
+    caps.eval_budget.
     """
     vars_ = inc.variables
     k = len(vars_)
@@ -282,6 +284,10 @@ def check_inclusion(
 
     if mode != "sample":
         raise ValueError(f"unknown mode {mode!r}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > caps.eval_budget:
+        raise BudgetExceeded(samples, caps.eval_budget)
     rng = np.random.default_rng(seed)
     done = 0
     while done < samples:

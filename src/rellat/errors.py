@@ -66,11 +66,17 @@ class BudgetExceeded(RellatError):
     def __init__(self, need: int, budget: int):
         self.need = need
         self.budget = budget
-        super().__init__(f"{need} evaluations exceed budget {budget}")
+        super().__init__(self._message())
+
+    def _message(self) -> str:
+        return f"{self.need} evaluations exceed budget {self.budget}"
 
 
 class SearchBudgetExceeded(BudgetExceeded):
     """A backtracking search ran out of nodes; result is inconclusive."""
+
+    def _message(self) -> str:
+        return f"search node {self.need} exceeds the search_nodes cap {self.budget}"
 
 
 class SchemaMismatch(RellatError):
@@ -136,9 +142,14 @@ class Caps:
 
     max_lattice   hard cap on lattice element count,
     max_enum      cap on subsets walked per enumeration,
-    eval_budget   cap on term evaluations for exhaustive checking,
+    eval_budget   cap on term evaluations for exhaustive and sampled checking,
     search_nodes  node cap for backtracking searches,
     max_ji        cap on |J(L)| for cover enumeration.
+
+    A search node is one value tried at one position: an image given to a
+    generator (bottom or a join-irreducible) by find_isomorphism and
+    find_embedding, once it passes their filters; an image considered for a
+    world by p_morphism_search; a seed tried by `rellat search sublattice`.
     """
 
     max_lattice: int = 4096

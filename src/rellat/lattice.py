@@ -303,110 +303,22 @@ def sublattice_closure(
     return sub, inclusion
 
 
-# -- isomorphism search ----------------------------------------------------
-
-def _invariant_classes(L: FiniteLattice, rounds: int = 2) -> list[int]:
-    """Per-element invariant ids, refined by meet/join profiles."""
-    ji = set(L.join_irreducibles())
-    inv = [
-        (
-            bin(L.down[x]).count("1"),
-            bin(L.up[x]).count("1"),
-            x in ji,
-            x == L.bottom,
-            x == L.top,
-        )
-        for x in range(L.n)
-    ]
-    codes = _canon(inv)
-    for _ in range(rounds):
-        new = []
-        for x in range(L.n):
-            prof = sorted(
-                (codes[int(L.meet[x, y])], codes[int(L.join[x, y])])
-                for y in range(L.n)
-            )
-            new.append((codes[x], tuple(prof)))
-        codes = _canon(new)
-    return codes
-
-
-def _canon(values: list) -> list[int]:
-    order = {v: i for i, v in enumerate(sorted(set(values)))}
-    return [order[v] for v in values]
-
+# -- isomorphism and embedding search ------------------------------------------
 
 def find_isomorphism(
     L1: FiniteLattice, L2: FiniteLattice, caps: Caps = DEFAULT_CAPS
 ) -> list[int] | None:
     """A meet/join-preserving bijection L1 -> L2, or None.
 
-    Deterministic: for L against itself the identity is returned. Raises
-    SearchBudgetExceeded (inconclusive) if the node cap is hit.
+    An isomorphism maps bottom to bottom and J(L1) onto J(L2), so only those
+    images are searched. Returns the least isomorphism in `_search` order,
+    which is the identity for L against itself. Raises SearchBudgetExceeded
+    (inconclusive) if the node cap is hit.
     """
-    if L1.n != L2.n:
+    ji2 = L2.join_irreducibles()
+    if L1.n != L2.n or len(L1.join_irreducibles()) != len(ji2):
         return None
-    inv1 = _invariant_classes(L1)
-    inv2 = _invariant_classes(L2)
-    if sorted(inv1) != sorted(inv2):
-        return None
-    candidates = [
-        [y for y in range(L2.n) if inv2[y] == inv1[x]] for x in range(L1.n)
-    ]
-    order = sorted(range(L1.n), key=lambda x: (len(candidates[x]), x))
-    phi = [-1] * L1.n
-    used = [False] * L2.n
-    assigned: list[int] = []
-    nodes = 0
-
-    def consistent(x: int, y: int) -> bool:
-        for a in assigned:
-            b = phi[a]
-            if L1.leq[a, x] != L2.leq[b, y] or L1.leq[x, a] != L2.leq[y, b]:
-                return False
-            m1, j1 = int(L1.meet[a, x]), int(L1.join[a, x])
-            m2, j2 = int(L2.meet[b, y]), int(L2.join[b, y])
-            if phi[m1] >= 0:
-                if phi[m1] != m2:
-                    return False
-            elif inv1[m1] != inv2[m2]:
-                return False
-            if phi[j1] >= 0:
-                if phi[j1] != j2:
-                    return False
-            elif inv1[j1] != inv2[j2]:
-                return False
-        return True
-
-    def verify_full() -> bool:
-        p = np.array(phi)
-        if not (p[L1.meet] == L2.meet[p[:, None], p[None, :]]).all():
-            return False
-        return bool((p[L1.join] == L2.join[p[:, None], p[None, :]]).all())
-
-    def backtrack(i: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return verify_full()
-        x = order[i]
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            nodes += 1
-            if nodes > caps.search_nodes:
-                raise SearchBudgetExceeded(nodes, caps.search_nodes)
-            if consistent(x, y):
-                phi[x] = y
-                used[y] = True
-                assigned.append(x)
-                if backtrack(i + 1):
-                    return True
-                assigned.pop()
-                used[y] = False
-                phi[x] = -1
-        return False
-
-    return list(phi) if backtrack(0) else None
+    return _search(L1, L2, [L2.bottom], ji2, caps)
 
 
 def find_embedding(
@@ -414,72 +326,99 @@ def find_embedding(
 ) -> list[int] | None:
     """An injective meet/join-preserving map L1 -> L2, or None.
 
-    Searches over images of bottom and the join-irreducibles (every other
-    element is the join of those below it), backtracking with order and
-    join-dominance pruning, then verifies the induced map in full.
+    Returns the least embedding in `_search` order. Raises
+    SearchBudgetExceeded (inconclusive) if the node cap is hit.
     """
     if L1.n > L2.n:
         return None
-    gens = [L1.bottom] + list(L1.join_irreducibles())
-    img = [-1] * len(gens)
+    return _search(L1, L2, range(L2.n), range(L2.n), caps)
+
+
+def _search(
+    L1: FiniteLattice,
+    L2: FiniteLattice,
+    bottoms: Sequence[int],
+    irreducibles: Sequence[int],
+    caps: Caps,
+) -> list[int] | None:
+    """The least embedding L1 -> L2 that sends bottom into `bottoms` and
+    J(L1) into `irreducibles` (both ascending), or None.
+
+    By the duality a map is fixed by its values on the generators, bottom
+    and J(L1): x goes to the join of the images of the generators below it.
+    Generators take images in that order, each trying its candidates in
+    ascending order, so the first map found is least by (image of bottom,
+    images of J(L1) in index order). Each level keeps the candidates that
+    compare with every assigned image as their generators compare, and that
+    keep join-dominance c <= a v b among irreducibles; both are necessary,
+    and the order test alone rules out reusing an image. A complete
+    assignment is extended and verified against the full meet and join
+    tables. One search node is one image given to one generator. The stack
+    is explicit, so depth costs no recursion.
+    """
+    gens = np.array([L1.bottom, *L1.join_irreducibles()], dtype=np.intp)
+    pools = [np.asarray(bottoms, dtype=np.intp)]
+    pools += [np.asarray(irreducibles, dtype=np.intp)] * (len(gens) - 1)
+    le1 = L1.leq[np.ix_(gens, gens)]
+    incomparable = ~(le1 | le1.T)
+    # incomparable level pairs (p, q), p < q, sorted by q: the pairs whose
+    # levels are all assigned before level i form a prefix
+    qs, ps = np.nonzero(np.tril(incomparable, -1))
+    # L2's order rows as bitsets: a level tests every candidate against
+    # every assigned image in one pass over n/8 bytes per candidate
+    below2 = np.packbits(L2.leq.T, axis=1)
+    above2 = np.packbits(L2.leq, axis=1)
+    img = np.zeros(len(gens), dtype=np.intp)
+
+    def bits(ys: np.ndarray) -> np.ndarray:
+        v = np.zeros(L2.n, dtype=bool)
+        v[ys] = True
+        return np.packbits(v)
+
+    def candidates(i: int) -> np.ndarray:
+        g, Y, pool = gens[i], img[:i], pools[i]
+        seen = bits(Y)
+        ok = (((below2[pool] & seen) == bits(Y[le1[:i, i]])).all(1)
+              & ((above2[pool] & seen) == bits(Y[le1[i, :i]])).all(1))
+        pool = pool[ok]
+        # c <= a v b with the new generator as c, a and b assigned; when a
+        # and b compare, a v b is one of them and the order test decides
+        k = int(np.searchsorted(qs, i))
+        if k and pool.size:
+            a, b = ps[:k], qs[:k]
+            want = L1.leq[g, L1.join[gens[a], gens[b]]]
+            pool = pool[(L2.leq[np.ix_(pool, L2.join[Y[a], Y[b]])] == want).all(1)]
+        # ... and with the new generator as a, b assigned, c assigned
+        b = np.flatnonzero(incomparable[i, :i])
+        if b.size and pool.size:
+            want = L1.leq[np.ix_(gens[:i], L1.join[g, gens[b]])]
+            got = L2.leq[Y[:, None, None], L2.join[np.ix_(pool, Y[b])][None]]
+            pool = pool[(got == want[:, None, :]).all(axis=(0, 2))]
+        return pool
+
+    stack = [candidates(0)]
     nodes = 0
-
-    def consistent(i: int, y: int) -> bool:
-        gi = gens[i]
-        for k in range(i):
-            gk, yk = gens[k], img[k]
-            if L1.leq[gk, gi] != L2.leq[yk, y] or L1.leq[gi, gk] != L2.leq[y, yk]:
-                return False
-        if i == 0:
-            return True
-        # join-dominance among assigned irreducibles plus the new one:
-        # c <= a v b must hold in L1 exactly when it holds between images.
-        irr = [(gens[k], img[k]) for k in range(1, i)] + [(gi, y)]
-        for ga, ya in irr:
-            for gb, yb in irr:
-                jv1 = int(L1.join[ga, gb])
-                jv2 = int(L2.join[ya, yb])
-                for gc, yc in irr:
-                    if bool(L1.leq[gc, jv1]) != bool(L2.leq[yc, jv2]):
-                        return False
-        return True
-
-    def extend() -> list[int] | None:
-        phi = [0] * L1.n
-        for x in range(L1.n):
-            acc = img[0]
-            for k in range(1, len(gens)):
-                if L1.leq[gens[k], x]:
-                    acc = int(L2.join[acc, img[k]])
-            phi[x] = acc
-        if len(set(phi)) != L1.n:
-            return None
-        p = np.array(phi)
-        if not (p[L1.meet] == L2.meet[p[:, None], p[None, :]]).all():
-            return None
-        if not (p[L1.join] == L2.join[p[:, None], p[None, :]]).all():
-            return None
-        return phi
-
-    def backtrack(i: int) -> list[int] | None:
-        nonlocal nodes
-        if i == len(gens):
-            return extend()
-        for y in range(L2.n):
-            if y in img[:i]:
-                continue
-            nodes += 1
-            if nodes > caps.search_nodes:
-                raise SearchBudgetExceeded(nodes, caps.search_nodes)
-            if consistent(i, y):
-                img[i] = y
-                got = backtrack(i + 1)
-                if got is not None:
-                    return got
-                img[i] = -1
-        return None
-
-    return backtrack(0)
+    while stack:
+        i = len(stack) - 1
+        if not stack[i].size:
+            stack.pop()
+            continue
+        img[i], stack[i] = stack[i][0], stack[i][1:]
+        nodes += 1
+        if nodes > caps.search_nodes:
+            raise SearchBudgetExceeded(nodes, caps.search_nodes)
+        if i + 1 < len(gens):
+            stack.append(candidates(i + 1))
+            continue
+        phi = np.full(L1.n, img[0], dtype=np.intp)
+        for g, y in zip(gens[1:], img[1:]):
+            below = L1.leq[g]
+            phi[below] = L2.join[phi[below], y]
+        if (len(set(phi.tolist())) == L1.n
+                and (phi[L1.meet] == L2.meet[np.ix_(phi, phi)]).all()
+                and (phi[L1.join] == L2.join[np.ix_(phi, phi)]).all()):
+            return phi.tolist()
+    return None
 
 
 # -- JSON ------------------------------------------------------------------

@@ -263,7 +263,7 @@ def reconstruct(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
     """The lattice of downsets closed under every cover rule."""
     n = g.n
     if n > caps.max_ji:
-        raise SizeCapExceeded(1 << n, 1 << caps.max_ji)
+        raise CoverEnumerationCapExceeded(n, caps.max_ji)
     down = _down_masks(g)
     rules = [(k, sum(1 << c for c in cov)) for k, cov in g.nontrivial()]
     members = []

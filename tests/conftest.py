@@ -6,6 +6,7 @@ import pytest
 
 from rellat import (
     Schema,
+    all_lattices_upto,
     build_countermodel,
     build_from_leq,
     build_R,
@@ -66,6 +67,12 @@ def b2():
 @pytest.fixture
 def b3():
     return boolean_cube(3)
+
+
+@pytest.fixture(scope="session")
+def small_lattices():
+    """The 78 lattices with at most seven elements, up to isomorphism."""
+    return all_lattices_upto(7)
 
 
 @pytest.fixture(scope="session")

@@ -93,6 +93,30 @@ def join_primes(n, leq):
     return out
 
 
+def least_embedding(n1, leq1, n2, leq2):
+    """The least injective meet/join-preserving map, or None.
+
+    Walks every injective map and keeps the embedding whose (image of
+    bottom, images of the join-irreducibles in index order) is least.
+    """
+    def tables(n, leq):
+        pairs = itertools.product(range(n), repeat=2)
+        return {(a, b): (least_upper_bound(n, leq, [a, b]),
+                         greatest_lower_bound(n, leq, [a, b]))
+                for a, b in pairs}
+
+    ops1, ops2 = tables(n1, leq1), tables(n2, leq2)
+    gens = [greatest_lower_bound(n1, leq1, range(n1))] + join_irreducibles(n1, leq1)
+    best = None
+    for phi in itertools.permutations(range(n2), n1):
+        if all((phi[j], phi[m]) == ops2[phi[a], phi[b]]
+               for (a, b), (j, m) in ops1.items()):
+            key = [phi[g] for g in gens]
+            if best is None or key < best[0]:
+                best = (key, list(phi))
+    return None if best is None else best[1]
+
+
 def refines(n, leq, xs, ys):
     le = _le(leq)
     return all(any(le(x, y) for y in ys) for x in xs)

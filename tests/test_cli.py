@@ -184,6 +184,14 @@ def test_check_eq_budget_exit(capsys, r22_file):
     assert doc["error"]["type"] == "BudgetExceeded"
 
 
+def test_check_iso_budget_exit(capsys, r22_file):
+    code, doc, _ = run(capsys, "check", "iso", "--lattice", r22_file,
+                       "--other", r22_file, "--budget", "3")
+    assert code == 3
+    assert doc["error"]["type"] == "SearchBudgetExceeded"
+    assert "search_nodes cap 3" in doc["error"]["detail"]
+
+
 def test_check_prop(capsys, cm_files):
     _, gr = cm_files
     code, _, _ = run(capsys, "check", "prop", "--prop", "exactly-one-nonjp",

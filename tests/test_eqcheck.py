@@ -182,6 +182,17 @@ def test_sample_is_reproducible(m3):
     assert a == b
 
 
+def test_sample_rejects_nonpositive_count(m3):
+    with pytest.raises(ValueError, match="samples"):
+        check_inclusion(m3, CATALOG["Dist"], mode="sample", samples=-5)
+
+
+def test_sample_budget_exceeded(m3):
+    with pytest.raises(BudgetExceeded):
+        check_inclusion(m3, CATALOG["Dist"], mode="sample", samples=1001,
+                        caps=Caps(eval_budget=1000))
+
+
 # -- the generated family -----------------------------------------------------------
 
 

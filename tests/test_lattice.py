@@ -12,6 +12,7 @@ from rellat import (
     NotALattice,
     NotAPartialOrder,
     NotIntersectionClosed,
+    SearchBudgetExceeded,
     SizeCapExceeded,
     all_lattices_upto,
     build_from_closed_family,
@@ -222,20 +223,34 @@ def test_sublattice_inclusion_preserves_ops(r22):
 # -- isomorphism and embedding ------------------------------------------------------
 
 
-def test_isomorphism_self_is_identity(m3):
-    assert find_isomorphism(m3, m3) == list(range(m3.n))
+def test_isomorphism_self_is_identity(small_lattices):
+    for L in small_lattices:
+        assert find_isomorphism(L, L) == list(range(L.n))
 
 
-def test_isomorphism_relabeled(m3):
-    perm = [4, 2, 3, 1, 0]  # relabel elements, rebuild, recover a mapping
-    inv = [perm.index(i) for i in range(5)]
-    leq2 = np.array([[m3.leq[inv[a], inv[b]] for b in range(5)] for a in range(5)])
-    M = build_from_leq(5, leq2)
-    iso = find_isomorphism(m3, M)
-    assert iso is not None
-    for a in range(5):
-        for b in range(5):
-            assert m3.leq[a, b] == M.leq[iso[a], iso[b]]
+def test_isomorphism_relabeled(small_lattices):
+    rng = np.random.default_rng(0)
+    for L in small_lattices:
+        perm = rng.permutation(L.n)  # element a of L is element perm[a] of M
+        inv = np.argsort(perm)
+        M = build_from_leq(L.n, L.leq[np.ix_(inv, inv)])
+        iso = find_isomorphism(L, M)
+        assert iso is not None
+        assert sorted(iso) == list(range(L.n))
+        assert np.array_equal(L.leq, M.leq[np.ix_(iso, iso)])
+
+
+def test_isomorphism_of_long_chain_needs_no_deep_recursion():
+    # one search level per irreducible: a chain has n - 1 of them
+    L = chain(1100)
+    assert find_isomorphism(L, L) == list(range(L.n))
+
+
+def test_searches_respect_node_cap(m3, b3):
+    with pytest.raises(SearchBudgetExceeded, match="search_nodes cap 3"):
+        find_isomorphism(m3, m3, caps=Caps(search_nodes=3))
+    with pytest.raises(SearchBudgetExceeded, match="search_nodes cap 3"):
+        find_embedding(chain(4), b3, caps=Caps(search_nodes=3))
 
 
 def test_diamond_not_pentagon(m3, n5):
@@ -260,6 +275,16 @@ def test_embedding_pentagon_into_r22(r22, n5):
 
 def test_no_diamond_inside_pentagon(m3, n5):
     assert find_embedding(m3, n5) is None
+
+
+def test_embedding_is_least_by_brute_force(small_lattices):
+    targets = [L for L in small_lattices if L.n <= 6]
+    for L1 in targets:
+        if L1.n > 5:
+            continue
+        for L2 in targets:
+            want = oracles.least_embedding(L1.n, L1.leq, L2.n, L2.leq)
+            assert find_embedding(L1, L2) == want
 
 
 # -- serialization -----------------------------------------------------------------

@@ -13,7 +13,6 @@ from rellat import (
     ODGraph,
     PROPERTY_IDS,
     PartitionEnumerationCapExceeded,
-    SizeCapExceeded,
     UltraSpace,
     UnknownProperty,
     all_lattices_upto,
@@ -176,7 +175,7 @@ def test_round_trip_r22(r22, g22):
 
 
 def test_reconstruct_cap(cm_graph):
-    with pytest.raises(SizeCapExceeded):
+    with pytest.raises(CoverEnumerationCapExceeded):
         reconstruct(cm_graph, caps=Caps(max_ji=4))
 
 
