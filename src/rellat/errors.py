@@ -142,7 +142,9 @@ class Caps:
 
     max_lattice   hard cap on lattice element count,
     max_enum      cap on subsets walked per enumeration,
-    eval_budget   cap on term evaluations for exhaustive and sampled checking,
+    eval_budget   cap on the valuations a check covers: |L|^k raw valuations
+                  for an exhaustive scan, factored or not (not the term
+                  evaluations it performs), the sample count for a sampled one,
     search_nodes  node cap for backtracking searches,
     max_ji        cap on |J(L)| for cover enumeration.
 

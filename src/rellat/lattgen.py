@@ -12,14 +12,19 @@ import random
 
 import numpy as np
 
-from .errors import DEFAULT_CAPS, Caps, NotALattice
+from .errors import DEFAULT_CAPS, Caps, EnumerationCapExceeded, NotALattice
 from .lattice import FiniteLattice, build_from_closed_family, build_from_leq, \
     make_closed_family
 
 
-def _inner_posets(m: int):
-    """All partial orders on m labeled points, as frozensets of strict pairs."""
+def _inner_posets(m: int, caps: Caps = DEFAULT_CAPS):
+    """All partial orders on m labeled points, as frozensets of strict pairs.
+
+    Walks all 3^C(m,2) orientations of the point pairs; raises
+    EnumerationCapExceeded before walking when that exceeds caps.max_enum."""
     pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    if 3 ** len(pairs) > caps.max_enum:
+        raise EnumerationCapExceeded(3 ** len(pairs), caps.max_enum)
     seen = set()
     for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
         rel = set()
@@ -63,14 +68,16 @@ def _leq_from_inner(k: int, rel: frozenset) -> np.ndarray:
 
 
 def lattices_of_order(k: int, caps: Caps = DEFAULT_CAPS) -> list[FiniteLattice]:
-    """All lattices with exactly k elements, one per isomorphism class."""
+    """All lattices with exactly k elements, one per isomorphism class.
+
+    Raises EnumerationCapExceeded for k >= 8 under the default caps."""
     if k < 1:
         return []
     if k == 1:
         return [build_from_leq(1, np.eye(1, dtype=bool), caps=caps)]
     m = k - 2
     reps = {}
-    for rel in _inner_posets(m):
+    for rel in _inner_posets(m, caps):
         key = _canon_key(m, rel)
         if key not in reps:
             reps[key] = rel

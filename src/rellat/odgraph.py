@@ -9,6 +9,7 @@ for every element, and join-prime elements carry nothing else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -129,8 +130,29 @@ class ODGraph:
     def n(self) -> int:
         return len(self.elems)
 
+    @cached_property
+    def leq_set(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.leq_pairs)
+
+    @cached_property
+    def mjc_set(self) -> frozenset[tuple[int, tuple[int, ...]]]:
+        return frozenset(self.mjc)
+
+    @cached_property
+    def down_masks(self) -> tuple[int, ...]:
+        """Bitmask of each element's downset."""
+        down = [1 << i for i in range(self.n)]
+        for a, b in self.leq_pairs:
+            down[b] |= 1 << a
+        return tuple(down)
+
+    @cached_property
+    def cover_rules(self) -> tuple[tuple[int, int], ...]:
+        """(element, bitmask of the cover) for every non-trivial cover."""
+        return tuple((k, sum(1 << c for c in cov)) for k, cov in self.nontrivial())
+
     def le(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in set(self.leq_pairs)
+        return a == b or (a, b) in self.leq_set
 
     def leq_matrix(self) -> np.ndarray:
         leq = np.eye(self.n, dtype=bool)
@@ -232,23 +254,14 @@ def od_graph_from_json(doc: dict) -> ODGraph:
 # -- reconstruction ------------------------------------------------------------
 
 
-def _down_masks(g: ODGraph) -> list[int]:
-    down = [0] * g.n
-    for i in range(g.n):
-        down[i] = 1 << i
-    for a, b in g.leq_pairs:
-        down[b] |= 1 << a
-    return down
-
-
 def closed_mask(g: ODGraph, mask: int) -> int:
     """Least set above mask that is a downset closed under the cover rules."""
-    down = _down_masks(g)
+    down = g.down_masks
     s = 0
     for i in range(g.n):
         if mask >> i & 1:
             s |= down[i]
-    rules = [(k, sum(1 << c for c in cov)) for k, cov in g.nontrivial()]
+    rules = g.cover_rules
     changed = True
     while changed:
         changed = False
@@ -264,8 +277,8 @@ def reconstruct(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
     n = g.n
     if n > caps.max_ji:
         raise CoverEnumerationCapExceeded(n, caps.max_ji)
-    down = _down_masks(g)
-    rules = [(k, sum(1 << c for c in cov)) for k, cov in g.nontrivial()]
+    down = g.down_masks
+    rules = g.cover_rules
     members = []
     for mask in range(1 << n):
         ok = True
@@ -295,7 +308,7 @@ def dstep(g: ODGraph, k0: int, c: Iterable[int], k1: int) -> bool:
     if g.jp[k1] or k1 in cset:
         return False
     merged = tuple(sorted(set(cset) | {k1}))
-    return (k0, merged) in set(g.mjc)
+    return (k0, merged) in g.mjc_set
 
 
 @dataclass(frozen=True)
@@ -333,7 +346,6 @@ class _Checker:
     def __init__(self, g: ODGraph, lattice: FiniteLattice | None, caps: Caps):
         self.g = g
         self.caps = caps
-        self.mjc_set = set(g.mjc)
         self.lattice = lattice
         if lattice is not None:
             ji = lattice.join_irreducibles()
@@ -451,7 +463,7 @@ def _check_sympc(ctx: _Checker) -> CoverWitness | None:
 
 def _check_strong_sympc(ctx: _Checker) -> CoverWitness | None:
     g = ctx.g
-    mjc_set = ctx.mjc_set
+    mjc_set = ctx.g.mjc_set
     for k, cov in g.mjc:
         for c0, c1 in ctx.splits(cov):
             found = False
@@ -513,7 +525,7 @@ def _check_atomistic_iii(ctx: _Checker) -> CoverWitness | None:
 
 def _check_prop_last(ctx: _Checker) -> CoverWitness | None:
     g = ctx.g
-    mjc_set = ctx.mjc_set
+    mjc_set = ctx.g.mjc_set
     for k0, cov in g.mjc:
         for k2 in cov:
             if not g.le(k2, k0):

@@ -2,13 +2,16 @@
 from __future__ import annotations
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from rellat import (
     BudgetExceeded,
     CATALOG,
     Caps,
+    Inclusion,
     Join,
     Meet,
     NotDistributivelyEqual,
@@ -16,6 +19,7 @@ from rellat import (
     UnknownEquation,
     Var,
     all_lattices_upto,
+    build_from_leq,
     catalog_inclusion,
     check_inclusion,
     check_property,
@@ -23,11 +27,16 @@ from rellat import (
     extract_od_graph,
     gen_unjp_family,
     ld,
+    mk_meet,
+    parse,
     rd,
     verify_witness,
 )
-from conftest import boolean_cube, chain, diamond_m3, pentagon_n5
+from rellat import equations
+from conftest import boolean_cube, chain, diamond_m3, leq_from_covers, pentagon_n5
 import oracles
+
+YS = (Var("y0"), Var("y1"), Var("y2"))
 
 
 # -- slow reference evaluation -------------------------------------------------
@@ -118,11 +127,7 @@ def test_distributivity_holds_on_distributive_fixtures(make):
     assert res.mode == "exhaustive"
 
 
-@pytest.mark.parametrize("make", [diamond_m3, pentagon_n5])
-@pytest.mark.parametrize("name", ["Dist", "RL1", "SymPC", "VarRL1", "RMod", "Sym"])
-def test_exhaustive_matches_slow_scan(make, name):
-    L = make()
-    inc = CATALOG[name]
+def assert_matches_slow_scan(L, inc):
     verdict, witness, rank = oracle_check(L, inc)
     res = check_inclusion(L, inc)
     assert res.verdict == verdict
@@ -134,14 +139,126 @@ def test_exhaustive_matches_slow_scan(make, name):
         assert res.evaluations == L.n ** len(set(inc.variables))
 
 
-@pytest.mark.parametrize("make", [lambda: chain(3), lambda: boolean_cube(2)])
+@pytest.mark.parametrize("make", [diamond_m3, pentagon_n5,
+                                  lambda: chain(3), lambda: boolean_cube(2)])
+@pytest.mark.parametrize("name", ["Dist", "RL1", "SymPC", "VarRL1", "RMod", "Sym"])
+def test_exhaustive_matches_slow_scan(make, name):
+    assert_matches_slow_scan(make(), CATALOG[name])
+
+
+@pytest.mark.parametrize("make", [lambda: chain(3), lambda: boolean_cube(2),
+                                  diamond_m3, pentagon_n5])
 @pytest.mark.parametrize("name", ["RL2", "Unjp"])
 def test_wide_equations_match_slow_scan(make, name):
-    L = make()
+    assert_matches_slow_scan(make(), CATALOG[name])
+
+
+def plain_scan(L, inc):
+    """(verdict, witness, evaluations) from the unfactored scan."""
+    names = inc.variables
+    k, n = len(names), L.n
+    index = {name: i for i, name in enumerate(names)}
+    weights = [n ** (k - 1 - i) for i in range(k)]
+    first = equations._scan_range(
+        L.meet, L.join, L.leq, equations._compile(inc.lhs, index),
+        equations._compile(inc.rhs, index), weights, n, 0, n**k)
+    if first is None:
+        return "holds", None, n**k
+    witness = {name: first // weights[i] % n for i, name in enumerate(names)}
+    return "counterexample", witness, first + 1
+
+
+def relabel(L, perm):
+    """L with element i renamed perm[i]."""
+    inv = np.argsort(perm)
+    return build_from_leq(L.n, L.leq[np.ix_(inv, inv)])
+
+
+def relabel_downward(L):
+    """L with bottom at the highest index."""
+    return relabel(L, list(range(L.n))[::-1])
+
+
+@pytest.mark.parametrize("name", ["Unjp", "RL2", "RMod", "Sym"])
+def test_factored_scan_matches_plain_scan(small_lattices, name):
     inc = CATALOG[name]
-    verdict, witness, _ = oracle_check(L, inc)
-    res = check_inclusion(L, inc)
-    assert (res.verdict, res.witness) == (verdict, witness)
+    lattices = [L for L in small_lattices if L.n <= 6]
+    lattices += [relabel_downward(L) for L in lattices if L.n <= 5]
+    for L in lattices:
+        if L.n > 2:
+            assert equations._plan(inc, L.n) is not None
+        res = check_inclusion(L, inc)
+        assert (res.verdict, res.witness, res.evaluations) == plain_scan(L, inc)
+
+
+@pytest.mark.parametrize("text", [
+    "x ^ y0 ^ (y1 v y2) <= (y0 ^ y1) v (y0 ^ y2)",
+    "(y0 ^ y1) v x <= (x v y0) ^ (x v y1) ^ w",
+])
+def test_factored_scan_under_relabeling(small_lattices, text):
+    """Block classes scanned in the order of their least tuples, which under
+    shuffled element labels is far from the order of their values."""
+    inc = parse(text)
+    rng = random.Random(0)
+    for L in small_lattices:
+        if not 3 <= L.n <= 6:
+            continue
+        for _ in range(3):
+            perm = list(range(L.n))
+            rng.shuffle(perm)
+            L2 = relabel(L, perm)
+            assert equations._plan(inc, L2.n) is not None
+            res = check_inclusion(L2, inc)
+            assert (res.verdict, res.witness, res.evaluations) == plain_scan(L2, inc)
+
+
+@pytest.mark.parametrize("name", ["Unjp", "RL2"])
+def test_factored_scan_across_chunks(m3, n5, monkeypatch, name):
+    """Block classes and the factored space spanning many chunks."""
+    inc = CATALOG[name]
+    lattices = [m3, n5, relabel_downward(m3), relabel_downward(n5)]
+    want = [plain_scan(L, inc) for L in lattices]
+    monkeypatch.setattr(equations, "_CHUNK", 7)
+    for L, expected in zip(lattices, want):
+        res = check_inclusion(L, inc)
+        assert (res.verdict, res.witness, res.evaluations) == expected
+
+
+def test_catalog_blocks():
+    """The runs of sorted variables each law is factored over, at n = 7."""
+    got = {}
+    for name, inc in CATALOG.items():
+        plan = equations._plan(inc, 7)
+        names = inc.variables
+        got[name] = [] if plan is None else [
+            names[i:j] for i, j, progs in plan[0] if progs is not None]
+    ys, zs = ("y0", "y1", "y2"), ("z0", "z1", "z2")
+    assert got == {"Dist": [], "RL1": [], "SymPC": [], "VarRL1": [],
+                   "Unjp": [ys, zs], "RL2": [ys, zs], "RMod": [zs], "Sym": [zs]}
+
+
+def test_interleaved_block_takes_plain_scan(m3, n5):
+    # Sym with z0, z1, z2 renamed a, c, e and x, y renamed b, d: the three
+    # still reach the term only through two subterms, but b and d sit
+    # between them in sorted order, so no run of variables forms a block
+    inc = parse("b ^ (d v (a ^ (c v e))) <= (b ^ (d v (a ^ c) v (a ^ e)))"
+                " v (b ^ (d v (a ^ (c v e) ^ (d v b))))")
+    assert inc.variables == ("a", "b", "c", "d", "e")
+    for L in (m3, n5):
+        assert equations._plan(inc, L.n) is None
+        assert_matches_slow_scan(L, inc)
+
+
+def test_witness_in_later_block_class(m3):
+    # y0..y2 reach the term only through ld and rd. The block's first class
+    # is that of the tuple (0, 0, 0); this witness's tuple lies in another
+    inc = Inclusion(mk_meet([Var("x"), ld(*YS)]), rd(*YS))
+    for L in (m3, relabel_downward(m3)):
+        assert equations._plan(inc, L.n) is not None
+        res = check_inclusion(L, inc)
+        assert res.verdict == "counterexample"
+        assert [res.witness[y.name] for y in YS] != [0, 0, 0]
+        assert_matches_slow_scan(L, inc)
 
 
 def test_budget_exceeded(m3):
@@ -149,12 +266,28 @@ def test_budget_exceeded(m3):
         check_inclusion(m3, CATALOG["Unjp"], caps=Caps(eval_budget=1000))
 
 
-def test_parallel_agrees_with_serial():
-    L = all_lattices_upto(7)[-1]  # 7 elements: RL2 has 7^7 valuations
-    inc = CATALOG["RL2"]
+def test_parallel_agrees_with_serial(monkeypatch):
+    # a chain 0 < ... < 60 under a diamond (atoms 61..63, top 64): RL1 has
+    # no block, and 65^3 valuations are more than 4 chunks, so jobs=2 scans
+    # in two worker processes; the least witness lies in the second half
+    L = build_from_leq(65, leq_from_covers(
+        65, [(i, i + 1) for i in range(60)]
+        + [(60, a) for a in (61, 62, 63)] + [(a, 64) for a in (61, 62, 63)]))
+    pools = []
+
+    class CountingPool(equations.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(equations, "ProcessPoolExecutor", CountingPool)
+    inc = CATALOG["RL1"]
     serial = check_inclusion(L, inc, jobs=1)
+    assert pools == []
     parallel = check_inclusion(L, inc, jobs=2)
+    assert pools == [2]
     assert serial == parallel
+    assert serial.witness == {"x": 61, "y": 62, "z": 63}
 
 
 # -- sampled mode -------------------------------------------------------------------

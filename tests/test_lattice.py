@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rellat import (
     Caps,
+    EnumerationCapExceeded,
     NotALattice,
     NotAPartialOrder,
     NotIntersectionClosed,
@@ -318,6 +320,17 @@ def test_lattice_counts_frozen():
     got = [len(lattices_of_order(k)) for k in range(1, 8)]
     assert got == [1, 1, 1, 2, 5, 15, 53]
     assert len(all_lattices_upto(7)) == 78
+
+
+def test_lattice_generation_respects_enum_cap():
+    """k = 8 would walk 3^15 orientations of the six inner points' pairs."""
+    t0 = time.perf_counter()
+    with pytest.raises(EnumerationCapExceeded) as err:
+        lattices_of_order(8)
+    assert time.perf_counter() - t0 < 1.0
+    assert (err.value.need, err.value.cap) == (3**15, Caps().max_enum)
+    with pytest.raises(EnumerationCapExceeded):
+        all_lattices_upto(7, caps=Caps(max_enum=3**10 - 1))
 
 
 def test_generated_lattices_are_pairwise_distinct():
