@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import string
 import sys
 
@@ -26,6 +25,7 @@ from .errors import (
     DEFAULT_CAPS,
     EnumerationCapExceeded,
     RellatError,
+    SearchBudgetExceeded,
     SizeCapExceeded,
 )
 from .frames import (
@@ -315,9 +315,8 @@ def _cmd_check_eq(args) -> int:
             seed=None, budget=caps.eval_budget, evaluations=1)
         word = "fails" if confirmed else "does not fail"
         return _emit(rep, f"valuation {word} the inclusion", 1 if confirmed else 0)
-    jobs = args.jobs if args.jobs else (os.cpu_count() or 1)
     res = check_inclusion(L, inc, mode=args.mode, samples=args.samples,
-                          seed=args.seed, caps=caps, jobs=jobs)
+                          seed=args.seed, caps=caps)
     rep = _report(args, "check eq", inputs, {
         "inclusion": pretty_inclusion(inc),
         "verdict": res.verdict,
@@ -457,7 +456,7 @@ def _cmd_search_sublattice(args) -> int:
         for seed in itertools.combinations(range(L.n), size):
             tried += 1
             if tried > caps.search_nodes:
-                raise BudgetExceeded(tried, caps.search_nodes)
+                raise SearchBudgetExceeded(tried, caps.search_nodes)
             sub, incl = sublattice_closure(L, seed, caps)
             if len(sub.join_irreducibles()) > caps.max_ji:
                 continue
@@ -518,8 +517,6 @@ def _cmd_search_embedding(args) -> int:
 def _add_caps_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, help="max lattice size")
     p.add_argument("--budget", type=int, help="evaluation / search budget")
-    p.add_argument("--jobs", type=int, help="worker count (verdicts are "
-                                            "independent of this)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,16 +5,16 @@ variable in sorted-name order is the most significant digit), so a reported
 counterexample is the lexicographically least one and the evaluation count,
 its rank + 1 or |L|^k when the inclusion holds, is exact.
 
-A block is a run of consecutive sorted variables that reaches the terms only
-through fewer subterms than it has variables, as y0..y2 reach Unjp only
-through ld(ys) and rd(ys). For each lattice the factored scan enumerates a
-block's tuples once, groups them into classes by the values of those
-interface subterms, and scans outer variables x block classes, each class
-standing for its lexicographically least tuple; so the first violation it
-finds is the least raw witness. A cost model picks the blocks. An inclusion
-without any, for instance one whose grouped variables interleave with others
-in sorted order, gets the plain chunked scan of raw valuations, split over
-worker processes when jobs > 1; the factored scan is serial.
+One scan, in one process, covers the space as a product of axes: one per
+outer variable, with its n values, and one per block. A block is a run of
+consecutive sorted variables that reaches the terms only through fewer
+subterms than it has variables, as y0..y2 reach Unjp only through ld(ys)
+and rd(ys); a cost model picks the blocks. For each lattice a block's tuples
+are enumerated once and grouped into classes by the values of those
+interface subterms, and its axis runs over the classes, each standing for
+its lexicographically least tuple; so the first violation found is the
+least raw witness. Each axis's values are shaped to broadcast along that
+axis alone, so every subterm is evaluated only over the axes it depends on.
 
 Sampled mode draws from a seeded generator and is reproducible from
 (seed, samples). Every counterexample is re-verified by the scalar evaluator
@@ -23,7 +23,7 @@ before being reported.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
+import itertools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -189,15 +189,20 @@ def _compile(t: Term, var_index: dict[str, int]) -> list[tuple]:
     return prog
 
 
+def _lookup(table: np.ndarray, a, b) -> np.ndarray:
+    """table[a, b] for index arrays that broadcast against each other, taken
+    from the flattened table with intp offsets (which cannot overflow)."""
+    return table.take(a * np.intp(len(table)) + b)
+
+
 def _run_program(prog: list[tuple], meet, join, cols: list[np.ndarray]) -> np.ndarray:
     regs: list[np.ndarray] = []
     for op in prog:
         if op[0] == "var":
             regs.append(cols[op[1]])
-        elif op[0] == "meet":
-            regs.append(meet[regs[op[1]], regs[op[2]]])
         else:
-            regs.append(join[regs[op[1]], regs[op[2]]])
+            table = meet if op[0] == "meet" else join
+            regs.append(_lookup(table, regs[op[1]], regs[op[2]]))
     return regs[-1]
 
 
@@ -214,41 +219,43 @@ class CheckResult:
 _CHUNK = 1 << 16
 
 
-def _first_violation(meet, join, leq, lprog, rprog, cols) -> int | None:
-    """Position of the first column entry where lhs <= rhs fails, or None."""
+def _first_violation(meet, join, leq, lprog, rprog, cols):
+    """Index, in C order of the broadcast columns, of the first entry where
+    lhs <= rhs fails, or None."""
     lv = _run_program(lprog, meet, join, cols)
     rv = _run_program(rprog, meet, join, cols)
-    viol = ~leq[lv, rv]
-    return int(np.argmax(viol)) if viol.any() else None
+    viol = ~_lookup(leq, lv, rv)
+    return np.unravel_index(np.argmax(viol), viol.shape) if viol.any() else None
 
 
-# worker state for parallel exhaustive scans
-_W: dict = {}
+def _walk(axes):
+    """The mixed-radix space of `axes`, (radix, value arrays) pairs, in
+    lexicographic order, in blocks of at most _CHUNK digit tuples: leading
+    axes are walked as scalars, one axis is sliced and the trailing axes are
+    whole. Yields (head, cols): the digits of the block's first tuple, and
+    each value array restricted to the block and shaped to broadcast along
+    its own axis, so a term built from the columns is computed only over the
+    axes it depends on."""
+    radices = [r for r, _ in axes]
+    s, tail = len(axes) - 1, 1
+    while s > 0 and tail * radices[s] <= _CHUNK:
+        tail *= radices[s]
+        s -= 1
+    step = _CHUNK // tail
+    for prefix in itertools.product(*map(range, radices[:s])):
+        for lo in range(0, radices[s], step):
+            head = [*prefix, lo] + [0] * (len(axes) - s - 1)
+            cols = []
+            for d, (_, vals) in enumerate(axes):
+                sel = (slice(head[d], head[d] + 1) if d < s else
+                       slice(lo, lo + step) if d == s else slice(None))
+                shape = [1] * len(axes)
+                shape[d] = -1
+                cols.extend(v[sel].reshape(shape) for v in vals)
+            yield head, cols
 
 
-def _init_worker(meet, join, leq, lprog, rprog, weights, n):
-    _W.update(meet=meet, join=join, leq=leq, lprog=lprog, rprog=rprog,
-              weights=weights, n=n)
-
-
-def _scan_block(args: tuple[int, int]) -> int | None:
-    lo, hi = args
-    return _scan_range(_W["meet"], _W["join"], _W["leq"], _W["lprog"],
-                       _W["rprog"], _W["weights"], _W["n"], lo, hi)
-
-
-def _scan_range(meet, join, leq, lprog, rprog, weights, n, lo, hi) -> int | None:
-    """Index of the first violating valuation in [lo, hi), or None."""
-    for start in range(lo, hi, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-        cols = [(idx // w) % n for w in weights]
-        hit = _first_violation(meet, join, leq, lprog, rprog, cols)
-        if hit is not None:
-            return start + hit
-    return None
-
-
-# -- factored exhaustive scans -------------------------------------------------
+# -- blocks ------------------------------------------------------------------
 
 
 def _factor(t: Term, block: frozenset[str], faces: dict[Term, int],
@@ -319,15 +326,13 @@ def _choose_blocks(runs, k: int, n: int) -> tuple[tuple[int, int], ...]:
 
 @functools.lru_cache(maxsize=256)
 def _plan(inc: Inclusion, n: int):
-    """The factored scan of inc over n-element lattices, or None when no
-    block pays. Returns (segments, lprog, rprog): one segment per digit of the
-    factored space, (start, stop, interface programs over the block's own
-    variables) for a block and (i, i + 1, None) for an outer variable; the
-    programs read one column per outer variable and per interface subterm."""
+    """The scan of inc over n-element lattices: (segments, lprog, rprog),
+    one segment per axis of the scanned space, (start, stop, interface
+    programs over the block's own variables) for a block chosen by the cost
+    model and (i, i + 1, None) for an outer variable; the programs read one
+    column per outer variable and per interface subterm."""
     names = inc.variables
     blocks = dict(_choose_blocks(_runs(inc), len(names), n))
-    if not blocks:
-        return None
     lhs, rhs = inc.lhs, inc.rhs
     var_index: dict[str, int] = {}
     segments = []
@@ -360,12 +365,12 @@ def _classes(meet, join, progs, n: int, s: int):
     both in the order of those ranks."""
     m = len(progs)
     seen: dict[int, int] = {}            # packed interface values -> rank
-    for start in range(0, n**s, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n**s), dtype=np.int64)
-        cols = [(idx // n ** (s - 1 - p)) % n for p in range(s)]
-        key = np.zeros(len(idx), dtype=np.int64)
+    for head, cols in _walk([(n, [np.arange(n)])] * s):
+        start = sum(h * n ** (s - 1 - d) for d, h in enumerate(head))
+        key = np.int64(0)
         for prog in progs:
             key = key * n + _run_program(prog, meet, join, cols)
+        key = key.ravel()
         order = np.argsort(key, kind="stable")
         sk = key[order]
         firsts = np.sort(order[np.concatenate(([True], sk[1:] != sk[:-1]))])
@@ -375,40 +380,28 @@ def _classes(meet, join, progs, n: int, s: int):
     return list(seen.values()), [(keys // n ** (m - 1 - f)) % n for f in range(m)]
 
 
-def _scan_factored(meet, join, leq, plan, n: int) -> list[int] | None:
-    """Variable values of the lexicographically least violating valuation,
-    or None. Scans outer variables x block classes in mixed radix; a class
-    stands for its least tuple, so the first violation found is the least."""
+def _scan(meet, join, leq, plan, n: int) -> int | None:
+    """Rank of the lexicographically least violating valuation, or None.
+    Scans one axis per segment of the plan: an outer variable's n values or
+    a block's classes, each standing for its least tuple, so the first
+    violation found is the least."""
     segments, lprog, rprog = plan
-    digits = []                          # (radix, class ranks, class values)
+    axes, ranks = [], []
     for i, j, progs in segments:
         if progs is None:
-            digits.append((n, None, None))
+            axes.append((n, [np.arange(n)]))
+            ranks.append(range(n))
         else:
-            ranks, vals = _classes(meet, join, progs, n, j - i)
-            digits.append((len(ranks), ranks, vals))
-    weights = [1] * len(digits)
-    for d in range(len(digits) - 2, -1, -1):
-        weights[d] = weights[d + 1] * digits[d + 1][0]
-    total = weights[0] * digits[0][0]
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        cols = []
-        for w, (radix, _, vals) in zip(weights, digits):
-            d = (idx // w) % radix
-            cols.extend([d] if vals is None else [v[d] for v in vals])
+            r, vals = _classes(meet, join, progs, n, j - i)
+            axes.append((len(r), vals))
+            ranks.append(r)
+    for head, cols in _walk(axes):
         hit = _first_violation(meet, join, leq, lprog, rprog, cols)
-        if hit is None:
-            continue
-        values = []
-        for (i, j, _), w, (radix, ranks, _) in zip(segments, weights, digits):
-            d = (start + hit) // w % radix
-            if ranks is None:
-                values.append(d)
-            else:
-                values.extend(ranks[d] // n ** (j - 1 - p) % n
-                              for p in range(i, j))
-        return values
+        if hit is not None:
+            first = 0
+            for (i, j, _), r, h, d in zip(segments, ranks, head, hit):
+                first = first * n ** (j - i) + r[h + int(d)]
+            return first
     return None
 
 
@@ -419,52 +412,29 @@ def check_inclusion(
     samples: int = 10**6,
     seed: int = 0,
     caps: Caps = DEFAULT_CAPS,
-    jobs: int = 1,
 ) -> CheckResult:
     """Check lhs <= rhs over all (or sampled) valuations.
 
     Exhaustive: raises BudgetExceeded if |L|^k exceeds caps.eval_budget;
-    returns the lexicographically least counterexample otherwise. The verdict,
-    witness, and evaluation count do not depend on `jobs` or on whether the
-    scan is factored. Sampled: raises ValueError if samples < 1 and
+    returns the lexicographically least counterexample otherwise. One scan in
+    this process covers the space, over block classes where the plan has
+    blocks; the verdict, witness and evaluation count do not depend on the
+    plan or on _CHUNK. Sampled: raises ValueError if samples < 1 and
     BudgetExceeded if samples exceeds caps.eval_budget.
     """
     vars_ = inc.variables
     k = len(vars_)
     n = L.n
-    var_index = {name: i for i, name in enumerate(vars_)}
-    lprog = _compile(inc.lhs, var_index)
-    rprog = _compile(inc.rhs, var_index)
 
     if mode == "exhaustive":
         total = n**k
         if total > caps.eval_budget:
             raise BudgetExceeded(total, caps.eval_budget)
-        weights = [n ** (k - 1 - i) for i in range(k)]
-        plan = _plan(inc, n)
-        if plan is not None:
-            values = _scan_factored(L.meet, L.join, L.leq, plan, n)
-            first = None if values is None else sum(
-                v * w for v, w in zip(values, weights))
-        elif jobs > 1 and total > 4 * _CHUNK:
-            blocks = []
-            step = -(-total // jobs)
-            step = max(step, _CHUNK)
-            for lo in range(0, total, step):
-                blocks.append((lo, min(lo + step, total)))
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_init_worker,
-                initargs=(L.meet, L.join, L.leq, lprog, rprog, weights, n),
-            ) as ex:
-                hits = [h for h in ex.map(_scan_block, blocks) if h is not None]
-            first = min(hits) if hits else None
-        else:
-            first = _scan_range(L.meet, L.join, L.leq, lprog, rprog,
-                                weights, n, 0, total)
+        first = _scan(L.meet, L.join, L.leq, _plan(inc, n), n)
         if first is None:
             return CheckResult("holds", None, total, "exhaustive")
-        witness = {name: (first // weights[i]) % n for i, name in enumerate(vars_)}
+        witness = {name: first // n ** (k - 1 - i) % n
+                   for i, name in enumerate(vars_)}
         if not verify_witness(L, inc, witness):
             raise AssertionError("counterexample failed re-verification")
         return CheckResult("counterexample", witness, first + 1, "exhaustive")
@@ -475,13 +445,17 @@ def check_inclusion(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > caps.eval_budget:
         raise BudgetExceeded(samples, caps.eval_budget)
+    var_index = {name: i for i, name in enumerate(vars_)}
+    lprog = _compile(inc.lhs, var_index)
+    rprog = _compile(inc.rhs, var_index)
     rng = np.random.default_rng(seed)
     done = 0
     while done < samples:
         b = min(_CHUNK, samples - done)
         cols = [c for c in rng.integers(0, n, size=(k, b), dtype=np.int64)]
-        pos = _first_violation(L.meet, L.join, L.leq, lprog, rprog, cols)
-        if pos is not None:
+        hit = _first_violation(L.meet, L.join, L.leq, lprog, rprog, cols)
+        if hit is not None:
+            pos = int(hit[0])
             witness = {name: int(cols[i][pos]) for i, name in enumerate(vars_)}
             if not verify_witness(L, inc, witness):
                 raise AssertionError("counterexample failed re-verification")

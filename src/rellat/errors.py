@@ -69,7 +69,7 @@ class BudgetExceeded(RellatError):
         super().__init__(self._message())
 
     def _message(self) -> str:
-        return f"{self.need} evaluations exceed budget {self.budget}"
+        return f"{self.need} exceeds the eval_budget cap {self.budget}"
 
 
 class SearchBudgetExceeded(BudgetExceeded):

@@ -3,12 +3,17 @@
 Everything here works from first definitions (order matrices, row dicts,
 set comprehensions) and deliberately avoids the package's meet/join tables,
 bitmask tricks, and caching, so a bug in those cannot hide from the tests.
-Sizes are expected to be tiny; nothing here is clever.
+Sizes are expected to be tiny; nothing here is clever. The one exception
+is `plain_scan`, which folds terms through a lattice's own tables.
 """
 from __future__ import annotations
 
 import itertools
 from math import comb
+
+import numpy as np
+
+from rellat import Meet, Var
 
 
 # -- order-theoretic oracles (input: n and a leq predicate or matrix) -----------
@@ -115,6 +120,39 @@ def least_embedding(n1, leq1, n2, leq2):
             if best is None or key < best[0]:
                 best = (key, list(phi))
     return None if best is None else best[1]
+
+
+def plain_scan(L, inc, chunk=1 << 16):
+    """(verdict, witness, evaluations) of an exhaustive check of inc on L.
+
+    A numpy scan of the raw valuations in lexicographic order, `chunk` at a
+    time, each term folded through L.meet and L.join over whole columns. It
+    reads the tables (the tests check them against the order) so that it
+    stays fast enough for every small lattice, and shares no code with the
+    package's scan: no blocks, no broadcasting over axes.
+    """
+    names = sorted(set(inc.variables))
+    k, n = len(names), L.n
+
+    def fold(t, cols):
+        if isinstance(t, Var):
+            return cols[names.index(t.name)]
+        table = L.meet if isinstance(t, Meet) else L.join
+        acc = fold(t.args[0], cols)
+        for a in t.args[1:]:
+            acc = table[acc, fold(a, cols)]
+        return acc
+
+    for start in range(0, n**k, chunk):
+        idx = np.arange(start, min(start + chunk, n**k), dtype=np.int64)
+        cols = [idx // n ** (k - 1 - i) % n for i in range(k)]
+        viol = ~L.leq[fold(inc.lhs, cols), fold(inc.rhs, cols)]
+        if viol.any():
+            first = start + int(np.argmax(viol))
+            witness = {name: first // n ** (k - 1 - i) % n
+                       for i, name in enumerate(names)}
+            return "counterexample", witness, first + 1
+    return "holds", None, n**k
 
 
 def refines(n, leq, xs, ys):

@@ -182,6 +182,7 @@ def test_check_eq_budget_exit(capsys, r22_file):
                        "--lattice", r22_file, "--budget", "1000")
     assert code == 3
     assert doc["error"]["type"] == "BudgetExceeded"
+    assert doc["error"]["detail"] == f"{26**8} exceeds the eval_budget cap 1000"
 
 
 def test_check_iso_budget_exit(capsys, r22_file):
@@ -239,6 +240,13 @@ def test_bad_arguments_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_jobs_flag_is_gone(capsys, r22_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "eq", "--eq", "RL1", "--lattice", r22_file,
+              "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 # -- search -------------------------------------------------------------------------
 
 
@@ -252,6 +260,14 @@ def test_search_sublattice_finds_prime_cover(tmp_path, capsys, r22_file):
     assert res["witness"]["cover_labels"]
     with open(out) as fh:
         assert json.load(fh)["n"] == res["sublattice_size"]
+
+
+def test_search_sublattice_budget_exit(capsys, r22_file):
+    code, doc, _ = run(capsys, "search", "sublattice", "--lattice", r22_file,
+                       "--goal", "illdefined", "--budget", "2")
+    assert code == 3
+    assert doc["error"]["type"] == "SearchBudgetExceeded"
+    assert doc["error"]["detail"] == "search node 3 exceeds the search_nodes cap 2"
 
 
 def test_search_sublattice_not_found(tmp_path, capsys):

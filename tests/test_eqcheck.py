@@ -153,19 +153,13 @@ def test_wide_equations_match_slow_scan(make, name):
     assert_matches_slow_scan(make(), CATALOG[name])
 
 
-def plain_scan(L, inc):
-    """(verdict, witness, evaluations) from the unfactored scan."""
-    names = inc.variables
-    k, n = len(names), L.n
-    index = {name: i for i, name in enumerate(names)}
-    weights = [n ** (k - 1 - i) for i in range(k)]
-    first = equations._scan_range(
-        L.meet, L.join, L.leq, equations._compile(inc.lhs, index),
-        equations._compile(inc.rhs, index), weights, n, 0, n**k)
-    if first is None:
-        return "holds", None, n**k
-    witness = {name: first // weights[i] % n for i, name in enumerate(names)}
-    return "counterexample", witness, first + 1
+def outcome(res):
+    return res.verdict, res.witness, res.evaluations
+
+
+def has_block(inc, n):
+    """Whether the scan of inc over n-element lattices has a block axis."""
+    return any(progs is not None for _, _, progs in equations._plan(inc, n)[0])
 
 
 def relabel(L, perm):
@@ -186,9 +180,9 @@ def test_factored_scan_matches_plain_scan(small_lattices, name):
     lattices += [relabel_downward(L) for L in lattices if L.n <= 5]
     for L in lattices:
         if L.n > 2:
-            assert equations._plan(inc, L.n) is not None
+            assert has_block(inc, L.n)
         res = check_inclusion(L, inc)
-        assert (res.verdict, res.witness, res.evaluations) == plain_scan(L, inc)
+        assert outcome(res) == oracles.plain_scan(L, inc)
 
 
 @pytest.mark.parametrize("text", [
@@ -207,9 +201,9 @@ def test_factored_scan_under_relabeling(small_lattices, text):
             perm = list(range(L.n))
             rng.shuffle(perm)
             L2 = relabel(L, perm)
-            assert equations._plan(inc, L2.n) is not None
+            assert has_block(inc, L2.n)
             res = check_inclusion(L2, inc)
-            assert (res.verdict, res.witness, res.evaluations) == plain_scan(L2, inc)
+            assert outcome(res) == oracles.plain_scan(L2, inc)
 
 
 @pytest.mark.parametrize("name", ["Unjp", "RL2"])
@@ -217,21 +211,21 @@ def test_factored_scan_across_chunks(m3, n5, monkeypatch, name):
     """Block classes and the factored space spanning many chunks."""
     inc = CATALOG[name]
     lattices = [m3, n5, relabel_downward(m3), relabel_downward(n5)]
-    want = [plain_scan(L, inc) for L in lattices]
+    want = [oracles.plain_scan(L, inc) for L in lattices]
     monkeypatch.setattr(equations, "_CHUNK", 7)
     for L, expected in zip(lattices, want):
         res = check_inclusion(L, inc)
-        assert (res.verdict, res.witness, res.evaluations) == expected
+        assert outcome(res) == expected
 
 
 def test_catalog_blocks():
     """The runs of sorted variables each law is factored over, at n = 7."""
     got = {}
     for name, inc in CATALOG.items():
-        plan = equations._plan(inc, 7)
+        segments = equations._plan(inc, 7)[0]
         names = inc.variables
-        got[name] = [] if plan is None else [
-            names[i:j] for i, j, progs in plan[0] if progs is not None]
+        got[name] = [names[i:j] for i, j, progs in segments
+                     if progs is not None]
     ys, zs = ("y0", "y1", "y2"), ("z0", "z1", "z2")
     assert got == {"Dist": [], "RL1": [], "SymPC": [], "VarRL1": [],
                    "Unjp": [ys, zs], "RL2": [ys, zs], "RMod": [zs], "Sym": [zs]}
@@ -245,7 +239,7 @@ def test_interleaved_block_takes_plain_scan(m3, n5):
                 " v (b ^ (d v (a ^ (c v e) ^ (d v b))))")
     assert inc.variables == ("a", "b", "c", "d", "e")
     for L in (m3, n5):
-        assert equations._plan(inc, L.n) is None
+        assert not has_block(inc, L.n)
         assert_matches_slow_scan(L, inc)
 
 
@@ -254,7 +248,7 @@ def test_witness_in_later_block_class(m3):
     # is that of the tuple (0, 0, 0); this witness's tuple lies in another
     inc = Inclusion(mk_meet([Var("x"), ld(*YS)]), rd(*YS))
     for L in (m3, relabel_downward(m3)):
-        assert equations._plan(inc, L.n) is not None
+        assert has_block(inc, L.n)
         res = check_inclusion(L, inc)
         assert res.verdict == "counterexample"
         assert [res.witness[y.name] for y in YS] != [0, 0, 0]
@@ -262,32 +256,60 @@ def test_witness_in_later_block_class(m3):
 
 
 def test_budget_exceeded(m3):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match="390625 exceeds the eval_budget cap 1000"):
         check_inclusion(m3, CATALOG["Unjp"], caps=Caps(eval_budget=1000))
 
 
-def test_parallel_agrees_with_serial(monkeypatch):
-    # a chain 0 < ... < 60 under a diamond (atoms 61..63, top 64): RL1 has
-    # no block, and 65^3 valuations are more than 4 chunks, so jobs=2 scans
-    # in two worker processes; the least witness lies in the second half
+def test_scan_walks_prefix_and_slices_middle_axis(monkeypatch):
+    # a chain 0 < ... < 60 under a diamond (atoms 61..63, top 64). RL1 has
+    # no block, so the scan has one axis per variable; with 1000 entries per
+    # evaluated block, x is walked as a scalar, y is sliced 15 values at a
+    # time and z is whole. The least witness is the diamond's atoms, far
+    # into the space
     L = build_from_leq(65, leq_from_covers(
         65, [(i, i + 1) for i in range(60)]
         + [(60, a) for a in (61, 62, 63)] + [(a, 64) for a in (61, 62, 63)]))
-    pools = []
-
-    class CountingPool(equations.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs["max_workers"])
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(equations, "ProcessPoolExecutor", CountingPool)
     inc = CATALOG["RL1"]
-    serial = check_inclusion(L, inc, jobs=1)
-    assert pools == []
-    parallel = check_inclusion(L, inc, jobs=2)
-    assert pools == [2]
-    assert serial == parallel
-    assert serial.witness == {"x": 61, "y": 62, "z": 63}
+    monkeypatch.setattr(equations, "_CHUNK", 1000)
+    res = check_inclusion(L, inc)
+    assert res.witness == {"x": 61, "y": 62, "z": 63}
+    assert res.evaluations == 61 * 65**2 + 62 * 65 + 63 + 1
+    assert outcome(res) == oracles.plain_scan(L, inc)
+
+
+def shuffled(L, seed=0):
+    perm = list(range(L.n))
+    random.Random(seed).shuffle(perm)
+    return relabel(L, perm)
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 30])
+@pytest.mark.parametrize("text", [
+    "RL1", "SymPC", "VarRL1",
+    "x ^ (y v (z ^ (w v x))) <= (x ^ y) v (x ^ z) v (x ^ w)",
+])
+def test_no_block_scan_matches_plain_scan(m3, n5, monkeypatch, text, chunk):
+    """Outer axes only, in blocks smaller than one axis (3), than two (7)
+    and than three (30) at n = 5."""
+    inc = CATALOG[text] if text in CATALOG else parse(text)
+    lattices = [m3, n5, relabel_downward(m3), relabel_downward(n5),
+                shuffled(m3), shuffled(n5)]
+    assert not has_block(inc, 5)
+    want = [oracles.plain_scan(L, inc) for L in lattices]
+    monkeypatch.setattr(equations, "_CHUNK", chunk)
+    for L, expected in zip(lattices, want):
+        res = check_inclusion(L, inc)
+        assert outcome(res) == expected
+
+
+def test_scan_of_one_element_lattice(monkeypatch):
+    L = build_from_leq(1, np.ones((1, 1), dtype=bool))
+    inc = parse("x <= x")
+    for chunk in (1, 1 << 16):
+        monkeypatch.setattr(equations, "_CHUNK", chunk)
+        res = check_inclusion(L, inc)
+        assert outcome(res) == ("holds", None, 1)
 
 
 # -- sampled mode -------------------------------------------------------------------
@@ -321,7 +343,8 @@ def test_sample_rejects_nonpositive_count(m3):
 
 
 def test_sample_budget_exceeded(m3):
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match="1001 exceeds the eval_budget cap 1000"):
         check_inclusion(m3, CATALOG["Dist"], mode="sample", samples=1001,
                         caps=Caps(eval_budget=1000))
 
