@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
 import numpy as np
 
@@ -46,14 +47,39 @@ def _inner_posets(m: int, caps: Caps = DEFAULT_CAPS):
     return seen
 
 
-def _canon_key(m: int, rel: frozenset) -> tuple:
-    """Lexicographically least strict-pair set over relabelings."""
-    best = None
+def _canon_keys(m: int, rels: Sequence[frozenset]) -> np.ndarray:
+    """Row i: the canonical key of the strict order rels[i] on m points, the
+    lexicographically least sorted pair tuple over all relabelings.
+
+    A pair (a, b) is the index a*m + b, so sorted pair tuples compare as
+    sorted index vectors. Rows are padded at the end with m*m, and every
+    relabeling of one order pads alike. Each relabeling is applied to all
+    orders at once; decode a row with `_key_pairs`."""
+    pad = m * m
+    width = 1 + max((len(rel) for rel in rels), default=0)   # >= one pad
+    pairs = np.full((len(rels), width), pad, dtype=np.int16)
+    for i, rel in enumerate(rels):
+        pairs[i, :len(rel)] = [a * m + b for a, b in rel]
+    relabels = []
     for perm in itertools.permutations(range(m)):
-        img = tuple(sorted((perm[a], perm[b]) for a, b in rel))
-        if best is None or img < best:
-            best = img
+        p = np.array(perm, dtype=np.int16)
+        relabels.append(np.append((p[:, None] * m + p).ravel(), pad))
+    best = np.full_like(pairs, pad)
+    for r0 in range(0, len(rels), 512):   # 512 orders at a time bound memory
+        block, least = pairs[r0:r0 + 512], best[r0:r0 + 512]
+        rows = np.arange(len(block))
+        for relabel in relabels:
+            img = np.sort(relabel[block], axis=1)
+            differ = img != least
+            first = differ.argmax(axis=1)
+            less = differ.any(axis=1) & (img[rows, first] < least[rows, first])
+            least[less] = img[less]
     return best
+
+
+def _key_pairs(m: int, row: np.ndarray) -> tuple:
+    """A row of `_canon_keys` as its sorted tuple of pairs."""
+    return tuple(divmod(d, m) for d in row.tolist() if d != m * m)
 
 
 def _leq_from_inner(k: int, rel: frozenset) -> np.ndarray:
@@ -76,11 +102,11 @@ def lattices_of_order(k: int, caps: Caps = DEFAULT_CAPS) -> list[FiniteLattice]:
     if k == 1:
         return [build_from_leq(1, np.eye(1, dtype=bool), caps=caps)]
     m = k - 2
-    reps = {}
-    for rel in _inner_posets(m, caps):
-        key = _canon_key(m, rel)
-        if key not in reps:
-            reps[key] = rel
+    rels = list(_inner_posets(m, caps))
+    first = {}
+    for row, rel in zip(_canon_keys(m, rels), rels):
+        first.setdefault(row.tobytes(), (row, rel))
+    reps = {_key_pairs(m, row): rel for row, rel in first.values()}
     out = []
     for key in sorted(reps):
         rel = reps[key]

@@ -1,9 +1,35 @@
 """Finite lattices: integer-indexed orders with eager meet/join tables.
 
 Elements are dense indices 0..n-1; the order is an n-by-n boolean matrix;
-meet/join are n-by-n element tables computed (and validated) at build time.
-Down-sets and up-sets are kept as int bitmasks, which makes glb/lub checks,
-transitivity, and sublattice closures cheap word operations.
+meet/join are n-by-n int32 element tables computed (and validated) at build
+time. Down-sets and up-sets are also kept as int bitmasks, which makes
+cover and atom tests and sublattice closures cheap word operations.
+
+Construction (`build_from_leq`) works on whole matrices:
+
+1. Reflexivity and antisymmetry are read off the diagonal and leq & leq.T.
+2. One float32 product d @ d of the 0/1 order counts, for each c and a, the
+   elements x with c <= x <= a. A positive count where c <= a fails breaks
+   transitivity; a count of two where c <= a holds is a cover.
+3. Meets, with joins as meets of the transposed order: the candidate meet
+   of a and b is their common lower bound latest in a linear extension
+   (elements sorted by height). Over the covers it is b when b <= a, else
+   the latest of the candidates of a with the lower covers of b, filled
+   one height at a time, upwards, as elementwise maxima over all a. A
+   product counts the common lower bounds, and the candidate is the meet
+   iff that count equals the size of its down-set.
+4. Failures are reported with the same witnesses as a per-pair check: the
+   least non-reflexive i, the first i != j in row-major order with i <= j
+   and j <= i, the transitivity witness (c, b, a) with least a, then least b, then
+   least c, and else the first (a, b) with a < b in row-major order that has
+   no meet, or else no join.
+
+Memory: besides leq and the two int32 tables, a build holds one n-by-n
+float32 copy of the order at a time. Every other n-by-n computation, and the
+order matrices of the closed-family, relational and semidirect builds, runs
+in blocks of rows of at most about _BLOCK (2^20) entries, so temporaries
+stay within a few times 8 MB whatever n is. Float32 counts are exact for n
+below 2^24, far beyond any size whose tables fit in memory.
 """
 from __future__ import annotations
 
@@ -102,9 +128,14 @@ class FiniteLattice:
         """Elements with exactly one lower cover (equivalently, j != bottom
         and j is not the join of its strict down-set)."""
         if "ji" not in self._cache:
-            self._cache["ji"] = tuple(
-                j for j in range(self.n) if len(self.lower_covers(j)) == 1
-            )
+            # j has one lower cover c iff its strict down-set is down(c), iff
+            # some c <= j has a down-set one element smaller than j's
+            size = self.leq.sum(axis=0)
+            one = np.zeros(self.n, dtype=bool)
+            for r0, r1 in _row_blocks(self.n, self.n):
+                one |= (self.leq[r0:r1]
+                        & (size[r0:r1, None] == size - 1)).any(axis=0)
+            self._cache["ji"] = tuple(np.flatnonzero(one).tolist())
         return self._cache["ji"]
 
     def join_primes(self) -> tuple[int, ...]:
@@ -141,6 +172,37 @@ def structure_query(L: FiniteLattice) -> dict:
 
 # -- construction ---------------------------------------------------------
 
+# Every n-by-n computation below runs in blocks of rows, so that no
+# temporary holds more than about this many entries.
+_BLOCK = 1 << 20
+
+
+def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
+    """(start, stop) ranges covering n rows of `width` entries, at most
+    _BLOCK entries (but at least one row) per block."""
+    step = max(1, _BLOCK // max(1, width))
+    return [(r, min(n, r + step)) for r in range(0, n, step)]
+
+
+def _bitmasks(rows: np.ndarray) -> tuple[int, ...]:
+    """Row i as a plain int with bit j set iff rows[i, j]."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+
+
+def _containment(masks: Sequence[int]) -> np.ndarray:
+    """leq[i, j] = masks[i] is a subset of masks[j], for non-negative plain-int
+    bitmasks of any width (compared as 64-bit words)."""
+    n = len(masks)
+    words = max(1, -(-max(m.bit_length() for m in masks) // 64))
+    w = np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
+                      dtype="<u8").reshape(n, words)
+    leq = np.empty((n, n), dtype=bool)
+    for r0, r1 in _row_blocks(n, n * words):
+        leq[r0:r1] = ~(w[r0:r1, None, :] & ~w[None, :, :]).any(axis=2)
+    return leq
+
+
 def _as_bool_matrix(n: int, leq) -> np.ndarray:
     arr = np.asarray(leq, dtype=bool)
     if arr.shape != (n, n):
@@ -168,55 +230,124 @@ def build_from_leq(
         if len(labels) != n:
             raise ValueError("labels length mismatch")
 
-    for i in range(n):
-        if not arr[i, i]:
-            raise NotAPartialOrder("not reflexive", (i,))
+    diagonal = arr.diagonal()
+    if not diagonal.all():
+        raise NotAPartialOrder("not reflexive", (int(np.argmin(diagonal)),))
     both = arr & arr.T
     np.fill_diagonal(both, False)
     if both.any():
         i, j = map(int, np.argwhere(both)[0])
         raise NotAPartialOrder("not antisymmetric", (i, j))
 
-    down = [0] * n
-    up = [0] * n
-    for a in range(n):
-        col = arr[:, a]
-        row = arr[a, :]
-        # plain-int shifts: numpy ints would overflow past bit 63
-        down[a] = sum(1 << int(b) for b in np.flatnonzero(col))
-        up[a] = sum(1 << int(b) for b in np.flatnonzero(row))
-    for a in range(n):
-        m = down[a] & ~(1 << a)
-        while m:
-            bbit = m & -m
-            b = bbit.bit_length() - 1
-            m ^= bbit
-            if down[b] | down[a] != down[a]:
-                # b <= a but some c <= b is not <= a
-                c = ((down[b] & ~down[a]) & -(down[b] & ~down[a])).bit_length() - 1
-                raise NotAPartialOrder("not transitive", (c, b, a))
+    lo, hi = _cover_edges(arr)
+    meet, meet_fails = _meet_table(arr, lo, hi)
+    join, join_fails = _meet_table(arr.T, hi, lo)
+    fails = np.minimum(meet_fails, join_fails)
+    if (fails < n).any():
+        a = int(np.argmax(fails < n))
+        b = int(fails[a])
+        raise NotALattice("meet" if meet_fails[a] == b else "join", (a, b))
 
-    by_down = {down[a]: a for a in range(n)}
-    by_up = {up[a]: a for a in range(n)}
-    meet = np.empty((n, n), dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)
-    for a in range(n):
-        meet[a, a] = join[a, a] = a
-        for b in range(a + 1, n):
-            m = by_down.get(down[a] & down[b])
-            if m is None:
-                raise NotALattice("meet", (a, b))
-            meet[a, b] = meet[b, a] = m
-            j = by_up.get(up[a] & up[b])
-            if j is None:
-                raise NotALattice("join", (a, b))
-            join[a, b] = join[b, a] = j
-
-    full = (1 << n) - 1
-    bottom = by_up[full]
-    top = by_down[full]
+    bottom = int(np.argmax(arr.sum(axis=1) == n))
+    top = int(np.argmax(arr.sum(axis=0) == n))
     return FiniteLattice(n, arr, meet, join, bottom, top, labels,
-                         tuple(down), tuple(up))
+                         _bitmasks(arr.T), _bitmasks(arr))
+
+
+def _cover_edges(le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The covers lo[k] < hi[k] of a reflexive antisymmetric relation, with
+    lo ascending; raises NotAPartialOrder if it is not transitive.
+
+    (d @ d)[c, a] counts the x with c <= x <= a. A positive count where
+    c <= a fails breaks transitivity; a count of exactly two (c and a) where
+    c <= a holds is a cover.
+    """
+    n = len(le)
+    d = le.astype(np.float32)
+    broken = np.zeros(n, dtype=bool)   # a with some c <= b <= a, not c <= a
+    lo, hi = [], []
+    for r0, r1 in _row_blocks(n, n):
+        between = d[r0:r1] @ d
+        broken |= ((between > 0) & ~le[r0:r1]).any(axis=0)
+        c, a = np.nonzero((between == 2) & le[r0:r1])
+        lo.append(c + r0)
+        hi.append(a)
+    if broken.any():
+        # the witness (c, b, a): least a, then least b <= a, then least c <= b
+        # outside the down-set of a
+        a = int(np.argmax(broken))
+        outside = ~le[:, a]
+        b = int(np.argmax(le[:, a] & (outside.astype(np.float32) @ d > 0)))
+        c = int(np.argmax(le[:, b] & outside))
+        raise NotAPartialOrder("not transitive", (c, b, a))
+    return np.concatenate(lo), np.concatenate(hi)
+
+
+def _meet_table(le: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The meet table of a partial order with covers lo[k] < hi[k], and for
+    each a the least b > a without a meet (n if every such b has one).
+
+    The table's entries are meets only where they exist. Sorting by height
+    (the longest chain below) is a linear extension. The candidate meet of
+    (a, b) is the common lower bound latest in it: b itself when b <= a,
+    else the latest of the candidates of a with the lower covers of b, since
+    every common lower bound lies below one of those covers. The candidates
+    are filled one height at a time, upwards, each a few elementwise maxima
+    over all a at once. A candidate is the meet iff the common lower bounds
+    are exactly as many as the elements of its down-set, and one product
+    counts them. Called on the transposed order with the covers reversed,
+    this computes joins.
+    """
+    n = len(le)
+    size = le.sum(axis=0)                        # down-set sizes
+    covers = [[] for _ in range(n)]              # lower covers per element
+    for c, b in zip(lo.tolist(), hi.tolist()):
+        covers[b].append(c)
+    # heights, visiting elements by down-set size, so covers come first
+    height = [0] * n
+    for b in np.argsort(size, kind="stable").tolist():
+        if covers[b]:
+            height[b] = 1 + max(height[c] for c in covers[b])
+    order = np.argsort(height, kind="stable")    # rank -> element
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    # down-set size per rank; rank -1 (no common lower bound) has size -1
+    rank_size = np.append(size[order], -1).astype(np.float32)
+    by_height = [[] for _ in range(max(height) + 1)]
+    for b in order.tolist():
+        by_height[height[b]].append(b)
+    minimal = np.array(by_height[0])
+    # per height above 0: its elements, most covers first, and slots[k], the
+    # k-th lower covers of those that have one (a prefix, by that order)
+    levels = []
+    for upper in by_height[1:]:
+        upper.sort(key=lambda b: -len(covers[b]))
+        slots = [np.array([covers[b][k] for b in upper if len(covers[b]) > k])
+                 for k in range(len(covers[upper[0]]))]
+        levels.append((np.array(upper), slots))
+    x = np.ascontiguousarray(le.T, dtype=np.float32)   # x[a] = down-set of a
+
+    table = np.empty((n, n), dtype=np.int32)
+    fails = np.full(n, n, dtype=np.intp)
+    for r0, r1 in _row_blocks(n, n):
+        # cand[b, a - r0]: rank of the candidate meet of a and b
+        below = le[:, r0:r1]
+        cand = np.empty((n, r1 - r0), dtype=np.int32)
+        cand[minimal] = np.where(below[minimal], rank[minimal, None], -1)
+        for upper, slots in levels:
+            best = cand[slots[0]]
+            for lower in slots[1:]:
+                k = len(lower)
+                np.maximum(best[:k], cand[lower], out=best[:k])
+            cand[upper] = np.where(below[upper], rank[upper, None], best)
+        # meets are symmetric, so only the pairs b > a are checked
+        common = x[r0:] @ x[r0:r1].T
+        bad = ((common != rank_size[cand[r0:]])
+               & (np.arange(n - r0)[:, None] > np.arange(r1 - r0)))
+        fails[r0:r1] = np.where(bad.any(axis=0), bad.argmax(axis=0) + r0, n)
+        table[:, r0:r1] = order[cand]
+    return table, fails
 
 
 @dataclass(frozen=True)
@@ -263,12 +394,8 @@ def build_from_closed_family(
     for a, b in itertools.combinations(members, 2):
         if a & b not in mset:
             raise NotIntersectionClosed((a, b))
-    leq = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(members):
-        for j, b in enumerate(members):
-            leq[i, j] = a & b == a
     labels = [set_label(fam.universe, m) for m in members]
-    return build_from_leq(n, leq, labels=labels, caps=caps)
+    return build_from_leq(n, _containment(members), labels=labels, caps=caps)
 
 
 # -- sublattices -----------------------------------------------------------
@@ -424,7 +551,7 @@ def _search(
 # -- JSON ------------------------------------------------------------------
 
 def lattice_to_json(L: FiniteLattice) -> dict:
-    out = {"n": L.n, "leq": [[int(b) for b in row] for row in L.leq]}
+    out = {"n": L.n, "leq": L.leq.astype(np.uint8).tolist()}
     if L.labels is not None:
         out["labels"] = list(L.labels)
     return out

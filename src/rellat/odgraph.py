@@ -23,7 +23,8 @@ from .errors import (
     SizeCapExceeded,
     UnknownProperty,
 )
-from .lattice import FiniteLattice, build_from_closed_family, make_closed_family
+from .lattice import (FiniteLattice, _row_blocks, build_from_closed_family,
+                      make_closed_family)
 from .relational import UltraSpace, make_space
 
 
@@ -90,11 +91,13 @@ def _all_minimal_covers(L: FiniteLattice, caps: Caps) -> dict[int, list[tuple[in
                     rmask |= 1 << a
             refine_sets.append(rmask)
         rs = np.array(refine_sets, dtype=np.int64)
-        cand = pool[:, None]
-        other = pool[None, :]
-        refines_c = (other & ~rs[:, None]) == 0
-        misses = (cand & ~other) != 0
-        beaten = (refines_c & misses).any(axis=1)
+        # candidate c is beaten by another candidate that refines it and
+        # misses some member of c; tested in blocks of candidates
+        beaten = np.empty(len(pool), dtype=bool)
+        for r0, r1 in _row_blocks(len(pool), len(pool)):
+            refines_c = (pool & ~rs[r0:r1, None]) == 0
+            misses = (pool[r0:r1, None] & ~pool) != 0
+            beaten[r0:r1] = (refines_c & misses).any(axis=1)
         minimal = pool[~beaten].tolist()
         covers = []
         for mask in sorted(minimal, key=lambda x: (bin(x).count("1"), x)):

@@ -25,6 +25,8 @@ from .errors import (
 from .lattice import (
     ClosedFamily,
     FiniteLattice,
+    _containment,
+    _row_blocks,
     build_from_leq,
     make_closed_family,
     set_label,
@@ -243,30 +245,33 @@ def build_R(schema: Schema, caps: Caps = DEFAULT_CAPS) -> RLattice:
     total = r_size(schema)
     if total > caps.max_lattice:
         raise SizeCapExceeded(total, caps.max_lattice)
+    # elements by header, then by row set as a bitmask over the row codes
     elems: list[Table] = []
+    start = {}
     for mask in range(schema.full_header + 1):
+        start[mask] = len(elems)
         nr = schema.n_rows(mask)
         for rowset in range(1 << nr):
             rows = frozenset(i for i in range(nr) if rowset >> i & 1)
             elems.append(Table(schema, mask, rows))
-    # memoize projection maps per header pair to keep the n^2 order cheap
-    proj: dict[tuple[int, int], list[int]] = {}
-
-    def proj_map(h1: int, h2: int) -> list[int]:
-        key = (h1, h2)
-        if key not in proj:
-            proj[key] = [schema.restrict_code(h1, c, h2)
-                         for c in range(schema.n_rows(h1))]
-        return proj[key]
-
     n = len(elems)
+    # t1 <= t2 needs header h2 inside h1; then the block of header pair
+    # (h1, h2) compares each row set over h1, projected to h2, with every
+    # row set over h2 by mask containment
     leq = np.zeros((n, n), dtype=bool)
-    for i, t1 in enumerate(elems):
-        for j, t2 in enumerate(elems):
-            if t2.header & ~t1.header:
+    for h1 in start:
+        sets1 = np.arange(1 << schema.n_rows(h1), dtype=np.int64)
+        for h2 in start:
+            if h2 & ~h1:
                 continue
-            pm = proj_map(t1.header, t2.header)
-            leq[i, j] = all(pm[c] in t2.rows for c in t1.rows)
+            image = np.zeros_like(sets1)
+            for c in range(schema.n_rows(h1)):
+                image |= (sets1 >> c & 1) << schema.restrict_code(h1, c, h2)
+            sets2 = np.arange(1 << schema.n_rows(h2), dtype=np.int64)
+            cols = slice(start[h2], start[h2] + len(sets2))
+            for r0, r1 in _row_blocks(len(sets1), len(sets2)):
+                leq[start[h1] + r0:start[h1] + r1, cols] = \
+                    (image[r0:r1, None] & ~sets2) == 0
     labels = [table_label(t) for t in elems]
     lattice = build_from_leq(n, leq, labels=labels, caps=caps)
     return RLattice(schema, lattice, tuple(elems))
@@ -507,10 +512,8 @@ def semidirect_core(
                 if len(elems) > caps.max_lattice:
                     raise SizeCapExceeded(len(elems), caps.max_lattice)
     n = len(elems)
-    leq = np.zeros((n, n), dtype=bool)
-    for i, (x1, t1) in enumerate(elems):
-        for j, (x2, t2) in enumerate(elems):
-            leq[i, j] = (x1 & ~x2 == 0) and (t1 & ~t2 == 0)
+    # componentwise containment is containment of the concatenated masks
+    leq = _containment([x | t << n_attrs for x, t in elems])
     labels = [
         f"({set_label(tuple(attr_names), x)}|{set_label(tuple(point_names), t)})"
         for x, t in elems

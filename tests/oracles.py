@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from rellat import Meet, Var
+from rellat import Meet, NotALattice, NotAPartialOrder, Var
 
 
 # -- order-theoretic oracles (input: n and a leq predicate or matrix) -----------
@@ -96,6 +96,63 @@ def join_primes(n, leq):
         if prime:
             out.append(j)
     return out
+
+
+def lattice_tables(n, leq):
+    """Meet and join tables (lists of lists), bottom, top and the down-set
+    and up-set bitmasks of a lattice order, by per-pair down-set lookups.
+
+    Raises NotAPartialOrder or NotALattice with the package's witnesses:
+    the least non-reflexive i; the first (i, j) in row-major order with
+    i <= j <= i; for transitivity the least a, then the least b <= a, then
+    the least c <= b with c not <= a, as (c, b, a); else the first (a, b),
+    a < b, in row-major order with no meet, or else no join.
+    """
+    le = _le(leq)
+    for i in range(n):
+        if not le(i, i):
+            raise NotAPartialOrder("not reflexive", (i,))
+    for i in range(n):
+        for j in range(n):
+            if i != j and le(i, j) and le(j, i):
+                raise NotAPartialOrder("not antisymmetric", (i, j))
+    down = [frozenset(x for x in range(n) if le(x, a)) for a in range(n)]
+    up = [frozenset(x for x in range(n) if le(a, x)) for a in range(n)]
+    for a in range(n):
+        for b in sorted(down[a]):
+            for c in sorted(down[b]):
+                if c not in down[a]:
+                    raise NotAPartialOrder("not transitive", (c, b, a))
+    by_down = {d: a for a, d in enumerate(down)}
+    by_up = {u: a for a, u in enumerate(up)}
+    meet = [[a if a == b else None for b in range(n)] for a in range(n)]
+    join = [[a if a == b else None for b in range(n)] for a in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if down[a] & down[b] not in by_down:
+                raise NotALattice("meet", (a, b))
+            if up[a] & up[b] not in by_up:
+                raise NotALattice("join", (a, b))
+            meet[a][b] = meet[b][a] = by_down[down[a] & down[b]]
+            join[a][b] = join[b][a] = by_up[up[a] & up[b]]
+    everything = frozenset(range(n))
+    return {
+        "meet": meet, "join": join,
+        "bottom": by_up[everything], "top": by_down[everything],
+        "down": tuple(sum(1 << x for x in d) for d in down),
+        "up": tuple(sum(1 << x for x in u) for u in up),
+    }
+
+
+def canon_key(m, rel):
+    """Lexicographically least sorted strict-pair tuple of an order on m
+    points over all relabelings."""
+    best = None
+    for perm in itertools.permutations(range(m)):
+        img = tuple(sorted((perm[a], perm[b]) for a, b in rel))
+        if best is None or img < best:
+            best = img
+    return best
 
 
 def least_embedding(n1, leq1, n2, leq2):

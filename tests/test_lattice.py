@@ -1,7 +1,9 @@
 """Core lattice machinery against definition-level oracles."""
 from __future__ import annotations
 
+import collections
 import itertools
+import random
 import time
 
 import numpy as np
@@ -19,10 +21,12 @@ from rellat import (
     all_lattices_upto,
     build_from_closed_family,
     build_from_leq,
+    enumerate_frames,
     find_embedding,
     find_isomorphism,
     lattice_from_json,
     lattice_to_json,
+    l_of_frame,
     lattices_of_order,
     make_closed_family,
     random_lattice,
@@ -30,6 +34,7 @@ from rellat import (
     structure_query,
     sublattice_closure,
 )
+from rellat import lattgen, lattice
 from conftest import boolean_cube, chain, diamond_m3, leq_from_covers, pentagon_n5
 import oracles
 
@@ -117,6 +122,108 @@ def test_join_all_meet_all(b3):
     assert b3.meet_all(atoms) == b3.bottom
     assert b3.join_all([]) == b3.bottom
     assert b3.meet_all([]) == b3.top
+
+
+def assert_build_matches_definition(n, leq):
+    """build_from_leq against oracles.lattice_tables: equal tables, bottom,
+    top, down and up, or the same exception type and args. Returns the
+    outcome's name."""
+    try:
+        want = oracles.lattice_tables(n, leq)
+    except (NotAPartialOrder, NotALattice) as e:
+        with pytest.raises(type(e)) as got:
+            build_from_leq(n, leq)
+        assert got.value.args == e.args
+        return getattr(e, "reason", getattr(e, "kind", None))
+    L = build_from_leq(n, leq)
+    assert L.meet.tolist() == want["meet"]
+    assert L.join.tolist() == want["join"]
+    assert (L.bottom, L.top) == (want["bottom"], want["top"])
+    assert (L.down, L.up) == (want["down"], want["up"])
+    return "lattice"
+
+
+# Every construction runs in blocks of rows; a block of 7 entries makes
+# each block one row (or a few), so block boundaries are crossed everywhere.
+small_blocks = pytest.mark.parametrize("block", [lattice._BLOCK, 7])
+
+
+@small_blocks
+def test_build_matches_definition_on_small_lattices(small_lattices, block,
+                                                     monkeypatch):
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for L in small_lattices:
+        assert assert_build_matches_definition(L.n, L.leq) == "lattice"
+        for _ in range(2):
+            p = rng.permutation(L.n)
+            assert_build_matches_definition(L.n, L.leq[np.ix_(p, p)])
+
+
+def test_build_matches_definition_on_frames_and_r22(r22):
+    for f in enumerate_frames(3, 2):
+        L = l_of_frame(f).lattice
+        assert_build_matches_definition(L.n, L.leq)
+    assert_build_matches_definition(r22.lattice.n, r22.lattice.leq)
+
+
+def _random_relation(rng):
+    """A seeded relation on at most 8 points: a random order, sometimes
+    bounded, then maybe one entry flipped, one loop dropped, or a few
+    entries set."""
+    n = rng.randint(1, 8)
+    perm = rng.sample(range(n), n)
+    leq = np.eye(n, dtype=bool)
+    p = rng.random()
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[perm[i], perm[j]] = rng.random() < p
+    for k in range(n):
+        leq |= leq[:, [k]] & leq[[k], :]
+    kind = rng.randrange(5)
+    if kind and rng.random() < 0.6:
+        leq[perm[0], :] = leq[:, perm[-1]] = True
+    if kind == 2:
+        i, j = rng.randrange(n), rng.randrange(n)
+        leq[i, j] ^= i != j
+    elif kind == 3:
+        leq[rng.randrange(n), rng.randrange(n)] = False
+    elif kind == 4:
+        for _ in range(rng.randint(1, 3)):
+            leq[rng.randrange(n), rng.randrange(n)] = True
+    return n, leq
+
+
+@small_blocks
+def test_build_matches_definition_on_random_relations(block, monkeypatch):
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    rng = random.Random(2024)
+    seen = collections.Counter(
+        assert_build_matches_definition(*_random_relation(rng))
+        for _ in range(2400))
+    for outcome in ("lattice", "meet", "join", "not reflexive",
+                    "not antisymmetric", "not transitive"):
+        assert seen[outcome] >= 50, seen
+
+
+@small_blocks
+def test_closed_family_past_64_bits(block, monkeypatch):
+    """Member masks over a 70-point universe are compared exactly, also
+    where two differ only past bit 64."""
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    rng = random.Random(3)
+    universe = (1 << 70) - 1
+    masks = {universe} | {rng.getrandbits(70) for _ in range(4)}
+    masks |= {m & ~(1 << 67) for m in masks}
+    while len(closed := {a & b for a in masks for b in masks}) > len(masks):
+        masks = closed
+    fam = make_closed_family([f"u{i}" for i in range(70)], masks)
+    L = build_from_closed_family(fam)
+    ms = fam.members
+    for i, a in enumerate(ms):
+        for j, b in enumerate(ms):
+            assert bool(L.leq[i, j]) == (a & b == a)
+            assert ms[int(L.meet[i, j])] == a & b
 
 
 # -- irreducibles and primes -------------------------------------------------------
@@ -306,6 +413,9 @@ def test_json_is_plain_data(m3):
 
     text = json.dumps(lattice_to_json(m3))
     assert "leq" in json.loads(text)
+    assert text == json.dumps({"n": 5,
+                               "leq": [[int(b) for b in row] for row in m3.leq],
+                               "labels": list(m3.labels)})
 
 
 # -- generation --------------------------------------------------------------------
@@ -320,6 +430,16 @@ def test_lattice_counts_frozen():
     got = [len(lattices_of_order(k)) for k in range(1, 8)]
     assert got == [1, 1, 1, 2, 5, 15, 53]
     assert len(all_lattices_upto(7)) == 78
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_batched_canonical_keys_match_reference(m):
+    """All orders on m <= 4 points, a seeded 300 of the 4231 on 5."""
+    rels = sorted(lattgen._inner_posets(m), key=sorted)
+    if m == 5:
+        rels = random.Random(0).sample(rels, 300)
+    got = [lattgen._key_pairs(m, row) for row in lattgen._canon_keys(m, rels)]
+    assert got == [oracles.canon_key(m, r) for r in rels]
 
 
 def test_lattice_generation_respects_enum_cap():

@@ -17,6 +17,7 @@ from rellat import (
     UnknownProperty,
     all_lattices_upto,
     build_countermodel,
+    build_from_leq,
     check_property,
     dstep,
     extract_od_graph,
@@ -32,6 +33,7 @@ from rellat import (
     sublattice_closure,
     ultrametric_representability,
 )
+from rellat import lattice
 from conftest import boolean_cube, chain, diamond_m3, pentagon_n5
 import oracles
 
@@ -59,6 +61,16 @@ def test_random_minimal_covers_match_definition(seed):
     for j in L.join_irreducibles():
         got = {frozenset(c) for c in minimal_join_covers(L, j)}
         assert got == oracles.minimal_join_covers(L.n, L.leq, j)
+
+
+def test_minimal_covers_do_not_depend_on_block_size(r22, monkeypatch):
+    def covers():
+        L = build_from_leq(r22.lattice.n, r22.lattice.leq)   # fresh caches
+        return {j: minimal_join_covers(L, j) for j in L.join_irreducibles()}
+
+    want = covers()
+    monkeypatch.setattr(lattice, "_BLOCK", 5)
+    assert covers() == want
 
 
 def test_trivial_cover_always_present(n5):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +44,7 @@ from rellat import (
     Caps,
     TypedMap,
 )
+from rellat import lattice
 from conftest import boolean_cube
 import oracles
 
@@ -209,6 +211,26 @@ def test_r22_order_matches_definition(r22):
     for i, t1 in enumerate(r22.elems):
         for j, t2 in enumerate(r22.elems):
             assert bool(L.leq[i, j]) == table_leq(t1, t2)
+
+
+@pytest.mark.parametrize("attrs,dom,pairs", [
+    (("a",), ("0", "1", "2"), None),
+    (("a",), ("0", "1", "2", "3"), None),
+    (("a", "b"), ("0", "1", "2"), 20000),
+    (("a", "b", "c"), ("0", "1"), 20000),
+])
+@pytest.mark.parametrize("block", [lattice._BLOCK, 7])
+def test_r_order_matches_definition(attrs, dom, pairs, block, monkeypatch):
+    """Every pair, or `pairs` seeded ones, against table_leq; a block of 7
+    entries splits every header pair's block into single rows."""
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    R = build_R(Schema(attrs, dom))
+    n = R.lattice.n
+    rng = random.Random(n)
+    todo = (itertools.product(range(n), repeat=2) if pairs is None else
+            ((rng.randrange(n), rng.randrange(n)) for _ in range(pairs)))
+    for i, j in todo:
+        assert bool(R.lattice.leq[i, j]) == table_leq(R.elems[i], R.elems[j])
 
 
 def test_r22_tables_realize_meet_and_join(r22):
@@ -378,6 +400,15 @@ def test_semidirect_matches_direct_build(r22, hamming22):
         for j in range(26):
             assert bool(r22.lattice.leq[i, j]) == \
                 bool(sd.lattice.leq[phi[i], phi[j]])
+
+
+@pytest.mark.parametrize("fibers", [[3, 2], [2, 2, 2]])
+def test_semidirect_order_is_componentwise_containment(fibers):
+    sd = typed_R(typed_map_from_fibers(fibers))
+    for i, (x1, t1) in enumerate(sd.elems):
+        for j, (x2, t2) in enumerate(sd.elems):
+            assert bool(sd.lattice.leq[i, j]) == \
+                (x1 & ~x2 == 0 and t1 & ~t2 == 0)
 
 
 def test_typed_square_fibers_match_direct_build(r22):
