@@ -148,10 +148,11 @@ class Caps:
     search_nodes  node cap for backtracking searches,
     max_ji        cap on |J(L)| for cover enumeration.
 
-    A search node is one value tried at one position: an image given to a
+    A search node is one value given to one position: an image given to a
     generator (bottom or a join-irreducible) by find_isomorphism and
-    find_embedding, once it passes their filters; an image considered for a
-    world by p_morphism_search; a seed tried by `rellat search sublattice`.
+    find_embedding, once it passes their filters; an image given to a world
+    by p_morphism_search, once it passes the forward, back and surjectivity
+    cuts; a seed tried by `rellat search sublattice`.
     """
 
     max_lattice: int = 4096

@@ -4,7 +4,10 @@ and the small enumeration helpers the frame-vs-embedding tests need.
 
 Relations are stored as partitions (block id per world), so reflexivity,
 symmetry, and transitivity hold by representation; raw edge input is
-validated on the way in.
+validated on the way in. The same representation makes the p-morphism test
+a block test: a map is a p-morphism iff, for every relation, each source
+block maps onto exactly one target block (forward preservation keeps its
+images inside one block, the back condition makes them fill it).
 """
 from __future__ import annotations
 
@@ -238,59 +241,93 @@ def l_of_frame(f: Frame, caps: Caps = DEFAULT_CAPS) -> SdLattice:
 def p_morphism_search(src: Frame, dst: Frame,
                       caps: Caps = DEFAULT_CAPS) -> list[int] | None:
     """The lexicographically least surjective p-morphism, or None when the
-    exhaustive search finishes empty. Forward preservation prunes partial
-    assignments; surjectivity and the back condition gate the leaves."""
+    exhaustive search finishes empty.
+
+    Relations are partitions, so f is a p-morphism iff, for every relation,
+    each source block maps onto exactly one target block. Worlds get images
+    in index order, candidates in ascending order, on an explicit stack.
+    Per relation and source block the search keeps the target block the
+    block is bound to, the multiset of its images so far and its count of
+    unassigned worlds, and cuts a partial assignment as soon as
+
+    - forward: an image leaves its block's bound target block,
+    - back: a block's unassigned worlds can no longer cover the rest of its
+      target block,
+    - surjectivity: the missing images exceed the worlds left.
+
+    Each cut removes only partial assignments with no completion, so the
+    first full assignment reached is the least map, and it is a surjective
+    p-morphism: a block's last world leaves no image of its target block
+    missing, and the last world leaves no target world missing.
+    """
     if src.n_rels != dst.n_rels:
         raise BadFrame("frames carry different relation counts")
     ns, nd = src.n_worlds, dst.n_worlds
-    assign = [-1] * ns
+    # per relation: source block per world, target block per world, target
+    # block sizes, and per source block its bound target block (-1 when no
+    # world of it is assigned), image counts and unassigned-world count
+    rels = []
+    for s_blk, d_blk in zip(src.rels, dst.rels):
+        n_sblk = max(s_blk) + 1
+        left = [0] * n_sblk
+        for b in s_blk:
+            left[b] += 1
+        size = [0] * (max(d_blk) + 1)
+        for t in d_blk:
+            size[t] += 1
+        rels.append((s_blk, d_blk, size, [-1] * n_sblk,
+                     [{} for _ in range(n_sblk)], left))
+    hits = [0] * nd          # worlds mapped to each target world
+    covered = 0              # target worlds hit so far
+    assign: list[int] = []   # images of worlds 0 .. len(assign) - 1
+    v = 0                    # next candidate for world len(assign)
     nodes = 0
-
-    def back_condition_ok() -> bool:
-        for i in range(src.n_rels):
-            ri_s, ri_d = src.rels[i], dst.rels[i]
-            for w in range(ns):
-                for v in range(nd):
-                    if ri_d[v] != ri_d[assign[w]]:
-                        continue
-                    if not any(ri_s[w2] == ri_s[w] and assign[w2] == v
-                               for w2 in range(ns)):
-                        return False
-        return True
-
-    def extend(w: int) -> bool:
-        nonlocal nodes
+    while True:
+        w = len(assign)
         if w == ns:
-            return len(set(assign)) == nd and back_condition_ok()
-        for v in range(nd):
-            nodes += 1
-            if nodes > caps.search_nodes:
-                raise SearchBudgetExceeded(nodes, caps.search_nodes)
-            ok = True
-            for i in range(src.n_rels):
-                ri_s, ri_d = src.rels[i], dst.rels[i]
-                for w2 in range(w):
-                    if ri_s[w2] == ri_s[w] and ri_d[assign[w2]] != ri_d[v]:
-                        ok = False
-                        break
-                if not ok:
+            return assign
+        for v in range(v, nd):
+            if nd - covered - (hits[v] == 0) > ns - w - 1:
+                continue
+            for s_blk, d_blk, size, bound, images, left in rels:
+                b, t = s_blk[w], d_blk[v]
+                if bound[b] >= 0 and bound[b] != t:
                     break
-            # surjectivity is still achievable only if the missing images
-            # fit into the remaining slots
-            if ok:
-                missing = nd - len(set(assign[:w]) | {v})
-                if missing > ns - w - 1:
-                    ok = False
-            if ok:
-                assign[w] = v
-                if extend(w + 1):
-                    return True
-                assign[w] = -1
-        return False
-
-    if extend(0):
-        return list(assign)
-    return None
+                seen = len(images[b]) + (v not in images[b])
+                if size[t] - seen > left[b] - 1:
+                    break
+            else:
+                break  # every relation admits v
+        else:
+            # no candidate fits world w: undo world w - 1, try its next image
+            if not assign:
+                return None
+            w -= 1
+            v = assign.pop()
+            hits[v] -= 1
+            covered -= hits[v] == 0
+            for s_blk, d_blk, size, bound, images, left in rels:
+                b = s_blk[w]
+                left[b] += 1
+                images[b][v] -= 1
+                if not images[b][v]:
+                    del images[b][v]
+                    if not images[b]:
+                        bound[b] = -1
+            v += 1
+            continue
+        nodes += 1
+        if nodes > caps.search_nodes:
+            raise SearchBudgetExceeded(nodes, caps.search_nodes)
+        covered += hits[v] == 0
+        hits[v] += 1
+        for s_blk, d_blk, size, bound, images, left in rels:
+            b = s_blk[w]
+            bound[b] = d_blk[v]
+            images[b][v] = images[b].get(v, 0) + 1
+            left[b] -= 1
+        assign.append(v)
+        v = 0
 
 
 def all_partitions(n: int) -> list[tuple[int, ...]]:

@@ -141,18 +141,15 @@ class FiniteLattice:
     def join_primes(self) -> tuple[int, ...]:
         """Join-irreducibles j with j <= a v b implying j <= a or j <= b.
 
-        The binary test suffices: splitting a finite join argument-by-argument
-        extends it to all finite joins by induction.
+        By the ideal test: j is join-prime iff j is not below the join of
+        {x : j not <= x}. That set is a down-set; if j is below its join,
+        a join of elements none above j reaches j, and if not, every join
+        reaching j has a member outside the set, that is, above j.
         """
         if "jp" not in self._cache:
-            out = []
-            for j in self.join_irreducibles():
-                jle = self.leq[j]                      # j <= x, per x
-                covered = jle[self.join]               # j <= x v y
-                direct = jle[:, None] | jle[None, :]   # j <= x or j <= y
-                if not (covered & ~direct).any():
-                    out.append(j)
-            self._cache["jp"] = tuple(out)
+            self._cache["jp"] = tuple(
+                j for j in self.join_irreducibles()
+                if not self.leq[j, self.join_all(np.flatnonzero(~self.leq[j]))])
         return self._cache["jp"]
 
     def is_atomistic(self) -> bool:

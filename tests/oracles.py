@@ -22,7 +22,8 @@ from rellat import Meet, NotALattice, NotAPartialOrder, Var
 def _le(leq):
     if callable(leq):
         return leq
-    return lambda a, b: bool(leq[a][b])
+    rows = np.asarray(leq, dtype=bool).tolist()
+    return lambda a, b: rows[a][b]
 
 
 def upper_bounds(n, leq, xs):
@@ -33,7 +34,7 @@ def upper_bounds(n, leq, xs):
 def least_upper_bound(n, leq, xs):
     """The minimum of the upper bounds, or None if there is no least one."""
     le = _le(leq)
-    ubs = upper_bounds(n, leq, xs)
+    ubs = upper_bounds(n, le, xs)
     for u in ubs:
         if all(le(u, v) for v in ubs):
             return u
@@ -50,11 +51,12 @@ def greatest_lower_bound(n, leq, xs):
 
 
 def is_lattice(n, leq):
+    le = _le(leq)
     for a in range(n):
         for b in range(n):
-            if least_upper_bound(n, leq, [a, b]) is None:
+            if least_upper_bound(n, le, [a, b]) is None:
                 return False
-            if greatest_lower_bound(n, leq, [a, b]) is None:
+            if greatest_lower_bound(n, le, [a, b]) is None:
                 return False
     return True
 
@@ -62,14 +64,17 @@ def is_lattice(n, leq):
 def join_irreducibles(n, leq):
     """j that is not the least upper bound of its strict downset.
 
-    The bottom element is the lub of the empty set, so it is excluded
-    without a special case.
+    j bounds its strict downset, so it is the least bound iff every upper
+    bound of the strict downset is above j. The bottom element is the lub
+    of the empty set, so it is excluded without a special case.
     """
-    le = _le(leq)
+    up = np.asarray(leq, dtype=bool)
     out = []
     for j in range(n):
-        strict = [i for i in range(n) if le(i, j) and i != j]
-        if least_upper_bound(n, leq, strict) != j:
+        strict = up[:, j].copy()
+        strict[j] = False
+        bounds = up[strict].all(axis=0)
+        if (bounds & ~up[j]).any():
             out.append(j)
     return out
 
@@ -77,17 +82,28 @@ def join_irreducibles(n, leq):
 def join_primes(n, leq):
     """Irreducibles below a join of any set only by being below a member.
 
-    Quantifies over every subset, not just pairs, so it also certifies
-    that a pairwise test is enough.
+    Up to 10 elements it quantifies over every subset, not just pairs, so
+    it also certifies that a pairwise test is enough. Larger lattices get
+    that pairwise test from the order matrix alone: j <= a v b iff every
+    common upper bound of a and b is above j.
     """
     le = _le(leq)
     jis = join_irreducibles(n, leq)
     out = []
+    if n > 10:
+        up = np.asarray(leq, dtype=bool)
+        for j in jis:
+            rest = ~up[j]
+            # per pair of elements not above j: common upper bounds not above j
+            common = up[np.ix_(rest, rest)].astype(np.float32)
+            if (common @ common.T).all():
+                out.append(j)
+        return out
     for j in jis:
         prime = True
         for r in range(1, n + 1):
             for xs in itertools.combinations(range(n), r):
-                v = least_upper_bound(n, leq, list(xs))
+                v = least_upper_bound(n, le, list(xs))
                 if le(j, v) and not any(le(j, x) for x in xs):
                     prime = False
                     break
@@ -162,9 +178,10 @@ def least_embedding(n1, leq1, n2, leq2):
     bottom, images of the join-irreducibles in index order) is least.
     """
     def tables(n, leq):
+        le = _le(leq)
         pairs = itertools.product(range(n), repeat=2)
-        return {(a, b): (least_upper_bound(n, leq, [a, b]),
-                         greatest_lower_bound(n, leq, [a, b]))
+        return {(a, b): (least_upper_bound(n, le, [a, b]),
+                         greatest_lower_bound(n, le, [a, b]))
                 for a, b in pairs}
 
     ops1, ops2 = tables(n1, leq1), tables(n2, leq2)
@@ -230,7 +247,7 @@ def minimal_join_covers(n, leq, j):
     covers = []
     for r in range(1, n + 1):
         for c in itertools.combinations(elems, r):
-            v = least_upper_bound(n, leq, list(c))
+            v = least_upper_bound(n, le, list(c))
             if v is None or not le(j, v):
                 continue
             covers.append(set(c))
@@ -238,7 +255,7 @@ def minimal_join_covers(n, leq, j):
     for c in covers:
         ok = True
         for d in covers:
-            if refines(n, leq, d, c) and not c <= d:
+            if refines(n, le, d, c) and not c <= d:
                 ok = False
                 break
         if ok:
@@ -319,6 +336,42 @@ def confluent(blocks_i, blocks_j):
     comp_ij = {(y, z) for (y, x1) in ri for (x2, z) in rj if x1 == x2}
     comp_ji = {(y, z) for (y, w1) in rj for (w2, z) in ri if w1 == w2}
     return comp_ij <= comp_ji
+
+
+def _pmorphism_test(src, dst):
+    """A predicate on maps (image per source world): surjective, forward
+    (w Ri w' gives f(w) Ri f(w')) and back (f(w) Ri v gives some w' with
+    w Ri w' and f(w') = v), checked on edge sets."""
+    rels = [(edges_of_partition(rs), edges_of_partition(rd))
+            for rs, rd in zip(src.rels, dst.rels)]
+
+    def ok(f):
+        if len(set(f)) != dst.n_worlds:
+            return False
+        for es, ed in rels:
+            if any((f[a], f[b]) not in ed for a, b in es):
+                return False
+            reach = {(a, f[b]) for a, b in es}
+            if any((w, v) not in reach
+                   for w in range(len(f)) for x, v in ed if x == f[w]):
+                return False
+        return True
+
+    return ok
+
+
+def is_pmorphism(src, dst, f):
+    return _pmorphism_test(src, dst)(f)
+
+
+def least_pmorphism(src, dst):
+    """The lexicographically least surjective p-morphism, or None, by
+    walking all maps in lexicographic order."""
+    ok = _pmorphism_test(src, dst)
+    for f in itertools.product(range(dst.n_worlds), repeat=src.n_worlds):
+        if ok(f):
+            return list(f)
+    return None
 
 
 def bell_number(n):

@@ -293,6 +293,19 @@ def test_search_pmorphism(tmp_path, capsys):
                "--dst", bad)[0] == 1
 
 
+def test_search_pmorphism_from_long_source(tmp_path, capsys):
+    # 1,100 worlds: one stack entry each, no deep recursion
+    src = str(tmp_path / "long.json")
+    one = str(tmp_path / "one.json")
+    run(capsys, "build", "frame", "--rels", ",".join(["0"] * 1100),
+        "--out", src)
+    run(capsys, "build", "frame", "--rels", "0", "--out", one)
+    code, doc, _ = run(capsys, "search", "pmorphism", "--src", src,
+                       "--dst", one)
+    assert code == 0
+    assert doc["result"]["mapping"] == [0] * 1100
+
+
 def test_search_embedding(tmp_path, capsys, r22_file):
     n5path = str(tmp_path / "n5.json")
     with open(n5path, "w") as fh:

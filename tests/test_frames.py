@@ -1,6 +1,8 @@
 """Frames with n equivalence relations, products, p-morphisms, L(F)."""
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from rellat import (
@@ -198,6 +200,57 @@ def test_p_morphism_budget():
     prod = universal_product(["0", "1", "2"], 2)
     with pytest.raises(SearchBudgetExceeded):
         p_morphism_search(prod, prod, caps=Caps(search_nodes=3))
+
+
+def test_p_morphism_is_least_by_brute_force():
+    frames = {n: enumerate_frames(n, 2) for n in (1, 2, 3, 4)}
+    found = 0
+    for src in (f for n in (1, 2, 3, 4) for f in frames[n]):
+        for dst in (f for n in (1, 2, 3) for f in frames[n]):
+            want = oracles.least_pmorphism(src, dst)
+            assert p_morphism_search(src, dst) == want, (src.rels, dst.rels)
+            found += want is not None
+    assert found > 1000
+
+
+def test_p_morphism_is_least_on_sampled_larger_sources():
+    # half the sources are preimages of the target under a random
+    # surjection, some of their blocks split in two, so that maps exist
+    rng = random.Random(6)
+    targets = [f for n in (1, 2, 3) for f in enumerate_frames(n, 2)]
+    found = 0
+    for k in range(80):
+        ns, dst = 5 + k % 2, rng.choice(targets)
+        if k % 4 < 2:
+            g = list(range(dst.n_worlds))
+            g += [rng.randrange(dst.n_worlds) for _ in range(ns - len(g))]
+            rng.shuffle(g)
+            rels = [[2 * rel[g[w]] + (rng.random() < 0.3) for w in range(ns)]
+                    for rel in dst.rels]
+        else:
+            rels = [rng.choice(all_partitions(ns)) for _ in range(2)]
+        src = make_frame([f"w{i}" for i in range(ns)], rels)
+        want = oracles.least_pmorphism(src, dst)
+        assert p_morphism_search(src, dst) == want, (src.rels, dst.rels)
+        found += want is not None
+    assert found >= 20
+
+
+def test_p_morphisms_from_product_satisfy_definition():
+    prod = universal_product(["0", "1", "2"], 2)
+    targets = [f for f in enumerate_frames(4, 2)
+               if frame_queries(f) == {"initial": True, "full": True}]
+    assert len(targets) == 117
+    maps = [(f, p_morphism_search(prod, f)) for f in targets]
+    assert any(m is not None for _, m in maps)
+    for f, m in maps:
+        assert m is None or oracles.is_pmorphism(prod, f, m), f.rels
+
+
+def test_p_morphism_of_long_source_needs_no_deep_recursion():
+    # one stack entry per source world
+    src = make_frame([f"w{i}" for i in range(1100)], [[0] * 1100])
+    assert p_morphism_search(src, make_frame(["u"], [[0]])) == [0] * 1100
 
 
 # -- serialization -----------------------------------------------------------------

@@ -16,9 +16,11 @@ from rellat import (
     NotALattice,
     NotAPartialOrder,
     NotIntersectionClosed,
+    Schema,
     SearchBudgetExceeded,
     SizeCapExceeded,
     all_lattices_upto,
+    build_R,
     build_from_closed_family,
     build_from_leq,
     enumerate_frames,
@@ -33,6 +35,8 @@ from rellat import (
     set_label,
     structure_query,
     sublattice_closure,
+    typed_map_from_fibers,
+    typed_R,
 )
 from rellat import lattgen, lattice
 from conftest import boolean_cube, chain, diamond_m3, leq_from_covers, pentagon_n5
@@ -229,8 +233,11 @@ def test_closed_family_past_64_bits(block, monkeypatch):
 # -- irreducibles and primes -------------------------------------------------------
 
 
-@pytest.mark.parametrize("make", [diamond_m3, pentagon_n5,
-                                  lambda: boolean_cube(3), lambda: chain(4)])
+@pytest.mark.parametrize("make", [
+    diamond_m3, pentagon_n5, lambda: boolean_cube(3), lambda: chain(4),
+    lambda: build_R(Schema(("a", "b"), ("0", "1", "2"))).lattice,
+    lambda: typed_R(typed_map_from_fibers([5, 2])).lattice,
+])
 def test_irreducibles_and_primes_match_oracle(make):
     L = make()
     assert list(L.join_irreducibles()) == oracles.join_irreducibles(L.n, L.leq)
