@@ -146,7 +146,9 @@ class Caps:
                   for an exhaustive scan, factored or not (not the term
                   evaluations it performs), the sample count for a sampled one,
     search_nodes  node cap for backtracking searches,
-    max_ji        cap on |J(L)| for cover enumeration.
+    max_ji        cap on |J(L)| for cover extraction and on the graph size
+                  for reconstruction; both build tables over all 2^|J|
+                  subsets, so it bounds their time and memory.
 
     A search node is one value given to one position: an image given to a
     generator (bottom or a join-irreducible) by find_isomorphism and

@@ -131,23 +131,41 @@ def is_s5n_frame(f, edges: Iterable[Iterable[tuple[int, int]]] | None = None
                 kind, ws = wit
                 return S5Witness(kind, (r,), ws)
         f = frame_from_edges(tuple(f), edges or ())
-    n = f.n_worlds
     for i in range(f.n_rels):
         for j in range(f.n_rels):
-            if i == j:
-                continue
-            ri, rj = f.rels[i], f.rels[j]
-            for x in range(n):
-                for y in range(n):
-                    if ri[x] != ri[y]:
-                        continue
-                    for z in range(n):
-                        if rj[x] != rj[z]:
-                            continue
-                        if not any(rj[y] == rj[w] and ri[z] == ri[w]
-                                   for w in range(n)):
-                            return S5Witness("confluence", (i, j), (x, y, z))
+            if i != j:
+                xyz = _confluence_witness(f.rels[i], f.rels[j])
+                if xyz is not None:
+                    return S5Witness("confluence", (i, j), xyz)
     return None
+
+
+def _confluence_witness(ri: Sequence[int], rj: Sequence[int]
+                        ) -> tuple[int, int, int] | None:
+    """The least (x, y, z) with x Ri y and x Rj z but no w with y Rj w and
+    z Ri w, decided on block types instead of worlds.
+
+    meet holds the (Ri-block, Rj-block) pairs that share a world, so a w
+    exists iff (Ri-block of z, Rj-block of y) is in meet. A world x of type
+    (a, b) therefore fails iff some Rj-block met by a misses some Ri-block
+    met by b. The type test does at most n^2 set lookups in all; the least
+    failing x is then completed by scanning y and z in ascending order.
+    """
+    meet = set(zip(ri, rj))
+    met_by_i: dict[int, set[int]] = {}     # Ri-block -> Rj-blocks it meets
+    met_by_j: dict[int, set[int]] = {}     # Rj-block -> Ri-blocks it meets
+    for a, b in meet:
+        met_by_i.setdefault(a, set()).add(b)
+        met_by_j.setdefault(b, set()).add(a)
+    failing = {(a, b) for a, b in meet
+               if any(not met_by_j[b] <= met_by_j[d] for d in met_by_i[a])}
+    if not failing:
+        return None
+    n = len(ri)
+    x = next(x for x in range(n) if (ri[x], rj[x]) in failing)
+    return next((x, y, z) for y in range(n) if ri[y] == ri[x]
+                for z in range(n)
+                if rj[z] == rj[x] and (ri[z], rj[y]) not in meet)
 
 
 def universal_product(components: Sequence[str], n: int,

@@ -5,6 +5,20 @@ property checkers that correspond to the equation catalog.
 Conventions: a graph on n elements indexes them 0..n-1; covers are sorted
 tuples of indices; the cover list always carries the trivial cover (j, (j,))
 for every element, and join-prime elements carry nothing else.
+
+Both directions of the duality work on one kind of table, indexed by the
+2^m subsets of m items and filled by doubling (`_subset_table`).
+Extraction tabulates, over subsets of J(L), the join and the irreducibles
+strictly below some member (so antichains are the subsets that miss it),
+and keeps an antichain cover C of j iff the local test holds: for every
+c in C, j is not below V(C - {c}) v c_, where c_ is the unique lower cover
+of c. The test is sound because (C - {c}) together with the irreducibles
+below c_ refines C and misses c; it is complete because any cover that
+refines C and misses c joins below V(C - {c}) v c_. Reconstruction
+tabulates, over subsets of the graph's elements, the union of the members'
+downsets: a subset is a downset iff the table maps it to itself, and each
+cover rule is then tested over all subsets at once. `Caps.max_ji` bounds m
+for both.
 """
 from __future__ import annotations
 
@@ -23,19 +37,27 @@ from .errors import (
     SizeCapExceeded,
     UnknownProperty,
 )
-from .lattice import (FiniteLattice, _row_blocks, build_from_closed_family,
-                      make_closed_family)
+from .lattice import FiniteLattice, build_from_closed_family, make_closed_family
 from .relational import UltraSpace, make_space
 
 
-def refines(xs: Iterable[int], ys: Iterable[int], leq) -> bool:
-    """Every x is below some y. leq is a bool matrix or a binary predicate."""
-    if isinstance(leq, np.ndarray):
-        pred = lambda a, b: bool(leq[a, b])
-    else:
-        pred = leq
-    ys = list(ys)
-    return all(any(pred(x, y) for y in ys) for x in xs)
+# -- subset tables --------------------------------------------------------------
+
+
+def _subset_table(m: int, seed: int, step: Callable) -> np.ndarray:
+    """t[mask] for every subset mask of m items: t[0] = seed and
+    t[mask] = step(i, t[mask - 2^i]) with i the highest bit of mask.
+
+    Filled by doubling: step(i, t[:2^i]) gives t[2^i : 2^(i+1)] in one numpy
+    call, so there is no Python loop over masks. Both directions of the
+    duality use it: extraction for joins and antichain flags over subsets
+    of J(L), reconstruction for down-closures over the graph's elements.
+    """
+    t = np.empty(1 << m, dtype=np.int64)
+    t[0] = seed
+    for i in range(m):
+        t[1 << i:2 << i] = step(i, t[:1 << i])
+    return t
 
 
 # -- minimal join-covers -----------------------------------------------------
@@ -43,8 +65,19 @@ def refines(xs: Iterable[int], ys: Iterable[int], leq) -> bool:
 
 def _all_minimal_covers(L: FiniteLattice, caps: Caps) -> dict[int, list[tuple[int, ...]]]:
     """Minimal join-covers of every join-irreducible, as sorted tuples of
-    lattice elements. Minimality is definitional: a candidate survives iff
-    every enumerated antichain cover refining it contains it."""
+    lattice elements, in order of size, then subset mask.
+
+    A cover C of j is minimal when every antichain cover refining C (each
+    member below some member of C) contains C. The local test (Freese,
+    Jezek and Nation, Free Lattices, ch. 2) decides this without comparing
+    covers: an antichain C of irreducibles with j <= V C is minimal iff
+    j is not below V(C - {c}) v c_ for any c in C, where c_ is the unique
+    lower cover of c. It is sound because (C - {c}) together with the
+    irreducibles below c_ refines C and misses c, and complete because a
+    refining cover that misses c has its members below c under c_, so it
+    joins below V(C - {c}) v c_. c_ is the join of the irreducibles strictly
+    below c, so every join the test needs is one lookup in the subset table.
+    """
     key = ("mjc", caps.max_ji)
     if key in L._cache:
         return L._cache[key]
@@ -52,57 +85,24 @@ def _all_minimal_covers(L: FiniteLattice, caps: Caps) -> dict[int, list[tuple[in
     m = len(ji)
     if m > caps.max_ji:
         raise CoverEnumerationCapExceeded(m, caps.max_ji)
-    # join and antichain tables over subsets of the irreducibles
-    joinv = np.zeros(1 << m, dtype=np.int64)
-    joinv[0] = L.bottom
-    conflict = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if a != b and (L.leq[ji[a], ji[b]] or L.leq[ji[b], ji[a]]):
-                conflict[a] |= 1 << b
-    anti = np.zeros(1 << m, dtype=bool)
-    anti[0] = True
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        i = low.bit_length() - 1
-        rest = mask ^ low
-        joinv[mask] = L.join[joinv[rest], ji[i]]
-        anti[mask] = anti[rest] and not conflict[i] & rest
-    # per-element refinement mask: which irreducibles sit below which
-    below = [0] * m
-    for a in range(m):
-        for b in range(m):
-            if L.leq[ji[a], ji[b]]:
-                below[a] |= 1 << b
-    out: dict[int, list[tuple[int, ...]]] = {}
-    all_masks = np.arange(1 << m, dtype=np.int64)
-    anti_masks = all_masks[anti]
-    for t in range(m):
-        j = ji[t]
-        covers_mask = np.asarray(L.leq[j, joinv[anti_masks]])
-        pool = anti_masks[covers_mask]
-        # refiners[c] = irreducibles lying below some member of candidate c
-        pool_list = pool.tolist()
-        refine_sets = []
-        for c in pool_list:
-            rmask = 0
-            for a in range(m):
-                if below[a] & c:
-                    rmask |= 1 << a
-            refine_sets.append(rmask)
-        rs = np.array(refine_sets, dtype=np.int64)
-        # candidate c is beaten by another candidate that refines it and
-        # misses some member of c; tested in blocks of candidates
-        beaten = np.empty(len(pool), dtype=bool)
-        for r0, r1 in _row_blocks(len(pool), len(pool)):
-            refines_c = (pool & ~rs[r0:r1, None]) == 0
-            misses = (pool[r0:r1, None] & ~pool) != 0
-            beaten[r0:r1] = (refines_c & misses).any(axis=1)
-        minimal = pool[~beaten].tolist()
-        covers = []
-        for mask in sorted(minimal, key=lambda x: (bin(x).count("1"), x)):
-            covers.append(tuple(ji[a] for a in range(m) if mask >> a & 1))
-        out[j] = covers
+    idx = np.array(ji, dtype=np.intp)
+    rows = L.leq[idx]                         # rows[t, x]: ji[t] <= x
+    bit = np.int64(1) << np.arange(m, dtype=np.int64)
+    strict = rows[:, idx] & ~np.eye(m, dtype=bool)
+    under = bit @ strict                      # irreducibles strictly below each
+    joinv = _subset_table(m, L.bottom, lambda i, t: L.join[t, ji[i]])
+    below = _subset_table(m, 0, lambda i, t: t | under[i])
+    size = _subset_table(m, 0, lambda i, t: t + 1)
+    masks = np.arange(1 << m, dtype=np.int64)
+    anti = masks[(below & masks) == 0]
+    anti = anti[np.argsort(size[anti], kind="stable")]
+    keep = rows[:, joinv[anti]]               # keep[t, a]: ji[t] <= V anti[a]
+    for i in range(m):
+        has = (anti & bit[i]) != 0
+        keep[:, has] &= ~rows[:, joinv[(anti[has] ^ bit[i]) | under[i]]]
+    out = {j: [tuple(ji[a] for a in range(m) if mask >> a & 1)
+               for mask in anti[keep[t]].tolist()]
+           for t, j in enumerate(ji)}
     L._cache[key] = out
     return out
 
@@ -280,24 +280,16 @@ def reconstruct(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
     n = g.n
     if n > caps.max_ji:
         raise CoverEnumerationCapExceeded(n, caps.max_ji)
+    masks = np.arange(1 << n, dtype=np.int64)
     down = g.down_masks
-    rules = g.cover_rules
-    members = []
-    for mask in range(1 << n):
-        ok = True
-        for i in range(n):
-            if mask >> i & 1 and down[i] & ~mask:
-                ok = False
-                break
-        if ok:
-            for k, cm in rules:
-                if cm & ~mask == 0 and not mask >> k & 1:
-                    ok = False
-                    break
-        if ok:
-            members.append(mask)
-            if len(members) > caps.max_lattice:
-                raise SizeCapExceeded(len(members), caps.max_lattice)
+    # a set is a downset iff it holds the downsets of its members
+    closed = _subset_table(n, 0, lambda i, t: t | down[i]) == masks
+    for k, cm in g.cover_rules:
+        closed &= ((masks & cm) != cm) | ((masks >> k & 1) == 1)
+    count = int(closed.sum())
+    if count > caps.max_lattice:
+        raise SizeCapExceeded(count, caps.max_lattice)
+    members = masks[closed].tolist()
     fam = make_closed_family(list(g.elems), members)
     return build_from_closed_family(fam, caps=caps)
 

@@ -338,6 +338,27 @@ def confluent(blocks_i, blocks_j):
     return comp_ij <= comp_ji
 
 
+def confluence_witness(rels):
+    """The least (i, j, x, y, z) with x Ri y and x Rj z but no w with
+    y Rj w and z Ri w, by the n^4 world loop; None when confluent."""
+    n = len(rels[0]) if rels else 0
+    for i, ri in enumerate(rels):
+        for j, rj in enumerate(rels):
+            if i == j:
+                continue
+            for x in range(n):
+                for y in range(n):
+                    if ri[x] != ri[y]:
+                        continue
+                    for z in range(n):
+                        if rj[x] != rj[z]:
+                            continue
+                        if not any(rj[y] == rj[w] and ri[z] == ri[w]
+                                   for w in range(n)):
+                            return i, j, x, y, z
+    return None
+
+
 def _pmorphism_test(src, dst):
     """A predicate on maps (image per source world): surjective, forward
     (w Ri w' gives f(w) Ri f(w')) and back (f(w) Ri v gives some w' with

@@ -82,6 +82,18 @@ def test_build_frame_reports_confluence(tmp_path, capsys):
     assert doc["result"]["s5_witness"]["kind"] == "confluence"
 
 
+def test_build_frame_of_1000_worlds(tmp_path, capsys):
+    # two one-block relations: confluence is decided on block types, not
+    # by a loop over world triples
+    path = str(tmp_path / "f.json")
+    one = ",".join(["0"] * 1000)
+    code, doc, _ = run(capsys, "build", "frame", "--rels", f"{one};{one}",
+                       "--out", path)
+    assert code == 0
+    assert doc["result"]["worlds"] == 1000
+    assert doc["result"]["s5"] is True
+
+
 def test_build_product(tmp_path, capsys):
     path = str(tmp_path / "p.json")
     code, doc, _ = run(capsys, "build", "product", "--components", "2",

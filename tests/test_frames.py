@@ -87,6 +87,27 @@ def test_confluence_matches_composition_oracle():
         assert ok == want
 
 
+def test_confluence_witness_matches_world_loop():
+    # seeded frames of 1-7 worlds and 2-3 relations with few blocks, so
+    # that both confluent frames and witnesses deep in the loop occur
+    rng = random.Random(5)
+    found = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, 4)
+        rels = [[rng.randrange(k) for _ in range(n)]
+                for _ in range(rng.randint(2, 3))]
+        f = make_frame([f"w{i}" for i in range(n)], rels)
+        w = is_s5n_frame(f)
+        want = oracles.confluence_witness(f.rels)
+        assert (w is None) == (want is None)
+        if w is not None:
+            found += 1
+            assert w.kind == "confluence"
+            assert w.rels + w.worlds == want
+    assert 500 < found < 2500
+
+
 def test_products_are_confluent():
     f = universal_product(["0", "1"], 2)
     assert is_s5n_frame(f) is None

@@ -1,6 +1,9 @@
 """Duality data: irreducibles, minimal covers, reconstruction, properties."""
 from __future__ import annotations
 
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +16,7 @@ from rellat import (
     ODGraph,
     PROPERTY_IDS,
     PartitionEnumerationCapExceeded,
+    SizeCapExceeded,
     UltraSpace,
     UnknownProperty,
     all_lattices_upto,
@@ -28,7 +32,6 @@ from rellat import (
     od_graph_to_json,
     random_lattice,
     reconstruct,
-    refines,
     semidirect,
     sublattice_closure,
     ultrametric_representability,
@@ -61,6 +64,34 @@ def test_random_minimal_covers_match_definition(seed):
     for j in L.join_irreducibles():
         got = {frozenset(c) for c in minimal_join_covers(L, j)}
         assert got == oracles.minimal_join_covers(L.n, L.leq, j)
+
+
+def test_census_minimal_covers_match_definition(small_lattices):
+    for L in small_lattices:
+        for j in L.join_irreducibles():
+            got = {frozenset(c) for c in minimal_join_covers(L, j)}
+            assert got == oracles.minimal_join_covers(L.n, L.leq, j)
+
+
+def diamond(k):
+    """M_k: bottom 0, atoms 1..k, top k + 1."""
+    leq = np.eye(k + 2, dtype=bool)
+    leq[0, :] = leq[:, k + 1] = True
+    return build_from_leq(k + 2, leq)
+
+
+@pytest.mark.parametrize("k", range(3, 17))
+def test_diamond_covers_closed_form(k):
+    # an atom is covered by itself and by every pair of other atoms, pairs
+    # in subset-mask order; M_16 has 16 irreducibles, the default max_ji
+    L = diamond(k)
+    start = time.perf_counter()
+    for a in range(1, k + 1):
+        others = [b for b in range(1, k + 1) if b != a]
+        pairs = [(b, c) for c in others for b in others if b < c]
+        assert minimal_join_covers(L, a) == [(a,)] + pairs
+    if k == 16:
+        assert time.perf_counter() - start < 10
 
 
 def test_minimal_covers_do_not_depend_on_block_size(r22, monkeypatch):
@@ -105,16 +136,6 @@ def test_diamond_graph(m3):
     for j in range(3):
         others = tuple(sorted(set(range(3)) - {j}))
         assert set(g.covers_of(j)) == {(j,), others}
-
-
-# -- refinement ---------------------------------------------------------------------
-
-
-def test_refines(n5):
-    le = n5.leq
-    assert refines([1], [3], le)       # a <= c
-    assert not refines([2], [1, 3], le)
-    assert refines([], [2], le)
 
 
 # -- graph validation ---------------------------------------------------------------
@@ -189,6 +210,13 @@ def test_round_trip_r22(r22, g22):
 def test_reconstruct_cap(cm_graph):
     with pytest.raises(CoverEnumerationCapExceeded):
         reconstruct(cm_graph, caps=Caps(max_ji=4))
+
+
+def test_reconstruct_size_cap_reports_the_count(cm_graph):
+    with pytest.raises(SizeCapExceeded) as info:
+        reconstruct(cm_graph, caps=Caps(max_lattice=100))
+    assert info.value.need == 160
+    assert info.value.cap == 100
 
 
 # -- the countermodel ----------------------------------------------------------------
