@@ -4,6 +4,9 @@ Verbs: build rel|typed|closure|frame|product|countermodel,
 odgraph extract|reconstruct|props, check eq|prop|bc|pc|iso|nation,
 search sublattice|pmorphism|embedding.
 
+Cover properties (`odgraph props`, `check prop`) are decided from the
+od-graph alone; they take no lattice file.
+
 Every run prints a JSON report to stdout (sorted keys, so the same
 invocation line yields byte-identical output) and a one-line summary to
 stderr. Exit codes: 0 holds/success/found, 1 counterexample/witness/not
@@ -263,18 +266,14 @@ def _witness_doc(g, w) -> dict | None:
 def _cmd_od_props(args) -> int:
     caps = _caps(args)
     g = od_graph_from_json(_load(args.odgraph))
-    inputs = {"odgraph": args.odgraph}
-    L = None
-    if args.lattice:
-        L = lattice_from_json(_load(args.lattice), caps)
-        inputs["lattice"] = args.lattice
     results = {}
     all_hold = True
     for name in PROPERTY_IDS:
-        w = check_property(g, name, lattice=L, caps=caps)
+        w = check_property(g, name, caps=caps)
         results[name] = {"holds": w is None, "witness": _witness_doc(g, w)}
         all_hold = all_hold and w is None
-    rep = _report(args, "odgraph props", inputs, {"properties": results})
+    rep = _report(args, "odgraph props", {"odgraph": args.odgraph},
+                  {"properties": results})
     held = sum(1 for r in results.values() if r["holds"])
     return _emit(rep, f"{held}/{len(results)} properties hold",
                  0 if all_hold else 1)
@@ -330,13 +329,8 @@ def _cmd_check_eq(args) -> int:
 def _cmd_check_prop(args) -> int:
     caps = _caps(args)
     g = od_graph_from_json(_load(args.odgraph))
-    inputs = {"odgraph": args.odgraph}
-    L = None
-    if args.lattice:
-        L = lattice_from_json(_load(args.lattice), caps)
-        inputs["lattice"] = args.lattice
-    w = check_property(g, args.prop, lattice=L, caps=caps)
-    rep = _report(args, "check prop", inputs, {
+    w = check_property(g, args.prop, caps=caps)
+    rep = _report(args, "check prop", {"odgraph": args.odgraph}, {
         "property": args.prop,
         "holds": w is None,
         "witness": _witness_doc(g, w)})
@@ -588,7 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = osub.add_parser("props", help="run every property checker")
     p.add_argument("--odgraph", required=True)
-    p.add_argument("--lattice", help="companion lattice for join evaluation")
     _add_caps_flags(p)
     p.set_defaults(func=_cmd_od_props)
 
@@ -610,7 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("prop", help="one cover-combinatorial property")
     p.add_argument("--prop", required=True, choices=list(PROPERTY_IDS))
     p.add_argument("--odgraph", required=True)
-    p.add_argument("--lattice", help="companion lattice for join evaluation")
     _add_caps_flags(p)
     p.set_defaults(func=_cmd_check_prop)
 

@@ -15,13 +15,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DEFAULT_CAPS,
     BadFrame,
     Caps,
+    EnumerationCapExceeded,
     SearchBudgetExceeded,
     SizeCapExceeded,
 )
+from .lattice import _subset_table
 from .relational import SdLattice, semidirect_core
 
 
@@ -107,30 +111,20 @@ def _equivalence_violation(n: int, adj: set) -> tuple[str, tuple] | None:
 
 @dataclass(frozen=True)
 class S5Witness:
-    """Which axiom failed and on which worlds (and relations)."""
+    """A failed confluence instance: its relations (i, j) and worlds."""
 
     kind: str
     rels: tuple[int, ...]
     worlds: tuple[int, ...]
 
 
-def is_s5n_frame(f, edges: Iterable[Iterable[tuple[int, int]]] | None = None
-                 ) -> S5Witness | None:
-    """None when every relation is an equivalence and confluence holds:
-    for i != j, x Ri y and x Rj z admit w with y Rj w and z Ri w.
+def is_s5n_frame(f: Frame) -> S5Witness | None:
+    """None when confluence holds: for i != j, x Ri y and x Rj z admit w
+    with y Rj w and z Ri w.
 
-    Pass a Frame (partitions are equivalences by construction), or a world
-    list plus explicit edge lists to have the equivalence axioms checked too.
+    A Frame stores partitions, so its relations are equivalences by
+    construction; raw edge lists are checked by `frame_from_edges`.
     """
-    if not isinstance(f, Frame):
-        n = len(tuple(f))
-        for r, edge_list in enumerate(edges or ()):
-            adj = {(int(a), int(b)) for a, b in edge_list}
-            wit = _equivalence_violation(n, adj)
-            if wit is not None:
-                kind, ws = wit
-                return S5Witness(kind, (r,), ws)
-        f = frame_from_edges(tuple(f), edges or ())
     for i in range(f.n_rels):
         for j in range(f.n_rels):
             if i != j:
@@ -210,13 +204,14 @@ def frame_queries(f: Frame) -> dict[str, bool]:
     return {"initial": initial, "full": full}
 
 
-def _path_closure_table(f: Frame, caps: Caps) -> list[list[int]]:
-    """For every relation subset X, the block masks of the join of the
-    chosen partitions; act(X, T) is the union of blocks meeting T."""
+def _path_closure_table(f: Frame, caps: Caps) -> np.ndarray:
+    """table[x, t] for every relation mask x and world mask t: the union of
+    the blocks of the join of the partitions in x that meet t, as a
+    (2^rels, 2^worlds) int64 array."""
     n = f.n_worlds
     if 1 << n > caps.max_enum:
-        raise SizeCapExceeded(1 << n, caps.max_enum)
-    table = []
+        raise EnumerationCapExceeded(1 << n, caps.max_enum)
+    rows = []
     for x_mask in range(1 << f.n_rels):
         parent = list(range(n))
 
@@ -228,32 +223,23 @@ def _path_closure_table(f: Frame, caps: Caps) -> list[list[int]]:
 
         for i in range(f.n_rels):
             if x_mask >> i & 1:
-                rel = f.rels[i]
-                for a in range(n):
-                    for b in range(a + 1, n):
-                        if rel[a] == rel[b]:
-                            ra, rb = find(a), find(b)
-                            if ra != rb:
-                                parent[ra] = rb
+                first: dict[int, int] = {}
+                for a, b in enumerate(f.rels[i]):
+                    parent[find(a)] = find(first.setdefault(b, a))
         block_mask = [0] * n
         for a in range(n):
             block_mask[find(a)] |= 1 << a
         single = [block_mask[find(a)] for a in range(n)]
-        row = [0] * (1 << n)
-        for t in range(1, 1 << n):
-            low = t & -t
-            row[t] = row[t ^ low] | single[low.bit_length() - 1]
-        table.append(row)
-    return table
+        rows.append(_subset_table(n, 0, lambda i, t: t | single[i]))
+    return np.array(rows)
 
 
 def l_of_frame(f: Frame, caps: Caps = DEFAULT_CAPS) -> SdLattice:
     """Fixed pairs (X, T) where T is a union of blocks of the joined
     partitions indexed by X; the frame analog of the semidirect product."""
-    table = _path_closure_table(f, caps)
     attr_names = [str(i + 1) for i in range(f.n_rels)]
-    return semidirect_core(attr_names, f.worlds,
-                           lambda x, t: table[x][t], caps=caps)
+    return semidirect_core(attr_names, f.worlds, _path_closure_table(f, caps),
+                           caps=caps)
 
 
 def p_morphism_search(src: Frame, dst: Frame,

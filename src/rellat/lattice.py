@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -185,6 +185,23 @@ def _bitmasks(rows: np.ndarray) -> tuple[int, ...]:
     """Row i as a plain int with bit j set iff rows[i, j]."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
+
+
+def _subset_table(m: int, seed: int, step: Callable) -> np.ndarray:
+    """t[mask] for every subset mask of m items: t[0] = seed and
+    t[mask] = step(i, t[mask - 2^i]) with i the highest bit of mask.
+
+    Filled by doubling: step(i, t[:2^i]) gives t[2^i : 2^(i+1)] in one numpy
+    call, so there is no Python loop over masks. The duality uses it for
+    joins and antichain flags over subsets of J(L) and for down-closures
+    over a graph's elements; the relational and frame actions use it to
+    extend an action from single points to every point set.
+    """
+    t = np.empty(1 << m, dtype=np.int64)
+    t[0] = seed
+    for i in range(m):
+        t[1 << i:2 << i] = step(i, t[:1 << i])
+    return t
 
 
 def _containment(masks: Sequence[int]) -> np.ndarray:

@@ -7,7 +7,7 @@ tuples of indices; the cover list always carries the trivial cover (j, (j,))
 for every element, and join-prime elements carry nothing else.
 
 Both directions of the duality work on one kind of table, indexed by the
-2^m subsets of m items and filled by doubling (`_subset_table`).
+2^m subsets of m items and filled by doubling (`lattice._subset_table`).
 Extraction tabulates, over subsets of J(L), the join and the irreducibles
 strictly below some member (so antichains are the subsets that miss it),
 and keeps an antichain cover C of j iff the local test holds: for every
@@ -37,27 +37,13 @@ from .errors import (
     SizeCapExceeded,
     UnknownProperty,
 )
-from .lattice import FiniteLattice, build_from_closed_family, make_closed_family
+from .lattice import (
+    FiniteLattice,
+    _subset_table,
+    build_from_closed_family,
+    make_closed_family,
+)
 from .relational import UltraSpace, make_space
-
-
-# -- subset tables --------------------------------------------------------------
-
-
-def _subset_table(m: int, seed: int, step: Callable) -> np.ndarray:
-    """t[mask] for every subset mask of m items: t[0] = seed and
-    t[mask] = step(i, t[mask - 2^i]) with i the highest bit of mask.
-
-    Filled by doubling: step(i, t[:2^i]) gives t[2^i : 2^(i+1)] in one numpy
-    call, so there is no Python loop over masks. Both directions of the
-    duality use it: extraction for joins and antichain flags over subsets
-    of J(L), reconstruction for down-closures over the graph's elements.
-    """
-    t = np.empty(1 << m, dtype=np.int64)
-    t[0] = seed
-    for i in range(m):
-        t[1 << i:2 << i] = step(i, t[:1 << i])
-    return t
 
 
 # -- minimal join-covers -----------------------------------------------------
@@ -333,32 +319,16 @@ PROPERTY_IDS = (
 class _Checker:
     """Shared quantifier plumbing: dstep instances, splits, and join tests.
 
-    Joins are decided by closure membership in the reconstruction unless a
-    source lattice is supplied, in which case they are computed there; the
-    two routes agree for extracted graphs and tests exercise both.
+    Joins are decided on the graph alone, by membership in the closure
+    `closed_mask` computes: by the duality the graph determines its lattice.
     """
 
-    def __init__(self, g: ODGraph, lattice: FiniteLattice | None, caps: Caps):
+    def __init__(self, g: ODGraph, caps: Caps):
         self.g = g
         self.caps = caps
-        self.lattice = lattice
-        if lattice is not None:
-            ji = lattice.join_irreducibles()
-            if len(ji) != g.n:
-                raise ValueError("companion lattice does not match the graph")
-            jp_set = set(lattice.join_primes())
-            for t, j in enumerate(ji):
-                if (j in jp_set) != g.jp[t]:
-                    raise ValueError("companion lattice disagrees on primeness")
-            self.ji = ji
 
     def join_le(self, k: int, parts: Iterable[int]) -> bool:
         """k is below the join of parts."""
-        parts = list(parts)
-        if self.lattice is not None:
-            L = self.lattice
-            v = L.join_all([self.ji[p] for p in parts])
-            return bool(L.leq[self.ji[k], v])
         return bool(closed_mask(self.g, sum(1 << p for p in parts)) >> k & 1)
 
     def dstep_instances(self):
@@ -380,13 +350,13 @@ class _Checker:
             yield c0, c1
 
 
-def check_property(g: ODGraph, name: str, lattice: FiniteLattice | None = None,
+def check_property(g: ODGraph, name: str,
                    caps: Caps = DEFAULT_CAPS) -> CoverWitness | None:
     """None when the property holds; otherwise the first failing instance
-    in (element, cover, split) order."""
+    in (element, cover, split) order. Joins are decided on the graph."""
     if name not in PROPERTY_IDS:
         raise UnknownProperty(name)
-    ctx = _Checker(g, lattice, caps)
+    ctx = _Checker(g, caps)
     return _PROPERTY_FUNCS[name](ctx)
 
 
@@ -592,7 +562,7 @@ def ultrametric_representability(g: ODGraph,
     apos = {a: t for t, a in enumerate(attrs)}
     ppos = {p: t for t, p in enumerate(points)}
     dists: dict[tuple[int, int], tuple[int, ...]] = {}
-    ctx = _Checker(g, None, caps)
+    ctx = _Checker(g, caps)
     for k0, rest, k1, _cov in ctx.dstep_instances():
         if k0 == k1:
             continue

@@ -27,6 +27,7 @@ from .lattice import (
     FiniteLattice,
     _containment,
     _row_blocks,
+    _subset_table,
     build_from_leq,
     make_closed_family,
     set_label,
@@ -442,35 +443,31 @@ class BCWitness:
     t: int
 
 
-def _act_table(space: UltraSpace, caps: Caps) -> list[list[int]]:
+def _act_table(space: UltraSpace, caps: Caps) -> np.ndarray:
+    """table[x, t] = act(space, x, t) for every attribute mask x and point
+    mask t, as a (2^attrs, 2^points) int64 array."""
     p = len(space.points)
     if 1 << p > caps.max_enum:
         raise EnumerationCapExceeded(1 << p, caps.max_enum)
-    table = []
-    for x in range(1 << len(space.attrs)):
-        # act(x, -) distributes over unions, so tabulate singletons and fold
-        single = [act(space, x, 1 << g) for g in range(p)]
-        row = [0] * (1 << p)
-        for t in range(1, 1 << p):
-            low = t & -t
-            row[t] = row[t ^ low] | single[low.bit_length() - 1]
-        table.append(row)
-    return table
+    xs = np.arange(1 << len(space.attrs), dtype=np.int64)
+    dist = np.array(space.dist, dtype=np.int64).reshape(p, p)
+    bit = np.int64(1) << np.arange(p, dtype=np.int64)
+    # single[x, g]: the points within x of g; act(x, -) distributes over
+    # unions, so each row extends from singletons to every point set
+    single = bit @ ((dist[None] & ~xs[:, None, None]) == 0)
+    return np.array([_subset_table(p, 0, lambda i, t: t | row[i])
+                     for row in single])
 
 
 def bc_identity_check(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> BCWitness | None:
     """Check act(X1|X2, T) == act(X1, act(X2, T)) everywhere; None if it holds,
     else the first failing (X1, X2, T) in ascending scan order."""
     table = _act_table(space, caps)
-    n_attrs = len(space.attrs)
-    for x1 in range(1 << n_attrs):
-        for x2 in range(1 << n_attrs):
-            combined = table[x1 | x2]
-            t1 = table[x1]
-            t2 = table[x2]
-            for t in range(1 << len(space.points)):
-                if combined[t] != t1[t2[t]]:
-                    return BCWitness(x1, x2, t)
+    for x1 in range(len(table)):
+        for x2 in range(len(table)):
+            bad = np.flatnonzero(table[x1 | x2] != table[x1][table[x2]])
+            if bad.size:
+                return BCWitness(x1, x2, int(bad[0]))
     return None
 
 
@@ -492,25 +489,21 @@ class SdLattice:
 def semidirect_core(
     attr_names: Sequence[str],
     point_names: Sequence[str],
-    act_lookup,
+    table: np.ndarray,
     caps: Caps = DEFAULT_CAPS,
 ) -> SdLattice:
-    """Fixed pairs (X, T) with act(X, T) == T, ordered componentwise.
+    """Fixed pairs (X, T) with table[X, T] == T, ordered componentwise.
 
-    act_lookup(x_mask, t_mask) must be a closure operator in T for each X and
-    monotone in X; both semidirect() and the frame lattice go through here.
+    table is the action as a (2^attrs, 2^points) array, a closure operator
+    in T for each X and monotone in X; `_act_table` builds it for
+    semidirect() and `frames._path_closure_table` for the frame lattice.
+    The pairs come in X-then-T order.
     """
     n_attrs = len(attr_names)
-    n_points = len(point_names)
-    if 1 << n_points > caps.max_enum:
-        raise EnumerationCapExceeded(1 << n_points, caps.max_enum)
-    elems: list[tuple[int, int]] = []
-    for x in range(1 << n_attrs):
-        for t in range(1 << n_points):
-            if act_lookup(x, t) == t:
-                elems.append((x, t))
-                if len(elems) > caps.max_lattice:
-                    raise SizeCapExceeded(len(elems), caps.max_lattice)
+    xs, ts = np.nonzero(table == np.arange(table.shape[1]))
+    if len(xs) > caps.max_lattice:
+        raise SizeCapExceeded(len(xs), caps.max_lattice)
+    elems = list(zip(xs.tolist(), ts.tolist()))
     n = len(elems)
     # componentwise containment is containment of the concatenated masks
     leq = _containment([x | t << n_attrs for x, t in elems])
@@ -524,9 +517,8 @@ def semidirect_core(
 
 def semidirect(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> SdLattice:
     """The semidirect product over an ultrametric space's action."""
-    table = _act_table(space, caps)
-    return semidirect_core(space.attrs, space.points,
-                           lambda x, t: table[x][t], caps=caps)
+    return semidirect_core(space.attrs, space.points, _act_table(space, caps),
+                           caps=caps)
 
 
 def typed_R(tm: TypedMap, caps: Caps = DEFAULT_CAPS) -> SdLattice:
@@ -633,23 +625,3 @@ def table_from_json(schema: Schema, doc: dict) -> Table:
     return make_table(schema, [str(a) for a in doc["header"]],
                       [[str(v) for v in row] for row in doc["rows"]])
 
-
-def closure_of(schema: Schema, seed_mask: int) -> int:
-    """Least fixpoint of one-step saturation above a seed subset."""
-    n_attrs = len(schema.attrs)
-    n_fun = len(schema.dom) ** n_attrs
-    s = seed_mask
-    changed = True
-    while changed:
-        changed = False
-        attr_part = s & ((1 << n_attrs) - 1)
-        for f in range(n_fun):
-            if s >> (n_attrs + f) & 1:
-                continue
-            for g in range(n_fun):
-                if s >> (n_attrs + g) & 1 and \
-                        schema.delta(f, g) & ~attr_part == 0:
-                    s |= 1 << (n_attrs + f)
-                    changed = True
-                    break
-    return s

@@ -60,6 +60,15 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     assert first == second
 
 
+def test_build_typed_size_error_gives_full_count(tmp_path, capsys):
+    code, doc, err = run(capsys, "build", "typed", "--fibers", "4,3",
+                         "--out", str(tmp_path / "t.json"))
+    assert code == 3
+    assert doc["error"] == {"type": "SizeCapExceeded",
+                            "detail": "size 4122 exceeds cap 4096"}
+    assert "size 4122 exceeds cap 4096" in err
+
+
 def test_build_typed_and_closure_agree_with_rel(tmp_path, capsys, r22_file):
     typed = str(tmp_path / "t.json")
     clo = str(tmp_path / "c.json")
@@ -117,8 +126,7 @@ def test_odgraph_chain(tmp_path, capsys, r22_file):
                        "--out", rpath)
     assert code == 0
     assert doc["result"]["n"] == 26
-    code, doc, _ = run(capsys, "odgraph", "props", "--odgraph", gpath,
-                       "--lattice", r22_file)
+    code, doc, _ = run(capsys, "odgraph", "props", "--odgraph", gpath)
     assert code == 0
     assert all(v["holds"] for v in doc["result"]["properties"].values())
 
@@ -250,6 +258,17 @@ def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "rel", "--attrs", "2"])
     assert exc.value.code == 2
+
+
+def test_companion_lattice_flag_is_gone(tmp_path, capsys, r22_file):
+    gpath = str(tmp_path / "g.json")
+    assert run(capsys, "odgraph", "extract", "--lattice", r22_file,
+               "--out", gpath)[0] == 0
+    for argv in (["odgraph", "props", "--odgraph", gpath],
+                 ["check", "prop", "--prop", "pi-Sym", "--odgraph", gpath]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--lattice", r22_file])
+        assert exc.value.code == 2
 
 
 def test_jobs_flag_is_gone(capsys, r22_file):

@@ -390,6 +390,6 @@ def test_three_axioms_force_rl1_on_small_lattices():
 def test_property_and_equation_agree_on_diamond_and_pentagon(m3, n5):
     for L in (m3, n5):
         g = extract_od_graph(L)
-        prop = check_property(g, "unjp", lattice=L) is None
+        prop = check_property(g, "unjp") is None
         eq = check_inclusion(L, CATALOG["Unjp"]).verdict == "holds"
         assert prop == eq

@@ -8,6 +8,7 @@ import pytest
 from rellat import (
     BadFrame,
     Caps,
+    EnumerationCapExceeded,
     SearchBudgetExceeded,
     SizeCapExceeded,
     all_partitions,
@@ -53,14 +54,14 @@ def test_frame_from_edges():
 def test_frame_from_edges_reports_broken_axiom():
     worlds = ["x", "y", "z"]
     missing_refl = [{(0, 1), (1, 0), (1, 1), (2, 2)}]
-    w = is_s5n_frame(worlds, edges=missing_refl)
-    assert w is not None and w.kind == "reflexive"
+    with pytest.raises(BadFrame, match="reflexive"):
+        frame_from_edges(worlds, missing_refl)
     asym = [{(0, 0), (1, 1), (2, 2), (0, 1)}]
-    w = is_s5n_frame(worlds, edges=asym)
-    assert w is not None and w.kind == "symmetric"
+    with pytest.raises(BadFrame, match="symmetric"):
+        frame_from_edges(worlds, asym)
     intrans = [{(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)}]
-    w = is_s5n_frame(worlds, edges=intrans)
-    assert w is not None and w.kind == "transitive"
+    with pytest.raises(BadFrame, match="transitive"):
+        frame_from_edges(worlds, intrans)
 
 
 # -- confluence ---------------------------------------------------------------------
@@ -180,6 +181,14 @@ def test_l_of_frame_on_a_singleton():
     sd = l_of_frame(f)
     # pairs (X, T) with T closed: X any of 4 subsets, T empty or the point
     assert sd.lattice.n == 8
+
+
+def test_l_of_frame_names_the_subset_cap():
+    # 21 worlds have 2^21 world sets, past the default max_enum of 2^20
+    f = make_frame([f"w{i}" for i in range(21)], [[0] * 21, list(range(21))])
+    with pytest.raises(EnumerationCapExceeded,
+                       match="enumeration of 2097152 subsets exceeds cap 1048576"):
+        l_of_frame(f)
 
 
 # -- p-morphisms --------------------------------------------------------------------

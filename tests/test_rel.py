@@ -17,7 +17,6 @@ from rellat import (
     bc_identity_check,
     build_from_closed_family,
     build_R,
-    closure_of,
     closure_system_R,
     cylindrify,
     find_isomorphism,
@@ -356,6 +355,27 @@ def test_pc_agrees_with_bc_on_small_spaces(hamming22):
                 (bc_identity_check(sub) is None)
 
 
+def test_bc_witness_matches_definition(schema22):
+    # the first (X1, X2, T) with act(X1|X2, T) != act(X1, act(X2, T)),
+    # straight from the definition, on the 126 four-point subspaces of H(2,3)
+    full = hamming_space(Schema(schema22.attrs, ("0", "1", "2")))
+    failing = 0
+    for idx in itertools.combinations(range(9), 4):
+        sub = subspace(full, idx)
+        want = None
+        for x1, x2, t in itertools.product(range(4), range(4), range(16)):
+            points = {i for i in range(4) if t >> i & 1}
+            inner = oracles.act_points(sub, x2, points)
+            if oracles.act_points(sub, x1 | x2, points) != \
+                    oracles.act_points(sub, x1, inner):
+                want = (x1, x2, t)
+                break
+        w = bc_identity_check(sub)
+        assert (None if w is None else (w.x1, w.x2, w.t)) == want, idx
+        failing += want is not None
+    assert 0 < failing < 126
+
+
 def test_join_formula_shortcut_on_pairwise_complete_space(hamming22):
     # on a pairwise complete space, the join of fixed pairs is
     # (x1 | x2, act(x2, t1) | act(x1, t2))
@@ -366,6 +386,22 @@ def test_join_formula_shortcut_on_pairwise_complete_space(hamming22):
             want = (x1 | x2,
                     act(hamming22, x2, t1) | act(hamming22, x1, t2))
             assert sd.elems[k] == want
+
+
+@pytest.mark.parametrize("fibers", [None, [2, 2]])
+def test_semidirect_fixed_pairs_match_brute_force(hamming22, fibers):
+    # hamming22, or the sections space of typed 2,2: every (X, T) with
+    # act(X, T) == T, straight from the definition, in X-then-T order
+    space = hamming22 if fibers is None else \
+        sections_space(typed_map_from_fibers(fibers))
+    p = len(space.points)
+    want = []
+    for x in range(1 << len(space.attrs)):
+        for t in range(1 << p):
+            points = {i for i in range(p) if t >> i & 1}
+            if oracles.act_points(space, x, points) == points:
+                want.append((x, t))
+    assert list(semidirect(space).elems) == want
 
 
 # -- typed maps and sections -----------------------------------------------------------
@@ -421,14 +457,6 @@ def test_closure_system_matches_direct_build(r22, schema22):
     L = build_from_closed_family(fam)
     assert L.n == 26
     assert find_isomorphism(r22.lattice, L) is not None
-
-
-def test_closure_of_saturates_under_distance_rule(schema22):
-    # seed {a, row 00}: row 10 is within {a} of 00, so it must join
-    universe_bits = 2 + 4
-    seed = 0b001_01  # attr a (bit 0) + row 00 (bit 2)
-    got = closure_of(schema22, seed)
-    assert got == 0b101_01
 
 
 def test_closure_system_cap():
