@@ -10,7 +10,7 @@ od-graph alone; they take no lattice file.
 Every run prints a JSON report to stdout (sorted keys, so the same
 invocation line yields byte-identical output) and a one-line summary to
 stderr. Exit codes: 0 holds/success/found, 1 counterexample/witness/not
-found, 2 usage error, 3 budget or cap exceeded.
+found, 2 usage error or malformed input document, 3 budget or cap exceeded.
 """
 from __future__ import annotations
 

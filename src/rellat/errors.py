@@ -1,4 +1,5 @@
-"""Exceptions and resource caps shared across the package."""
+"""Exceptions, resource caps and document shape checks shared across the
+package."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -134,6 +135,25 @@ class BadODGraph(RellatError):
 
 class BadFrame(RellatError):
     """A frame's relations are not equivalences / block arrays."""
+
+
+class BadDocument(RellatError):
+    """A JSON document does not have the shape its reader expects."""
+
+
+def document_field(doc, key: str, kind: str):
+    """doc[key], raising BadDocument unless doc is an object holding key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise BadDocument(f"a {kind} document is an object with a {key!r} field")
+    return doc[key]
+
+
+def document_list(value, item: type, what: str) -> list:
+    """value, raising BadDocument unless it is a list of items of exactly
+    that type (so neither true nor false passes as an integer)."""
+    if not isinstance(value, list) or any(type(x) is not item for x in value):
+        raise BadDocument(f"{what} must be a list of {item.__name__} values")
+    return value
 
 
 @dataclass(frozen=True)

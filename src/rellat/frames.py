@@ -24,6 +24,8 @@ from .errors import (
     EnumerationCapExceeded,
     SearchBudgetExceeded,
     SizeCapExceeded,
+    document_field,
+    document_list,
 )
 from .lattice import _subset_table
 from .relational import SdLattice, semidirect_core
@@ -363,5 +365,9 @@ def frame_to_json(f: Frame) -> dict:
 
 
 def frame_from_json(doc: dict) -> Frame:
-    return make_frame([str(w) for w in doc["worlds"]],
-                      [[int(b) for b in r] for r in doc["rels"]])
+    """Read {"worlds", "rels"}; a document of another shape raises
+    BadDocument."""
+    worlds = document_list(document_field(doc, "worlds", "frame"), str, "worlds")
+    rels = document_list(document_field(doc, "rels", "frame"), list, "rels")
+    return make_frame(worlds, [document_list(r, int, "a relation")
+                               for r in rels])

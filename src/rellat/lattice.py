@@ -2,8 +2,9 @@
 
 Elements are dense indices 0..n-1; the order is an n-by-n boolean matrix;
 meet/join are n-by-n int32 element tables computed (and validated) at build
-time. Down-sets and up-sets are also kept as int bitmasks, which makes
-cover and atom tests and sublattice closures cheap word operations.
+time. The covering relation that construction finds is kept as two index
+arrays, lo[k] < hi[k]; lower covers, atoms and join-irreducibles (elements
+with exactly one lower cover) are read off it.
 
 Construction (`build_from_leq`) works on whole matrices:
 
@@ -41,12 +42,15 @@ import numpy as np
 
 from .errors import (
     DEFAULT_CAPS,
+    BadDocument,
     Caps,
     NotALattice,
     NotAPartialOrder,
     NotIntersectionClosed,
     SearchBudgetExceeded,
     SizeCapExceeded,
+    document_field,
+    document_list,
 )
 
 
@@ -54,9 +58,9 @@ class FiniteLattice:
     """Immutable finite lattice; use build_from_leq / build_from_closed_family."""
 
     __slots__ = ("n", "leq", "meet", "join", "bottom", "top", "labels",
-                 "down", "up", "_cache")
+                 "lo", "hi", "_cache")
 
-    def __init__(self, n, leq, meet, join, bottom, top, labels, down, up):
+    def __init__(self, n, leq, meet, join, bottom, top, labels, lo, hi):
         self.n = n
         self.leq = leq
         self.meet = meet
@@ -64,12 +68,11 @@ class FiniteLattice:
         self.bottom = bottom
         self.top = top
         self.labels = labels
-        self.down = down      # down[a] = bitmask of {b : b <= a}
-        self.up = up          # up[a]   = bitmask of {b : a <= b}
+        self.lo = lo          # the covers lo[k] < hi[k], lo ascending,
+        self.hi = hi          # then hi ascending
         self._cache = {}
-        leq.setflags(write=False)
-        meet.setflags(write=False)
-        join.setflags(write=False)
+        for table in (leq, meet, join, lo, hi):
+            table.setflags(write=False)
 
     # -- element-level helpers -------------------------------------------
 
@@ -91,52 +94,21 @@ class FiniteLattice:
     def label(self, x: int) -> str:
         return self.labels[x] if self.labels is not None else str(x)
 
-    def lower_covers(self, j: int) -> tuple[int, ...]:
-        """Elements i < j with nothing strictly between."""
-        out = []
-        bit_j = 1 << j
-        strict = self.down[j] & ~bit_j
-        m = strict
-        while m:
-            b = m & -m
-            i = b.bit_length() - 1
-            m ^= b
-            if self.up[i] & self.down[j] == b | bit_j:
-                out.append(i)
-        return tuple(out)
+    # -- structure queries (read off the covers; primes are cached) ------
 
-    # -- structure queries (cached; the object is immutable) -------------
+    def lower_covers(self, j: int) -> tuple[int, ...]:
+        """Elements i < j with nothing strictly between, ascending."""
+        return tuple(self.lo[self.hi == j].tolist())
 
     def atoms(self) -> tuple[int, ...]:
-        if "atoms" not in self._cache:
-            bb = 1 << self.bottom
-            self._cache["atoms"] = tuple(
-                i for i in range(self.n)
-                if i != self.bottom and self.down[i] == (1 << i) | bb
-            )
-        return self._cache["atoms"]
-
-    def coatoms(self) -> tuple[int, ...]:
-        if "coatoms" not in self._cache:
-            self._cache["coatoms"] = tuple(
-                i for i in range(self.n)
-                if i != self.top and self.up[i] == (1 << i) | (1 << self.top)
-            )
-        return self._cache["coatoms"]
+        """The upper covers of bottom, ascending."""
+        return tuple(self.hi[self.lo == self.bottom].tolist())
 
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover (equivalently, j != bottom
-        and j is not the join of its strict down-set)."""
-        if "ji" not in self._cache:
-            # j has one lower cover c iff its strict down-set is down(c), iff
-            # some c <= j has a down-set one element smaller than j's
-            size = self.leq.sum(axis=0)
-            one = np.zeros(self.n, dtype=bool)
-            for r0, r1 in _row_blocks(self.n, self.n):
-                one |= (self.leq[r0:r1]
-                        & (size[r0:r1, None] == size - 1)).any(axis=0)
-            self._cache["ji"] = tuple(np.flatnonzero(one).tolist())
-        return self._cache["ji"]
+        and j is not the join of its strict down-set), ascending."""
+        return tuple(np.flatnonzero(
+            np.bincount(self.hi, minlength=self.n) == 1).tolist())
 
     def join_primes(self) -> tuple[int, ...]:
         """Join-irreducibles j with j <= a v b implying j <= a or j <= b.
@@ -179,12 +151,6 @@ def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     _BLOCK entries (but at least one row) per block."""
     step = max(1, _BLOCK // max(1, width))
     return [(r, min(n, r + step)) for r in range(0, n, step)]
-
-
-def _bitmasks(rows: np.ndarray) -> tuple[int, ...]:
-    """Row i as a plain int with bit j set iff rows[i, j]."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return tuple(int.from_bytes(r.tobytes(), "little") for r in packed)
 
 
 def _subset_table(m: int, seed: int, step: Callable) -> np.ndarray:
@@ -264,8 +230,7 @@ def build_from_leq(
 
     bottom = int(np.argmax(arr.sum(axis=1) == n))
     top = int(np.argmax(arr.sum(axis=0) == n))
-    return FiniteLattice(n, arr, meet, join, bottom, top, labels,
-                         _bitmasks(arr.T), _bitmasks(arr))
+    return FiniteLattice(n, arr, meet, join, bottom, top, labels, lo, hi)
 
 
 def _cover_edges(le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,10 +335,6 @@ class ClosedFamily:
 
     universe: tuple[str, ...]
     members: tuple[int, ...]
-
-    def member_labels(self, mask: int) -> tuple[str, ...]:
-        return tuple(self.universe[i] for i in range(len(self.universe))
-                     if mask >> i & 1)
 
 
 def make_closed_family(universe: Sequence[str], member_masks: Iterable[int]) -> ClosedFamily:
@@ -572,7 +533,27 @@ def lattice_to_json(L: FiniteLattice) -> dict:
 
 
 def lattice_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
-    """Rebuild from {"n", "leq", "labels"?}; tables are recomputed, never trusted."""
-    n = int(data["n"])
+    """Rebuild from {"n", "leq", "labels"?}; tables are recomputed, never
+    trusted. A document of another shape raises BadDocument."""
+    n = document_field(data, "n", "lattice")
+    if type(n) is not int:
+        raise BadDocument("n must be an integer")
+    leq = _document_order(document_field(data, "leq", "lattice"), n)
     labels = data.get("labels")
-    return build_from_leq(n, data["leq"], labels=labels, caps=caps)
+    if labels is not None and len(document_list(labels, str, "labels")) != n:
+        raise BadDocument(f"labels must name all {n} elements")
+    return build_from_leq(n, leq, labels=labels, caps=caps)
+
+
+def _document_order(rows, n: int) -> np.ndarray:
+    """A document's leq rows as an n-by-n boolean matrix; every entry must
+    be 0, 1, true or false."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError:                      # rows of different lengths
+        raise BadDocument(f"leq must be {n} rows of {n} entries") from None
+    if arr.shape != (n, n):
+        raise BadDocument(f"leq must be {n} rows of {n} entries")
+    if arr.dtype.kind not in "biu" or arr.size and (arr.min() < 0 or arr.max() > 1):
+        raise BadDocument("leq entries must be 0, 1, true or false")
+    return arr.astype(bool)

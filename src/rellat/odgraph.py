@@ -30,12 +30,15 @@ import numpy as np
 
 from .errors import (
     DEFAULT_CAPS,
+    BadDocument,
     BadODGraph,
     Caps,
     CoverEnumerationCapExceeded,
     PartitionEnumerationCapExceeded,
     SizeCapExceeded,
     UnknownProperty,
+    document_field,
+    document_list,
 )
 from .lattice import (
     FiniteLattice,
@@ -120,10 +123,6 @@ class ODGraph:
         return len(self.elems)
 
     @cached_property
-    def leq_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.leq_pairs)
-
-    @cached_property
     def mjc_set(self) -> frozenset[tuple[int, tuple[int, ...]]]:
         return frozenset(self.mjc)
 
@@ -141,13 +140,7 @@ class ODGraph:
         return tuple((k, sum(1 << c for c in cov)) for k, cov in self.nontrivial())
 
     def le(self, a: int, b: int) -> bool:
-        return a == b or (a, b) in self.leq_set
-
-    def leq_matrix(self) -> np.ndarray:
-        leq = np.eye(self.n, dtype=bool)
-        for a, b in self.leq_pairs:
-            leq[a, b] = True
-        return leq
+        return bool(self.down_masks[b] >> a & 1)
 
     def covers_of(self, j: int) -> tuple[tuple[int, ...], ...]:
         return tuple(c for k, c in self.mjc if k == j)
@@ -232,12 +225,22 @@ def od_graph_to_json(g: ODGraph) -> dict:
 
 
 def od_graph_from_json(doc: dict) -> ODGraph:
-    return make_od_graph(
-        [str(e) for e in doc["elems"]],
-        [(int(a), int(b)) for a, b in doc["leq_pairs"]],
-        [bool(x) for x in doc["jp"]],
-        [(int(k), [int(x) for x in c]) for k, c in doc["mjc"]],
-    )
+    """Read {"elems", "leq_pairs", "jp", "mjc"}; a document of another shape
+    raises BadDocument, a graph breaking an invariant BadODGraph."""
+    def field(key):
+        return document_field(doc, key, "od-graph")
+
+    elems = document_list(field("elems"), str, "elems")
+    pairs = document_list(field("leq_pairs"), list, "leq_pairs")
+    if any(len(document_list(p, int, "an order pair")) != 2 for p in pairs):
+        raise BadDocument("an order pair must hold two element indices")
+    jp = document_list(field("jp"), bool, "jp")
+    mjc = []
+    for entry in document_list(field("mjc"), list, "mjc"):
+        if len(entry) != 2 or type(entry[0]) is not int:
+            raise BadDocument("an mjc entry must be [element, cover]")
+        mjc.append((entry[0], document_list(entry[1], int, "a cover")))
+    return make_od_graph(elems, pairs, jp, mjc)
 
 
 # -- reconstruction ------------------------------------------------------------
@@ -316,38 +319,30 @@ PROPERTY_IDS = (
 )
 
 
-class _Checker:
-    """Shared quantifier plumbing: dstep instances, splits, and join tests.
+def _join_le(g: ODGraph, k: int, parts: Iterable[int]) -> bool:
+    """k is below the join of parts: k lies in the closure `closed_mask`
+    computes, since by the duality the graph determines its lattice."""
+    return bool(closed_mask(g, sum(1 << p for p in parts)) >> k & 1)
 
-    Joins are decided on the graph alone, by membership in the closure
-    `closed_mask` computes: by the duality the graph determines its lattice.
-    """
 
-    def __init__(self, g: ODGraph, caps: Caps):
-        self.g = g
-        self.caps = caps
+def _dstep_instances(g: ODGraph):
+    """All (k0, rest, k1, cover) with rest plus the non-prime k1 a minimal
+    cover of k0."""
+    for k0, cov in g.mjc:
+        for k1 in cov:
+            if not g.jp[k1]:
+                yield k0, tuple(x for x in cov if x != k1), k1, cov
 
-    def join_le(self, k: int, parts: Iterable[int]) -> bool:
-        """k is below the join of parts."""
-        return bool(closed_mask(self.g, sum(1 << p for p in parts)) >> k & 1)
 
-    def dstep_instances(self):
-        """All (k0, rest, k1) with rest plus k1 a minimal cover of k0."""
-        for k0, cov in self.g.mjc:
-            for k1 in cov:
-                if not self.g.jp[k1]:
-                    rest = tuple(x for x in cov if x != k1)
-                    yield k0, rest, k1, cov
-
-    def splits(self, c: tuple[int, ...]):
-        """All ordered (c0, c1) with both parts nonempty partitioning c."""
-        k = len(c)
-        if 1 << k > self.caps.max_enum:
-            raise PartitionEnumerationCapExceeded(1 << k, self.caps.max_enum)
-        for mask in range(1, (1 << k) - 1):
-            c0 = tuple(c[i] for i in range(k) if mask >> i & 1)
-            c1 = tuple(c[i] for i in range(k) if not mask >> i & 1)
-            yield c0, c1
+def _splits(c: tuple[int, ...], caps: Caps):
+    """All ordered (c0, c1) with both parts nonempty partitioning c."""
+    k = len(c)
+    if 1 << k > caps.max_enum:
+        raise PartitionEnumerationCapExceeded(1 << k, caps.max_enum)
+    for mask in range(1, (1 << k) - 1):
+        c0 = tuple(c[i] for i in range(k) if mask >> i & 1)
+        c1 = tuple(c[i] for i in range(k) if not mask >> i & 1)
+        yield c0, c1
 
 
 def check_property(g: ODGraph, name: str,
@@ -356,33 +351,31 @@ def check_property(g: ODGraph, name: str,
     in (element, cover, split) order. Joins are decided on the graph."""
     if name not in PROPERTY_IDS:
         raise UnknownProperty(name)
-    ctx = _Checker(g, caps)
-    return _PROPERTY_FUNCS[name](ctx)
+    return _PROPERTY_FUNCS[name](g, caps)
 
 
 def _nonjp_count(g: ODGraph, cov: tuple[int, ...]) -> int:
     return sum(1 for c in cov if not g.jp[c])
 
 
-def _check_unjp(ctx: _Checker) -> CoverWitness | None:
-    for k, cov in ctx.g.mjc:
-        if _nonjp_count(ctx.g, cov) > 1:
+def _check_unjp(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    for k, cov in g.mjc:
+        if _nonjp_count(g, cov) > 1:
             return CoverWitness(k, cov, "cover has two non-prime members")
     return None
 
 
-def _check_exactly_one(ctx: _Checker) -> CoverWitness | None:
-    for k, cov in ctx.g.mjc:
+def _check_exactly_one(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    for k, cov in g.mjc:
         if cov == (k,):
             continue
-        if _nonjp_count(ctx.g, cov) != 1:
+        if _nonjp_count(g, cov) != 1:
             return CoverWitness(
                 k, cov, "non-trivial cover without exactly one non-prime member")
     return None
 
 
-def _check_varrl1(ctx: _Checker) -> CoverWitness | None:
-    g = ctx.g
+def _check_varrl1(g: ODGraph, caps: Caps) -> CoverWitness | None:
     for k, cov in g.mjc:
         low = [c for c in cov if g.le(c, k)]
         if len(low) > 1:
@@ -390,9 +383,8 @@ def _check_varrl1(ctx: _Checker) -> CoverWitness | None:
     return None
 
 
-def _check_rmod(ctx: _Checker) -> CoverWitness | None:
-    g = ctx.g
-    for k0, rest, k1, cov in ctx.dstep_instances():
+def _check_rmod(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    for k0, rest, k1, cov in _dstep_instances(g):
         low = [c for c in rest if g.le(c, k0)]
         if low:
             return CoverWitness(
@@ -400,22 +392,21 @@ def _check_rmod(ctx: _Checker) -> CoverWitness | None:
     return None
 
 
-def _check_sym(ctx: _Checker) -> CoverWitness | None:
-    for k0, rest, k1, cov in ctx.dstep_instances():
-        if not ctx.join_le(k1, rest + (k0,)):
+def _check_sym(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    for k0, rest, k1, cov in _dstep_instances(g):
+        if not _join_le(g, k1, rest + (k0,)):
             return CoverWitness(
                 k0, cov, f"step target {k1} not below join of rest and {k0}")
     return None
 
 
-def _check_sympc(ctx: _Checker) -> CoverWitness | None:
-    g = ctx.g
-    for k0, rest, k2, cov in ctx.dstep_instances():
-        for c0, c1 in ctx.splits(rest):
+def _check_sympc(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    for k0, rest, k2, cov in _dstep_instances(g):
+        for c0, c1 in _splits(rest, caps):
             found = False
             for k1 in range(g.n):
                 if dstep(g, k0, c0, k1) and dstep(g, k1, c1, k2) \
-                        and ctx.join_le(k1, c0 + (k0,)):
+                        and _join_le(g, k1, c0 + (k0,)):
                     found = True
                     break
             if not found:
@@ -426,24 +417,23 @@ def _check_sympc(ctx: _Checker) -> CoverWitness | None:
     return None
 
 
-def _check_strong_sympc(ctx: _Checker) -> CoverWitness | None:
-    g = ctx.g
-    mjc_set = ctx.g.mjc_set
+def _check_strong_sympc(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    mjc_set = g.mjc_set
     for k, cov in g.mjc:
-        for c0, c1 in ctx.splits(cov):
+        for c0, c1 in _splits(cov, caps):
             found = False
             for kp in range(g.n):
                 first = (
                     kp not in c1
                     and (k, tuple(sorted(set(c1) | {kp}))) in mjc_set
                     and (kp, c0) in mjc_set
-                    and ctx.join_le(kp, c1 + (k,))
+                    and _join_le(g, kp, c1 + (k,))
                 )
                 second = (
                     kp not in c0
                     and (k, tuple(sorted(set(c0) | {kp}))) in mjc_set
                     and (kp, c1) in mjc_set
-                    and ctx.join_le(kp, c0 + (k,))
+                    and _join_le(g, kp, c0 + (k,))
                 )
                 if first or second:
                     found = True
@@ -454,8 +444,7 @@ def _check_strong_sympc(ctx: _Checker) -> CoverWitness | None:
     return None
 
 
-def _check_pjp(ctx: _Checker) -> CoverWitness | None:
-    g = ctx.g
+def _check_pjp(g: ODGraph, caps: Caps) -> CoverWitness | None:
     for k, cov in g.mjc:
         if all(g.jp[c] for c in cov):
             if not any(g.le(c, k) for c in cov):
@@ -464,18 +453,16 @@ def _check_pjp(ctx: _Checker) -> CoverWitness | None:
     return None
 
 
-def _check_atomistic_ii(ctx: _Checker) -> CoverWitness | None:
-    g = ctx.g
-    for k0, rest, k1, cov in ctx.dstep_instances():
+def _check_atomistic_ii(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    for k0, rest, k1, cov in _dstep_instances(g):
         if not dstep(g, k1, rest, k0):
             return CoverWitness(k0, cov, f"step to {k1} does not reverse")
     return None
 
 
-def _check_atomistic_iii(ctx: _Checker) -> CoverWitness | None:
-    g = ctx.g
-    for k0, rest, k2, cov in ctx.dstep_instances():
-        for c0, c1 in ctx.splits(rest):
+def _check_atomistic_iii(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    for k0, rest, k2, cov in _dstep_instances(g):
+        for c0, c1 in _splits(rest, caps):
             found = any(
                 dstep(g, k0, c0, k1) and dstep(g, k1, c1, k2)
                 for k1 in range(g.n)
@@ -488,20 +475,19 @@ def _check_atomistic_iii(ctx: _Checker) -> CoverWitness | None:
     return None
 
 
-def _check_prop_last(ctx: _Checker) -> CoverWitness | None:
-    g = ctx.g
-    mjc_set = ctx.g.mjc_set
+def _check_prop_last(g: ODGraph, caps: Caps) -> CoverWitness | None:
+    mjc_set = g.mjc_set
     for k0, cov in g.mjc:
         for k2 in cov:
             if not g.le(k2, k0):
                 continue
             rest = tuple(x for x in cov if x != k2)
-            for c0, c1 in ctx.splits(rest):
+            for c0, c1 in _splits(rest, caps):
                 found = False
                 for k1 in range(g.n):
                     if dstep(g, k0, c0, k1) \
                             and (k1, tuple(sorted(set(c1) | {k2}))) in mjc_set \
-                            and ctx.join_le(k1, c0 + (k0,)):
+                            and _join_le(g, k1, c0 + (k0,)):
                         found = True
                         break
                 if not found:
@@ -511,7 +497,7 @@ def _check_prop_last(ctx: _Checker) -> CoverWitness | None:
     return None
 
 
-_PROPERTY_FUNCS: dict[str, Callable[[_Checker], CoverWitness | None]] = {
+_PROPERTY_FUNCS: dict[str, Callable[[ODGraph, Caps], CoverWitness | None]] = {
     "unjp": _check_unjp,
     "exactly-one-nonjp": _check_exactly_one,
     "pi-VarRL1": _check_varrl1,
@@ -546,8 +532,7 @@ class NotAtomistic:
     pair: tuple[int, int]
 
 
-def ultrametric_representability(g: ODGraph,
-                                 caps: Caps = DEFAULT_CAPS):
+def ultrametric_representability(g: ODGraph):
     """Try to read the graph as the semidirect product data of a space whose
     points are the non-prime elements and whose attributes are the primes.
 
@@ -562,8 +547,7 @@ def ultrametric_representability(g: ODGraph,
     apos = {a: t for t, a in enumerate(attrs)}
     ppos = {p: t for t, p in enumerate(points)}
     dists: dict[tuple[int, int], tuple[int, ...]] = {}
-    ctx = _Checker(g, caps)
-    for k0, rest, k1, _cov in ctx.dstep_instances():
+    for k0, rest, k1, _cov in _dstep_instances(g):
         if k0 == k1:
             continue
         prev = dists.get((k0, k1))

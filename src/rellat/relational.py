@@ -15,12 +15,15 @@ import numpy as np
 
 from .errors import (
     DEFAULT_CAPS,
+    BadDocument,
     Caps,
     EnumerationCapExceeded,
     NotAnUltraSpace,
     NotSurjective,
     SchemaMismatch,
     SizeCapExceeded,
+    document_field,
+    document_list,
 )
 from .lattice import (
     ClosedFamily,
@@ -314,15 +317,27 @@ def make_space(attrs: Sequence[str], points: Sequence[str],
     return UltraSpace(tuple(attrs), tuple(points), tuple(tuple(row) for row in d))
 
 
+def _product_space(schema: Schema, values: Sequence[Sequence[int]],
+                   caps: Caps) -> UltraSpace:
+    """Points are the full-header rows taking, at attribute i, a value of
+    values[i], in product order; the distance is the disagreement set."""
+    count = 1
+    for v in values:
+        count *= len(v)
+    if count > caps.max_enum:
+        raise EnumerationCapExceeded(count, caps.max_enum)
+    full = schema.full_header
+    codes = [schema.encode_row(full, choice)
+             for choice in itertools.product(*values)]
+    labels = [schema.row_label(full, c) for c in codes]
+    d = [[schema.delta(f, g) for g in codes] for f in codes]
+    return make_space(schema.attrs, labels, d)
+
+
 def hamming_space(schema: Schema, caps: Caps = DEFAULT_CAPS) -> UltraSpace:
     """All full-header rows, with the disagreement-set distance."""
-    p = len(schema.dom) ** len(schema.attrs)
-    if p > caps.max_enum:
-        raise EnumerationCapExceeded(p, caps.max_enum)
-    full = schema.full_header
-    labels = [schema.row_label(full, c) for c in range(p)]
-    d = [[schema.delta(f, g) for g in range(p)] for f in range(p)]
-    return make_space(schema.attrs, labels, d)
+    return _product_space(
+        schema, [range(len(schema.dom))] * len(schema.attrs), caps)
 
 
 def subspace(space: UltraSpace, indices: Sequence[int]) -> UltraSpace:
@@ -372,19 +387,8 @@ def typed_map_from_fibers(fiber_sizes: Sequence[int]) -> TypedMap:
 
 def sections_space(tm: TypedMap, caps: Caps = DEFAULT_CAPS) -> UltraSpace:
     """Points are the maps choosing one fiber value per attribute."""
-    s = tm.schema
-    fibers = [tm.fiber(a) for a in range(len(s.attrs))]
-    count = 1
-    for f in fibers:
-        count *= len(f)
-    if count > caps.max_enum:
-        raise EnumerationCapExceeded(count, caps.max_enum)
-    full = s.full_header
-    codes = [s.encode_row(full, choice)
-             for choice in itertools.product(*fibers)]
-    labels = [s.row_label(full, c) for c in codes]
-    d = [[s.delta(f, g) for g in codes] for f in codes]
-    return make_space(s.attrs, labels, d)
+    return _product_space(
+        tm.schema, [tm.fiber(a) for a in range(len(tm.schema.attrs))], caps)
 
 
 # -- the action and the semidirect construction ------------------------------------
@@ -474,12 +478,9 @@ def bc_identity_check(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> BCWitness
 class SdLattice:
     """Semidirect product of P(attrs) with the fixed point sets of an action."""
 
-    def __init__(self, lattice: FiniteLattice, elems: tuple[tuple[int, int], ...],
-                 attr_names: tuple[str, ...], point_names: tuple[str, ...]):
+    def __init__(self, lattice: FiniteLattice, elems: tuple[tuple[int, int], ...]):
         self.lattice = lattice
         self.elems = elems
-        self.attr_names = attr_names
-        self.point_names = point_names
         self._index = {e: i for i, e in enumerate(elems)}
 
     def index_of(self, xt: tuple[int, int]) -> int:
@@ -512,7 +513,7 @@ def semidirect_core(
         for x, t in elems
     ]
     lattice = build_from_leq(n, leq, labels=labels, caps=caps)
-    return SdLattice(lattice, tuple(elems), tuple(attr_names), tuple(point_names))
+    return SdLattice(lattice, tuple(elems))
 
 
 def semidirect(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> SdLattice:
@@ -548,7 +549,13 @@ def rel_to_semidirect_map(rl: RLattice, sd: SdLattice) -> list[int]:
 
 def closure_system_R(schema: Schema, caps: Caps = DEFAULT_CAPS) -> ClosedFamily:
     """All subsets of attrs + full rows closed under: if delta(f,g) and g lie
-    inside S then f lies in S."""
+    inside S then f lies in S.
+
+    Every subset is tested at once, from the definition: S is not closed iff
+    some pair f != g has g inside S, f outside S and delta(f, g) inside the
+    attribute part of S. Per g, the f are grouped by delta(f, g). The size
+    error gives the full number of closed sets.
+    """
     n_attrs = len(schema.attrs)
     n_fun = len(schema.dom) ** n_attrs
     universe_bits = n_attrs + n_fun
@@ -557,29 +564,23 @@ def closure_system_R(schema: Schema, caps: Caps = DEFAULT_CAPS) -> ClosedFamily:
     universe = list(schema.attrs) + [
         schema.row_label(schema.full_header, c) for c in range(n_fun)
     ]
-    deltas = [[schema.delta(f, g) for g in range(n_fun)] for f in range(n_fun)]
-
-    members = []
-    for s_mask in range(1 << universe_bits):
-        attr_part = s_mask & ((1 << n_attrs) - 1)
-        if _is_closed(s_mask, attr_part, n_attrs, n_fun, deltas):
-            members.append(s_mask)
-            if len(members) > caps.max_lattice:
-                raise SizeCapExceeded(len(members), caps.max_lattice)
-    return make_closed_family(universe, members)
-
-
-def _is_closed(s_mask: int, attr_part: int, n_attrs: int, n_fun: int,
-               deltas: list[list[int]]) -> bool:
+    masks = np.arange(1 << universe_bits, dtype=np.int64)
+    attr_part = masks & ((1 << n_attrs) - 1)
+    rows = masks >> n_attrs
+    closed = np.ones(len(masks), dtype=bool)
     for g in range(n_fun):
-        if not s_mask >> (n_attrs + g) & 1:
-            continue
+        by_delta: dict[int, int] = {}
         for f in range(n_fun):
-            if s_mask >> (n_attrs + f) & 1:
-                continue
-            if deltas[f][g] & ~attr_part == 0:
-                return False
-    return True
+            if f != g:
+                d = schema.delta(f, g)
+                by_delta[d] = by_delta.get(d, 0) | 1 << f
+        has_g = (rows >> g & 1) == 1
+        for d, fs in by_delta.items():
+            closed &= ~(has_g & (d & ~attr_part == 0) & (rows & fs != fs))
+    count = int(closed.sum())
+    if count > caps.max_lattice:
+        raise SizeCapExceeded(count, caps.max_lattice)
+    return make_closed_family(universe, masks[closed].tolist())
 
 
 # -- JSON interchange ----------------------------------------------------------
@@ -599,13 +600,18 @@ def space_to_json(space: UltraSpace) -> dict:
 
 
 def space_from_json(doc: dict) -> UltraSpace:
-    attrs = [str(a) for a in doc["attrs"]]
+    """Read {"attrs", "points", "dist"}; a document of another shape raises
+    BadDocument, a distance breaking an axiom NotAnUltraSpace."""
+    attrs = document_list(document_field(doc, "attrs", "space"), str, "attrs")
     idx = {a: i for i, a in enumerate(attrs)}
-    points = [str(p) for p in doc["points"]]
-    dist = [
-        [sum(1 << idx[str(a)] for a in cell) for cell in row]
-        for row in doc["dist"]
-    ]
+    points = document_list(document_field(doc, "points", "space"), str, "points")
+    dist = []
+    for row in document_list(document_field(doc, "dist", "space"), list, "dist"):
+        cells = [document_list(cell, str, "a distance") for cell in
+                 document_list(row, list, "a dist row")]
+        if any(a not in idx for cell in cells for a in cell):
+            raise BadDocument("a distance names an attribute not in attrs")
+        dist.append([sum(1 << idx[a] for a in cell) for cell in cells])
     return make_space(attrs, points, dist)
 
 

@@ -115,8 +115,8 @@ def join_primes(n, leq):
 
 
 def lattice_tables(n, leq):
-    """Meet and join tables (lists of lists), bottom, top and the down-set
-    and up-set bitmasks of a lattice order, by per-pair down-set lookups.
+    """Meet and join tables (lists of lists), bottom, top and the covering
+    pairs (c, a) of a lattice order, by per-pair down-set lookups.
 
     Raises NotAPartialOrder or NotALattice with the package's witnesses:
     the least non-reflexive i; the first (i, j) in row-major order with
@@ -155,8 +155,9 @@ def lattice_tables(n, leq):
     return {
         "meet": meet, "join": join,
         "bottom": by_up[everything], "top": by_down[everything],
-        "down": tuple(sum(1 << x for x in d) for d in down),
-        "up": tuple(sum(1 << x for x in u) for u in up),
+        # c < a with nothing between: only c and a lie above c and below a
+        "covers": [(c, a) for c in range(n) for a in range(n)
+                   if up[c] & down[a] == {c, a} and c != a],
     }
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from rellat import lattice_to_json
+from rellat import build_countermodel, lattice_to_json, od_graph_to_json
 from rellat.cli import main
 from conftest import pentagon_n5
 
@@ -67,6 +67,15 @@ def test_build_typed_size_error_gives_full_count(tmp_path, capsys):
     assert doc["error"] == {"type": "SizeCapExceeded",
                             "detail": "size 4122 exceeds cap 4096"}
     assert "size 4122 exceeds cap 4096" in err
+
+
+def test_build_closure_size_error_gives_full_count(tmp_path, capsys):
+    code, doc, err = run(capsys, "build", "closure", "--attrs", "2",
+                         "--dom", "4", "--out", str(tmp_path / "c.json"))
+    assert code == 3
+    assert doc["error"] == {"type": "SizeCapExceeded",
+                            "detail": "size 65570 exceeds cap 4096"}
+    assert "size 65570 exceeds cap 4096" in err
 
 
 def test_build_typed_and_closure_agree_with_rel(tmp_path, capsys, r22_file):
@@ -252,6 +261,54 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "check", "nation", "--lattice", "/nope.json")
     assert code == 2
     assert "error" in err
+
+
+def _with_entry(doc, key, path, value):
+    """A copy of doc with doc[key][path[0]][path[1]]... set to value."""
+    doc = json.loads(json.dumps(doc))
+    *outer, last = path
+    target = doc[key]
+    for i in outer:
+        target = target[i]
+    target[last] = value
+    return doc
+
+
+N5 = lattice_to_json(pentagon_n5())
+GRAPH = od_graph_to_json(build_countermodel())
+FRAME = {"worlds": ["w0", "w1"], "rels": [[0, 0], [0, 1]]}
+SPACE = {"attrs": ["a"], "points": ["0", "1"],
+         "dist": [[[], ["a"]], [["a"], []]]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["check", "eq", "--eq", "Dist", "--lattice"], [1, 2]),
+    (["check", "eq", "--eq", "Dist", "--lattice"],
+     _with_entry(N5, "leq", (0, 1), "x")),
+    (["check", "eq", "--eq", "Dist", "--lattice"],
+     _with_entry(N5, "leq", (0, 1), 2)),
+    (["check", "eq", "--eq", "Dist", "--lattice"],
+     _with_entry(N5, "leq", (0,), [1])),
+    (["odgraph", "props", "--odgraph"], _with_entry(GRAPH, "mjc", (1, 1), 5)),
+    (["odgraph", "props", "--odgraph"], _with_entry(GRAPH, "jp", (3,), "yes")),
+    (["search", "pmorphism", "--dst", "FRAME", "--src"],
+     _with_entry(FRAME, "rels", (1,), 5)),
+    (["search", "pmorphism", "--dst", "FRAME", "--src"],
+     _with_entry(FRAME, "rels", (1, 1), "b")),
+    (["check", "bc", "--space"], _with_entry(SPACE, "dist", (0, 1), ["b"])),
+], ids=["lattice-list", "leq-string", "leq-2", "leq-ragged", "cover-int",
+        "jp-string", "frame-relation-int", "frame-block-string",
+        "space-unknown-attr"])
+def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps(FRAME))
+    argv = [str(frame) if a == "FRAME" else a for a in argv]
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out is None
+    assert err.startswith("error: ")
 
 
 def test_bad_arguments_exit_2(capsys):

@@ -130,8 +130,8 @@ def test_join_all_meet_all(b3):
 
 def assert_build_matches_definition(n, leq):
     """build_from_leq against oracles.lattice_tables: equal tables, bottom,
-    top, down and up, or the same exception type and args. Returns the
-    outcome's name."""
+    top and covers (also as lower covers and atoms), or the same exception
+    type and args. Returns the outcome's name."""
     try:
         want = oracles.lattice_tables(n, leq)
     except (NotAPartialOrder, NotALattice) as e:
@@ -143,7 +143,11 @@ def assert_build_matches_definition(n, leq):
     assert L.meet.tolist() == want["meet"]
     assert L.join.tolist() == want["join"]
     assert (L.bottom, L.top) == (want["bottom"], want["top"])
-    assert (L.down, L.up) == (want["down"], want["up"])
+    covers = want["covers"]
+    assert list(zip(L.lo.tolist(), L.hi.tolist())) == covers
+    for j in range(n):
+        assert L.lower_covers(j) == tuple(c for c, a in covers if a == j)
+    assert L.atoms() == tuple(a for c, a in covers if c == L.bottom)
     return "lattice"
 
 

@@ -180,6 +180,16 @@ def test_graph_json_round_trip(g22):
     assert od_graph_from_json(od_graph_to_json(g22)) == g22
 
 
+def test_graph_order_is_the_lattice_order(small_lattices, cm_lattice):
+    # le(a, b) iff ji[a] <= ji[b] in the source lattice
+    for L in [*small_lattices, cm_lattice]:
+        g = extract_od_graph(L)
+        ji = L.join_irreducibles()
+        for a in range(g.n):
+            for b in range(g.n):
+                assert g.le(a, b) == bool(L.leq[ji[a], ji[b]]), (L.n, a, b)
+
+
 # -- reconstruction ------------------------------------------------------------------
 
 
