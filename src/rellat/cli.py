@@ -20,6 +20,9 @@ import hashlib
 import json
 import string
 import sys
+from typing import Iterator
+
+import numpy as np
 
 from .equations import catalog_inclusion, check_inclusion, verify_witness
 from .errors import (
@@ -45,7 +48,7 @@ from .lattice import (
     find_embedding,
     find_isomorphism,
     lattice_from_json,
-    lattice_to_json,
+    lattice_document,
     sublattice_closure,
 )
 from .odgraph import (
@@ -87,11 +90,70 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
+# Every report and saved document is laid out as the json module lays it
+# out with a two-space indent and sorted keys. Asked to indent, the json
+# module runs its pure-Python encoder, one call per value, so
+# `_json_chunks` composes the same text itself: containers here, keys and
+# scalars through json.dumps (its escaping and ensure_ascii unchanged), an
+# order matrix row by row.
+
+
+def _json_chunks(obj, pad: str = "") -> Iterator[str]:
+    """obj (string keys) as the json module writes it with indent=2 and
+    sort_keys, in pieces; `pad` indents the line obj starts on. A boolean
+    numpy array is an order matrix, written as its rows of 0/1."""
+    if isinstance(obj, np.ndarray) and obj.dtype == bool:
+        yield from _order_chunks(obj, pad)
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            brackets = "{}"
+            items = [(json.dumps(k) + ": ", v) for k, v in sorted(obj.items())]
+        else:
+            brackets = "[]"
+            items = [("", v) for v in obj]
+        sep = brackets[0] + "\n" + inner
+        for head, value in items:
+            yield sep + head
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + pad + brackets[1]
+    else:
+        yield json.dumps(obj)
+
+
+def _order_chunks(leq: np.ndarray, pad: str) -> Iterator[str]:
+    """An n-by-n boolean matrix as n rows of 0/1, one chunk per row; the
+    cells come from one pass over the matrix, not one encoder call each."""
+    n = len(leq)
+    if not n:
+        yield "[]"
+        return
+    row_pad, cell_pad = pad + "  ", pad + "    "
+    cells = (leq.view(np.uint8) + 48).tobytes().decode("ascii")
+    cell_sep = ",\n" + cell_pad
+    sep = "[\n" + row_pad
+    for i in range(0, n * n, n):
+        yield (sep + "[\n" + cell_pad + cell_sep.join(cells[i:i + n])
+               + "\n" + row_pad + "]")
+        sep = ",\n" + row_pad
+    yield "\n" + pad + "]"
+
+
+def _print_json(doc: dict) -> None:
+    print("".join(_json_chunks(doc)))
+
+
 def _dump(doc: dict, path: str) -> str:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Write doc and return the sha256 of the text, chunk by chunk."""
+    digest = hashlib.sha256()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for chunk in _json_chunks(doc):
+            fh.write(chunk)
+            digest.update(chunk.encode("utf-8"))
+        fh.write("\n")
+    digest.update(b"\n")
+    return digest.hexdigest()
 
 
 def _caps(args) -> Caps:
@@ -135,7 +197,7 @@ def _report(args, command: str, inputs: dict[str, str], result: dict,
 
 
 def _emit(report: dict, summary: str, code: int) -> int:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _print_json(report)
     print(summary, file=sys.stderr)
     return code
 
@@ -157,7 +219,7 @@ def _valuation_doc(L, witness: dict[str, int] | None) -> dict | None:
 def _cmd_build_rel(args) -> int:
     caps = _caps(args)
     rl = build_R(_schema(args.attrs, args.dom), caps)
-    sha = _dump(lattice_to_json(rl.lattice), args.out)
+    sha = _dump(lattice_document(rl.lattice), args.out)
     rep = _report(args, "build rel", {}, {
         "n": rl.lattice.n, "out": _written(args.out, sha)})
     return _emit(rep, f"relational lattice: {rl.lattice.n} elements -> {args.out}", 0)
@@ -167,7 +229,7 @@ def _cmd_build_typed(args) -> int:
     caps = _caps(args)
     sizes = [int(x) for x in args.fibers.split(",") if x]
     sd = typed_R(typed_map_from_fibers(sizes), caps)
-    sha = _dump(lattice_to_json(sd.lattice), args.out)
+    sha = _dump(lattice_document(sd.lattice), args.out)
     rep = _report(args, "build typed", {}, {
         "n": sd.lattice.n, "fibers": sizes, "out": _written(args.out, sha)})
     return _emit(rep, f"typed relational lattice: {sd.lattice.n} elements", 0)
@@ -177,7 +239,7 @@ def _cmd_build_closure(args) -> int:
     caps = _caps(args)
     fam = closure_system_R(_schema(args.attrs, args.dom), caps)
     L = build_from_closed_family(fam, caps)
-    sha = _dump(lattice_to_json(L), args.out)
+    sha = _dump(lattice_document(L), args.out)
     rep = _report(args, "build closure", {}, {
         "n": L.n, "out": _written(args.out, sha)})
     return _emit(rep, f"closure-system lattice: {L.n} closed sets", 0)
@@ -219,7 +281,7 @@ def _cmd_build_countermodel(args) -> int:
         summary = f"countermodel cover graph: {g.n} elements -> {args.out}"
     else:
         L = reconstruct(g, caps)
-        sha = _dump(lattice_to_json(L), args.out)
+        sha = _dump(lattice_document(L), args.out)
         result = {"n": L.n, "out": _written(args.out, sha)}
         summary = f"countermodel lattice: {L.n} elements -> {args.out}"
     return _emit(_report(args, "build countermodel", {}, result), summary, 0)
@@ -245,7 +307,7 @@ def _cmd_od_reconstruct(args) -> int:
     caps = _caps(args)
     g = od_graph_from_json(_load(args.odgraph))
     L = reconstruct(g, caps)
-    sha = _dump(lattice_to_json(L), args.out)
+    sha = _dump(lattice_document(L), args.out)
     rep = _report(args, "odgraph reconstruct", {"odgraph": args.odgraph}, {
         "n": L.n, "out": _written(args.out, sha)})
     return _emit(rep, f"reconstructed lattice with {L.n} elements", 0)
@@ -441,6 +503,8 @@ def _goal_illdefined(g) -> dict | None:
 def _cmd_search_sublattice(args) -> int:
     import itertools
 
+    if args.max_seed < 1:
+        raise RellatError(f"--max-seed must be at least 1, not {args.max_seed}")
     caps = _caps(args)
     L = lattice_from_json(_load(args.lattice), caps)
     goal = {"all-prime-cover": _goal_all_prime_cover,
@@ -466,7 +530,7 @@ def _cmd_search_sublattice(args) -> int:
                     "witness": hit,
                 }
                 if args.out:
-                    sha = _dump(lattice_to_json(sub), args.out)
+                    sha = _dump(lattice_document(sub), args.out)
                     result["out"] = _written(args.out, sha)
                 rep = _report(args, "search sublattice",
                               {"lattice": args.lattice}, result,
@@ -664,7 +728,7 @@ def main(argv=None) -> int:
     except (BudgetExceeded, SizeCapExceeded, EnumerationCapExceeded) as e:
         report = {"command": f"{args.verb} {getattr(args, 'what', '')}".strip(),
                   "error": {"type": e.__class__.__name__, "detail": str(e)}}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        _print_json(report)
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
     except (RellatError, OSError, ValueError, KeyError) as e:

@@ -76,9 +76,6 @@ class FiniteLattice:
 
     # -- element-level helpers -------------------------------------------
 
-    def le(self, a: int, b: int) -> bool:
-        return bool(self.leq[a, b])
-
     def join_all(self, xs: Iterable[int]) -> int:
         acc = self.bottom
         for x in xs:
@@ -525,11 +522,18 @@ def _search(
 
 # -- JSON ------------------------------------------------------------------
 
-def lattice_to_json(L: FiniteLattice) -> dict:
-    out = {"n": L.n, "leq": L.leq.astype(np.uint8).tolist()}
+def lattice_document(L: FiniteLattice) -> dict:
+    """The saved shape of a lattice, {"n", "leq", "labels"?}, with `leq`
+    the boolean order matrix itself, for a writer that formats its rows
+    directly; `lattice_to_json` gives the same document as plain data."""
+    out = {"n": L.n, "leq": L.leq}
     if L.labels is not None:
         out["labels"] = list(L.labels)
     return out
+
+
+def lattice_to_json(L: FiniteLattice) -> dict:
+    return {**lattice_document(L), "leq": L.leq.astype(np.uint8).tolist()}
 
 
 def lattice_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:

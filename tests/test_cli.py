@@ -1,13 +1,28 @@
 """Command-line behavior: exit codes, report shape, reproducibility."""
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rellat import build_countermodel, lattice_to_json, od_graph_to_json
-from rellat.cli import main
-from conftest import pentagon_n5
+from rellat import (
+    Schema,
+    build_countermodel,
+    build_from_leq,
+    build_R,
+    enumerate_frames,
+    extract_od_graph,
+    frame_to_json,
+    l_of_frame,
+    lattice_to_json,
+    make_frame,
+    od_graph_to_json,
+)
+from rellat.cli import _dump, _json_chunks, main
+from rellat.lattice import lattice_document
+from conftest import chain, pentagon_n5
 
 
 def run(capsys, *argv):
@@ -402,3 +417,105 @@ def test_search_embedding(tmp_path, capsys, r22_file):
                        "--into", r22_file)
     assert code == 0
     assert len(doc["result"]["mapping"]) == 5
+
+
+@pytest.mark.parametrize("max_seed", ["0", "-1"])
+def test_search_sublattice_needs_a_seed_size(tmp_path, capsys, max_seed):
+    path = str(tmp_path / "r11.json")
+    run(capsys, "build", "rel", "--attrs", "1", "--dom", "1", "--out", path)
+    code, doc, err = run(capsys, "search", "sublattice", "--lattice", path,
+                         "--goal", "illdefined", "--max-seed", max_seed)
+    assert code == 2
+    assert doc is None
+    assert f"--max-seed must be at least 1, not {max_seed}" in err
+
+
+# -- the JSON writer ---------------------------------------------------------------
+
+
+def encoder_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def written_text(doc) -> str:
+    return "".join(_json_chunks(doc))
+
+
+def assert_lattice_written_as_encoder(L, path):
+    want = encoder_text(lattice_to_json(L))
+    doc = lattice_document(L)
+    assert written_text(doc) == want
+    sha = _dump(doc, str(path))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == want + "\n"
+    assert sha == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert json.loads(text) == lattice_to_json(L)
+
+
+def test_writer_matches_encoder_on_census(tmp_path, small_lattices):
+    for L in small_lattices:
+        assert_lattice_written_as_encoder(L, tmp_path / "l.json")
+        doc = od_graph_to_json(extract_od_graph(L))
+        assert written_text(doc) == encoder_text(doc)
+
+
+def test_writer_matches_encoder_on_frames(tmp_path):
+    for f in enumerate_frames(3, 2):
+        assert written_text(frame_to_json(f)) == encoder_text(frame_to_json(f))
+        assert_lattice_written_as_encoder(l_of_frame(f).lattice,
+                                          tmp_path / "f.json")
+
+
+@pytest.mark.parametrize("attrs, dom", [(1, 1), (2, 3)])
+def test_writer_matches_encoder_on_relational(tmp_path, attrs, dom):
+    L = build_R(Schema(tuple("ab"[:attrs]), tuple("012"[:dom]))).lattice
+    assert_lattice_written_as_encoder(L, tmp_path / "r.json")
+    doc = od_graph_to_json(extract_od_graph(L))
+    assert written_text(doc) == encoder_text(doc)
+
+
+def test_writer_matches_encoder_on_countermodel():
+    doc = od_graph_to_json(build_countermodel())
+    assert written_text(doc) == encoder_text(doc)
+
+
+AWKWARD = ["", 'a"b', "back\\slash", "new\nline", "tab\t", "\x00", "é", "☃",
+           "\U0001d11e", "</script>"]
+
+
+def test_writer_escapes_labels_and_worlds(tmp_path):
+    L = chain(len(AWKWARD))
+    L = build_from_leq(L.n, L.leq, labels=AWKWARD)
+    assert_lattice_written_as_encoder(L, tmp_path / "c.json")
+    f = make_frame(AWKWARD, [[0] * 5 + [1] * 5, list(range(10))])
+    assert written_text(frame_to_json(f)) == encoder_text(frame_to_json(f))
+    doc = {name: {"label": name, "list": [name, None]} for name in AWKWARD}
+    assert written_text(doc) == encoder_text(doc)
+
+
+JSON_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_DATA)
+def test_writer_matches_encoder_on_any_document(doc):
+    assert written_text(doc) == encoder_text(doc)
+
+
+def test_reports_read_as_encoder_output(tmp_path, capsys, r22_file):
+    """Stdout reports, including the exit-3 cap report, are the encoder's
+    bytes of themselves."""
+    for argv in (["check", "eq", "--lattice", r22_file, "--eq", "Dist"],
+                 ["check", "eq", "--lattice", r22_file, "--eq", "RL1",
+                  "--budget", "5"],
+                 ["build", "frame", "--rels", "0,0,1;0,1,0", "--worlds", 'a,b"q,é',
+                  "--out", str(tmp_path / "f.json")]):
+        main(argv)
+        out = capsys.readouterr().out
+        assert out == encoder_text(json.loads(out)) + "\n"
