@@ -26,6 +26,7 @@ import numpy as np
 
 from .equations import catalog_inclusion, check_inclusion, verify_witness
 from .errors import (
+    BadDocument,
     BudgetExceeded,
     Caps,
     DEFAULT_CAPS,
@@ -87,7 +88,10 @@ def _sha256(path: str) -> str:
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as e:     # not UTF-8, or not JSON
+            raise BadDocument(f"{path} is not a JSON document: {e}") from None
 
 
 # Every report and saved document is laid out as the json module lays it
@@ -168,6 +172,13 @@ def _caps(args) -> Caps:
     return caps
 
 
+def _ints(parts: list[str], flag: str) -> list[int]:
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise RellatError(f"{flag} needs integers, not {','.join(parts)!r}") from None
+
+
 def _schema(n_attrs: int, n_dom: int) -> Schema:
     if n_attrs < 1 or n_dom < 1:
         raise RellatError("need at least one attribute and one domain value")
@@ -227,7 +238,10 @@ def _cmd_build_rel(args) -> int:
 
 def _cmd_build_typed(args) -> int:
     caps = _caps(args)
-    sizes = [int(x) for x in args.fibers.split(",") if x]
+    sizes = _ints([x for x in args.fibers.split(",") if x], "--fibers")
+    if not sizes or min(sizes) < 1:
+        raise RellatError("--fibers needs at least one fiber, each of size "
+                          f"at least 1, not {args.fibers!r}")
     sd = typed_R(typed_map_from_fibers(sizes), caps)
     sha = _dump(lattice_document(sd.lattice), args.out)
     rep = _report(args, "build typed", {}, {
@@ -246,7 +260,7 @@ def _cmd_build_closure(args) -> int:
 
 
 def _cmd_build_frame(args) -> int:
-    rels = [[int(b) for b in part.split(",")] for part in args.rels.split(";")]
+    rels = [_ints(part.split(","), "--rels") for part in args.rels.split(";")]
     n = len(rels[0]) if rels else 0
     worlds = args.worlds.split(",") if args.worlds else [f"w{i}" for i in range(n)]
     f = make_frame(worlds, rels)
@@ -263,6 +277,8 @@ def _cmd_build_frame(args) -> int:
 
 def _cmd_build_product(args) -> int:
     caps = _caps(args)
+    if args.n < 0:
+        raise RellatError(f"--n must be at least 0, not {args.n}")
     f = universal_product([str(i) for i in range(args.components)], args.n, caps)
     sha = _dump(frame_to_json(f), args.out)
     rep = _report(args, "build product", {}, {
@@ -350,7 +366,7 @@ def _parse_valuation(text: str) -> dict[str, int]:
         name, _, value = part.partition("=")
         if not name or not value:
             raise RellatError(f"bad valuation entry {part!r}; want name=index")
-        out[name.strip()] = int(value)
+        out[name.strip()] = _ints([value], "--witness")[0]
     return out
 
 
@@ -368,6 +384,8 @@ def _cmd_check_eq(args) -> int:
     inputs = {"lattice": args.lattice}
     if args.witness:
         v = _parse_valuation(args.witness)
+        if any(not 0 <= i < L.n for i in v.values()):
+            raise RellatError(f"--witness indices must lie in 0..{L.n - 1}")
         confirmed = verify_witness(L, inc, v)
         rep = _report(args, "check eq", inputs, {
             "inclusion": pretty_inclusion(inc),
@@ -376,6 +394,9 @@ def _cmd_check_eq(args) -> int:
             seed=None, budget=caps.eval_budget, evaluations=1)
         word = "fails" if confirmed else "does not fail"
         return _emit(rep, f"valuation {word} the inclusion", 1 if confirmed else 0)
+    if args.mode == "sample" and (args.samples < 1 or args.seed < 0):
+        raise RellatError("--mode sample needs --samples at least 1 and "
+                          f"--seed at least 0, not {args.samples} and {args.seed}")
     res = check_inclusion(L, inc, mode=args.mode, samples=args.samples,
                           seed=args.seed, caps=caps)
     rep = _report(args, "check eq", inputs, {
@@ -731,7 +752,7 @@ def main(argv=None) -> int:
         _print_json(report)
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
-    except (RellatError, OSError, ValueError, KeyError) as e:
+    except (RellatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

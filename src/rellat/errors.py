@@ -172,7 +172,8 @@ class Caps:
 
     A search node is one value given to one position: an image given to a
     generator (bottom or a join-irreducible) by find_isomorphism and
-    find_embedding, once it passes their filters; an image given to a world
+    find_embedding, once it passes their down/up-count, order and
+    join-dominance filters; an image given to a world
     by p_morphism_search, once it passes the forward, back and surjectivity
     cuts; a seed tried by `rellat search sublattice`.
     """

@@ -447,17 +447,27 @@ def _search(
     and J(L1): x goes to the join of the images of the generators below it.
     Generators take images in that order, each trying its candidates in
     ascending order, so the first map found is least by (image of bottom,
-    images of J(L1) in index order). Each level keeps the candidates that
-    compare with every assigned image as their generators compare, and that
-    keep join-dominance c <= a v b among irreducibles; both are necessary,
-    and the order test alone rules out reusing an image. A complete
-    assignment is extended and verified against the full meet and join
-    tables. One search node is one image given to one generator. The stack
-    is explicit, so depth costs no recursion.
+    images of J(L1) in index order). Before the search starts, each level's
+    pool keeps only the images y with |down-set of y| >= |down-set of g| and
+    |up-set of y| >= |up-set of g|, since an embedding maps both sets of g
+    injectively into those of its image. Each level then keeps the
+    candidates that compare with every assigned image as their generators
+    compare, and that keep join-dominance c <= a v b among irreducibles;
+    all three filters are necessary, and the order test alone rules out
+    reusing an image. A complete assignment is extended and verified
+    against the full meet and join tables. One search node is one image
+    given to one generator, counted after the down/up-count, order and
+    join-dominance filters. The stack is explicit, so depth costs no
+    recursion.
     """
     gens = np.array([L1.bottom, *L1.join_irreducibles()], dtype=np.intp)
     pools = [np.asarray(bottoms, dtype=np.intp)]
     pools += [np.asarray(irreducibles, dtype=np.intp)] * (len(gens) - 1)
+    # down-set and up-set sizes: column and row sums of the order matrix
+    down1, up1 = L1.leq.sum(0), L1.leq.sum(1)
+    down2, up2 = L2.leq.sum(0), L2.leq.sum(1)
+    pools = [p[(down2[p] >= down1[g]) & (up2[p] >= up1[g])]
+             for p, g in zip(pools, gens)]
     le1 = L1.leq[np.ix_(gens, gens)]
     incomparable = ~(le1 | le1.T)
     # incomparable level pairs (p, q), p < q, sorted by q: the pairs whose

@@ -295,26 +295,39 @@ class UltraSpace:
 
 def make_space(attrs: Sequence[str], points: Sequence[str],
                dist: Sequence[Sequence[int]]) -> UltraSpace:
-    """Validate identity, symmetry, separation, triangle; raise NotAnUltraSpace."""
+    """Validate identity, symmetry, separation and triangle, in that order;
+    raise NotAnUltraSpace with the lexicographically least witness of the
+    first axiom that fails."""
     p = len(points)
-    d = [[int(x) for x in row] for row in dist]
+    d = tuple(tuple(int(x) for x in row) for row in dist)
     if len(d) != p or any(len(row) != p for row in d):
         raise ValueError("dist must be points x points")
+    # distances are attribute bitmasks: the narrowest unsigned type that
+    # holds them keeps the triangle blocks small; negative or wider values
+    # stay Python ints
+    lo, hi = min(map(min, d), default=0), max(map(max, d), default=0)
+    dtype = np.min_scalar_type(hi) if lo >= 0 else object
+    D = np.array(d, dtype=dtype).reshape(p, p)
+    bad = np.flatnonzero(np.diagonal(D) != 0)
+    if bad.size:
+        raise NotAnUltraSpace("identity", (int(bad[0]),))
+    asym = D != D.T
+    bad = np.flatnonzero(asym | (D == 0) & ~np.eye(p, dtype=bool))
+    if bad.size:
+        f, g = divmod(int(bad[0]), p)
+        raise NotAnUltraSpace("symmetry" if asym[f, g] else "separation", (f, g))
+    # d(f, g) must lie within d(f, h) | d(h, g) for every h; D is symmetric
+    # by now, so f's block, rows g and columns h, is
+    # D[f, g] & ~D[f, h] & ~D[g, h], written into one reused buffer
+    not_d = ~D
+    block = np.empty_like(D)
     for f in range(p):
-        if d[f][f] != 0:
-            raise NotAnUltraSpace("identity", (f,))
-    for f in range(p):
-        for g in range(p):
-            if d[f][g] != d[g][f]:
-                raise NotAnUltraSpace("symmetry", (f, g))
-            if f != g and d[f][g] == 0:
-                raise NotAnUltraSpace("separation", (f, g))
-    for f in range(p):
-        for g in range(p):
-            for h in range(p):
-                if d[f][g] & ~(d[f][h] | d[h][g]):
-                    raise NotAnUltraSpace("triangle", (f, g, h))
-    return UltraSpace(tuple(attrs), tuple(points), tuple(tuple(row) for row in d))
+        np.bitwise_and(not_d[f], not_d, out=block)
+        block &= D[f, :, None]
+        if block.any():
+            g, h = divmod(int(np.flatnonzero(block)[0]), p)
+            raise NotAnUltraSpace("triangle", (f, g, h))
+    return UltraSpace(tuple(attrs), tuple(points), d)
 
 
 def _product_space(schema: Schema, values: Sequence[Sequence[int]],
@@ -451,8 +464,9 @@ def _act_table(space: UltraSpace, caps: Caps) -> np.ndarray:
     """table[x, t] = act(space, x, t) for every attribute mask x and point
     mask t, as a (2^attrs, 2^points) int64 array."""
     p = len(space.points)
-    if 1 << p > caps.max_enum:
-        raise EnumerationCapExceeded(1 << p, caps.max_enum)
+    for m in (p, len(space.attrs)):
+        if 1 << m > caps.max_enum:
+            raise EnumerationCapExceeded(1 << m, caps.max_enum)
     xs = np.arange(1 << len(space.attrs), dtype=np.int64)
     dist = np.array(space.dist, dtype=np.int64).reshape(p, p)
     bit = np.int64(1) << np.arange(p, dtype=np.int64)
@@ -612,6 +626,9 @@ def space_from_json(doc: dict) -> UltraSpace:
         if any(a not in idx for cell in cells for a in cell):
             raise BadDocument("a distance names an attribute not in attrs")
         dist.append([sum(1 << idx[a] for a in cell) for cell in cells])
+    if len(dist) != len(points) or any(len(row) != len(points) for row in dist):
+        raise BadDocument(f"dist must be {len(points)} rows of {len(points)} "
+                          "distances")
     return make_space(attrs, points, dist)
 
 

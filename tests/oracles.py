@@ -322,6 +322,28 @@ def act_points(space, attr_set, point_set):
     return out
 
 
+def space_violation(d):
+    """(axiom, witness) of the first space axiom that the distance matrix d
+    breaks, in the order identity, symmetry, separation, triangle, with the
+    lexicographically least witness; None if d is an ultrametric."""
+    p = len(d)
+    for f in range(p):
+        if d[f][f] != 0:
+            return "identity", (f,)
+    for f in range(p):
+        for g in range(p):
+            if d[f][g] != d[g][f]:
+                return "symmetry", (f, g)
+            if f != g and d[f][g] == 0:
+                return "separation", (f, g)
+    for f in range(p):
+        for g in range(p):
+            for h in range(p):
+                if d[f][g] & ~(d[f][h] | d[h][g]):
+                    return "triangle", (f, g, h)
+    return None
+
+
 # -- frame oracles ----------------------------------------------------------------
 
 

@@ -311,9 +311,10 @@ SPACE = {"attrs": ["a"], "points": ["0", "1"],
     (["search", "pmorphism", "--dst", "FRAME", "--src"],
      _with_entry(FRAME, "rels", (1, 1), "b")),
     (["check", "bc", "--space"], _with_entry(SPACE, "dist", (0, 1), ["b"])),
+    (["check", "pc", "--space"], {**SPACE, "dist": SPACE["dist"][:1]}),
 ], ids=["lattice-list", "leq-string", "leq-2", "leq-ragged", "cover-int",
         "jp-string", "frame-relation-int", "frame-block-string",
-        "space-unknown-attr"])
+        "space-unknown-attr", "space-ragged"])
 def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -324,6 +325,69 @@ def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
     assert code == 2
     assert out is None
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "typed", "--fibers", "2,x", "--out", "OUT"],
+     "--fibers needs integers, not '2,x'"),
+    (["build", "typed", "--fibers", ",", "--out", "OUT"],
+     "--fibers needs at least one fiber"),
+    (["build", "typed", "--fibers", "2,0", "--out", "OUT"],
+     "--fibers needs at least one fiber"),
+    (["build", "frame", "--rels", "0,1;0,x", "--out", "OUT"],
+     "--rels needs integers, not '0,x'"),
+    (["build", "product", "--components", "2", "--n", "-1", "--out", "OUT"],
+     "--n must be at least 0"),
+    (["check", "eq", "--eq", "Dist", "--lattice", "R22", "--mode", "sample",
+      "--samples", "0"], "--samples at least 1"),
+    (["check", "eq", "--eq", "Dist", "--lattice", "R22", "--mode", "sample",
+      "--seed", "-1"], "--seed at least 0"),
+    (["check", "eq", "--eq", "Dist", "--lattice", "R22",
+      "--witness", "x=0,y=1,z=q"], "--witness needs integers, not 'q'"),
+    (["check", "eq", "--eq", "Dist", "--lattice", "R22",
+      "--witness", "x=0,y=1,z=26"], "--witness indices must lie in 0..25"),
+    (["check", "eq", "--eq", "Dist", "--lattice", "R22",
+      "--witness", "x=0,y=1,z=2,w=-1"], "--witness indices must lie in 0..25"),
+    (["check", "eq", "--eq", "Dist", "--lattice", "NOT_JSON"],
+     "is not a JSON document"),
+], ids=["fibers-int", "fibers-empty", "fibers-zero", "rels-int", "product-n",
+        "samples", "seed", "witness-int", "witness-range", "witness-extra",
+        "not-json"])
+def test_bad_values_exit_2(tmp_path, capsys, r22_file, argv, message):
+    not_json = tmp_path / "not.json"
+    not_json.write_bytes(b'{"n": \xff')
+    files = {"OUT": str(tmp_path / "out.json"), "R22": r22_file,
+             "NOT_JSON": str(not_json)}
+    code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+    assert code == 2
+    assert out is None
+    assert err.startswith("error: ") and message in err
+
+
+def test_internal_errors_are_not_bad_input(monkeypatch, tmp_path):
+    # only package errors and failed file access mean bad input (exit 2);
+    # anything else is a fault of the program and surfaces as itself
+    from rellat import cli
+
+    for exc in (ValueError("internal"), KeyError("internal")):
+        def fail(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_build_rel", fail)
+        with pytest.raises(type(exc)):
+            main(["build", "rel", "--attrs", "1", "--dom", "1",
+                  "--out", str(tmp_path / "x.json")])
+
+
+def test_check_bc_caps_attribute_sets(tmp_path, capsys):
+    # 2^70 attribute sets: the action table is refused before it is built
+    wide = {"attrs": [f"a{i}" for i in range(70)], "points": ["p", "q"],
+            "dist": [[[], ["a69"]], [["a69"], []]]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide))
+    code, out, err = run(capsys, "check", "bc", "--space", str(path))
+    assert code == 3
+    assert out["error"]["detail"] == (
+        f"enumeration of {1 << 70} subsets exceeds cap {1 << 20}")
 
 
 def test_bad_arguments_exit_2(capsys):

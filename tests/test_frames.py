@@ -13,6 +13,7 @@ from rellat import (
     SizeCapExceeded,
     all_partitions,
     enumerate_frames,
+    find_embedding,
     find_isomorphism,
     frame_from_edges,
     frame_from_json,
@@ -174,6 +175,19 @@ def test_l_of_product_is_the_relational_lattice(r22):
     sd = l_of_frame(f)
     assert sd.lattice.n == 26
     assert find_isomorphism(sd.lattice, r22.lattice) is not None
+
+
+def test_frame_lattices_embed_within_300_nodes(r22):
+    # the down/up-count filter leaves each of these searches at most 257
+    # nodes; without it each needs at least 519
+    prod = universal_product(["0", "1"], 2)
+    frames = [f for n in (1, 2, 3) for f in enumerate_frames(n, 2)
+              if frame_queries(f) == {"initial": True, "full": True}]
+    for f in frames:
+        L = l_of_frame(f).lattice
+        got = find_embedding(L, r22.lattice, Caps(search_nodes=300))
+        assert got == find_embedding(L, r22.lattice), f.rels
+        assert (got is not None) == (p_morphism_search(prod, f) is not None)
 
 
 def test_l_of_frame_on_a_singleton():

@@ -399,12 +399,12 @@ def test_no_diamond_inside_pentagon(m3, n5):
 
 def test_embedding_is_least_by_brute_force(small_lattices):
     targets = [L for L in small_lattices if L.n <= 6]
-    for L1 in targets:
-        if L1.n > 5:
-            continue
-        for L2 in targets:
-            want = oracles.least_embedding(L1.n, L1.leq, L2.n, L2.leq)
-            assert find_embedding(L1, L2) == want
+    pairs = [(L1, L2) for L1 in targets if L1.n <= 5 for L2 in targets]
+    pairs += [(L1, L2) for L1 in targets if L1.n <= 4
+              for L2 in small_lattices if L2.n == 7]
+    for L1, L2 in pairs:
+        want = oracles.least_embedding(L1.n, L1.leq, L2.n, L2.leq)
+        assert find_embedding(L1, L2) == want
 
 
 # -- serialization -----------------------------------------------------------------

@@ -280,6 +280,57 @@ def test_axiom_triangle():
     assert exc.value.axiom == "triangle"
 
 
+def _random_ultrametric(rng, p, k):
+    # every ultrametric is the disagreement set of a labelling of the points:
+    # attribute a separates two points exactly when their a-labels differ
+    labels = {}
+    while len(labels) < p:
+        labels[tuple(rng.randrange(3) for _ in range(k))] = None
+    return [[sum(1 << a for a in range(k) if u[a] != v[a]) for v in labels]
+            for u in labels]
+
+
+def _space_verdict(d):
+    try:
+        make_space([f"a{i}" for i in range(70)], [str(i) for i in range(len(d))], d)
+    except NotAnUltraSpace as e:
+        return e.axiom, e.witness
+    return None
+
+
+def test_make_space_matches_loop_oracle():
+    # 1-70 attributes, so that distances also outgrow 8, 16 and 64 bits;
+    # a broken space has one to three cells overwritten, mostly symmetrically
+    rng = random.Random(12)
+    verdicts = []
+    for trial in range(400):
+        k = rng.choice([1, 2, 3, 8, 9, 16, 17, 64, 65, 70])
+        d = _random_ultrametric(rng, rng.randint(1, min(9, 3 ** k)), k)
+        p = len(d)
+        for _ in range(trial % 4):
+            f, g = rng.randrange(p), rng.randrange(p)
+            d[f][g] = rng.randrange(1 << k) if rng.random() < 0.7 else 0
+            if rng.random() < 0.8:
+                d[g][f] = d[f][g]
+        want = oracles.space_violation(d)
+        assert _space_verdict(d) == want, d
+        verdicts.append(want and want[0])
+    assert verdicts.count(None) > 100
+    assert verdicts.count("triangle") > 40
+    assert {"identity", "symmetry", "separation"} < set(verdicts)
+
+
+def test_make_space_on_400_points():
+    rng = random.Random(3)
+    d = _random_ultrametric(rng, 400, 6)
+    assert _space_verdict(d) is None
+    for f, g in ((3, 398), (0, 1), (7, 7)):
+        d[f][g] = d[g][f] = d[f][g] ^ 0b100101
+        want = oracles.space_violation(d)
+        assert want[0] in ("triangle", "identity")
+        assert _space_verdict(d) == want
+
+
 def test_subspace(hamming22):
     sub = subspace(hamming22, [0, 3])
     assert sub.points == ("00", "11")
