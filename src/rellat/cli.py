@@ -459,7 +459,7 @@ def _cmd_check_bc(args) -> int:
 def _cmd_check_pc(args) -> int:
     caps = _caps(args)
     space, inputs = _space_from_args(args, caps)
-    w = is_pairwise_complete(space)
+    w = is_pairwise_complete(space, caps)
     names = space.attrs
     result = {"holds": w is None}
     if w is not None:

@@ -209,10 +209,12 @@ def frame_queries(f: Frame) -> dict[str, bool]:
 def _path_closure_table(f: Frame, caps: Caps) -> np.ndarray:
     """table[x, t] for every relation mask x and world mask t: the union of
     the blocks of the join of the partitions in x that meet t, as a
-    (2^rels, 2^worlds) int64 array."""
+    (2^rels, 2^worlds) int64 array. The world sets, then the whole table,
+    must stay within caps.max_enum."""
     n = f.n_worlds
-    if 1 << n > caps.max_enum:
-        raise EnumerationCapExceeded(1 << n, caps.max_enum)
+    for m in (n, n + f.n_rels):
+        if 1 << m > caps.max_enum:
+            raise EnumerationCapExceeded(1 << m, caps.max_enum)
     rows = []
     for x_mask in range(1 << f.n_rels):
         parent = list(range(n))

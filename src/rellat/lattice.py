@@ -18,12 +18,19 @@ Construction (`build_from_leq`) works on whole matrices:
    the latest of the candidates of a with the lower covers of b, filled
    one height at a time, upwards, as elementwise maxima over all a. A
    product counts the common lower bounds, and the candidate is the meet
-   iff that count equals the size of its down-set.
+   iff that count equals the size of its down-set. A finite poset with a
+   top in which every pair has a meet is a lattice, and then each join
+   candidate is the join; so the join counts are computed only when some
+   meet fails or there is no top.
 4. Failures are reported with the same witnesses as a per-pair check: the
    least non-reflexive i, the first i != j in row-major order with i <= j
    and j <= i, the transitivity witness (c, b, a) with least a, then least b, then
    least c, and else the first (a, b) with a < b in row-major order that has
-   no meet, or else no join.
+   no meet, or else no join. When the joins were not counted, no join
+   fails, so the witness is the same.
+
+A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
+its parent's tables restricted to it, and only its covers are computed.
 
 Memory: besides leq and the two int32 tables, a build holds one n-by-n
 float32 copy of the order at a time. Every other n-by-n computation, and the
@@ -150,9 +157,10 @@ def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     return [(r, min(n, r + step)) for r in range(0, n, step)]
 
 
-def _subset_table(m: int, seed: int, step: Callable) -> np.ndarray:
+def _subset_table(m: int, seed, step: Callable) -> np.ndarray:
     """t[mask] for every subset mask of m items: t[0] = seed and
-    t[mask] = step(i, t[mask - 2^i]) with i the highest bit of mask.
+    t[mask] = step(i, t[mask - 2^i]) with i the highest bit of mask. A seed
+    array makes each t[mask] an array of its shape.
 
     Filled by doubling: step(i, t[:2^i]) gives t[2^i : 2^(i+1)] in one numpy
     call, so there is no Python loop over masks. The duality uses it for
@@ -160,7 +168,7 @@ def _subset_table(m: int, seed: int, step: Callable) -> np.ndarray:
     over a graph's elements; the relational and frame actions use it to
     extend an action from single points to every point set.
     """
-    t = np.empty(1 << m, dtype=np.int64)
+    t = np.empty((1 << m, *np.shape(seed)), dtype=np.int64)
     t[0] = seed
     for i in range(m):
         t[1 << i:2 << i] = step(i, t[:1 << i])
@@ -218,16 +226,18 @@ def build_from_leq(
 
     lo, hi = _cover_edges(arr)
     meet, meet_fails = _meet_table(arr, lo, hi)
-    join, join_fails = _meet_table(arr.T, hi, lo)
+    tops = arr.all(axis=0)
+    # a finite poset with a top in which every pair has a meet is a lattice,
+    # and then the join candidates are the joins; count them only otherwise
+    is_lattice = tops.any() and not (meet_fails < n).any()
+    join, join_fails = _meet_table(arr.T, hi, lo, count=not is_lattice)
     fails = np.minimum(meet_fails, join_fails)
     if (fails < n).any():
         a = int(np.argmax(fails < n))
         b = int(fails[a])
         raise NotALattice("meet" if meet_fails[a] == b else "join", (a, b))
-
-    bottom = int(np.argmax(arr.sum(axis=1) == n))
-    top = int(np.argmax(arr.sum(axis=0) == n))
-    return FiniteLattice(n, arr, meet, join, bottom, top, labels, lo, hi)
+    return FiniteLattice(n, arr, meet, join, int(np.argmax(arr.all(axis=1))),
+                         int(np.argmax(tops)), labels, lo, hi)
 
 
 def _cover_edges(le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -259,10 +269,11 @@ def _cover_edges(le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(lo), np.concatenate(hi)
 
 
-def _meet_table(le: np.ndarray, lo: np.ndarray,
-                hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _meet_table(le: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                count: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The meet table of a partial order with covers lo[k] < hi[k], and for
-    each a the least b > a without a meet (n if every such b has one).
+    each a the least b > a without a meet (n if every such b has one, or
+    if `count` is false: the caller knows every meet exists).
 
     The table's entries are meets only where they exist. Sorting by height
     (the longest chain below) is a linear extension. The candidate meet of
@@ -302,7 +313,8 @@ def _meet_table(le: np.ndarray, lo: np.ndarray,
         slots = [np.array([covers[b][k] for b in upper if len(covers[b]) > k])
                  for k in range(len(covers[upper[0]]))]
         levels.append((np.array(upper), slots))
-    x = np.ascontiguousarray(le.T, dtype=np.float32)   # x[a] = down-set of a
+    # x[a] = down-set of a
+    x = np.ascontiguousarray(le.T, dtype=np.float32) if count else None
 
     table = np.empty((n, n), dtype=np.int32)
     fails = np.full(n, n, dtype=np.intp)
@@ -317,12 +329,13 @@ def _meet_table(le: np.ndarray, lo: np.ndarray,
                 k = len(lower)
                 np.maximum(best[:k], cand[lower], out=best[:k])
             cand[upper] = np.where(below[upper], rank[upper, None], best)
-        # meets are symmetric, so only the pairs b > a are checked
-        common = x[r0:] @ x[r0:r1].T
-        bad = ((common != rank_size[cand[r0:]])
-               & (np.arange(n - r0)[:, None] > np.arange(r1 - r0)))
-        fails[r0:r1] = np.where(bad.any(axis=0), bad.argmax(axis=0) + r0, n)
         table[:, r0:r1] = order[cand]
+        if count:
+            # meets are symmetric, so only the pairs b > a are checked
+            common = x[r0:] @ x[r0:r1].T
+            bad = ((common != rank_size[cand[r0:]])
+                   & (np.arange(n - r0)[:, None] > np.arange(r1 - r0)))
+            fails[r0:r1] = np.where(bad.any(axis=0), bad.argmax(axis=0) + r0, n)
     return table, fails
 
 
@@ -378,28 +391,34 @@ def sublattice_closure(
     """Smallest meet/join-closed subset containing seed, as a lattice.
 
     Returns (sublattice, inclusion) where inclusion[i] is the element of L
-    that position i of the sublattice stands for.
+    that position i of the sublattice stands for. The seed gains the meets
+    and joins of all its pairs until it stops growing; it keeps its own
+    elements, as a ^ a = a. A sublattice's meet and join are L's tables
+    restricted to it, so they are re-indexed, not recomputed; only the
+    covers are computed, from the restricted order. Raises ValueError for an
+    empty seed or an element outside 0..n-1, and SizeCapExceeded for a
+    closure past caps.max_lattice.
     """
-    elems = sorted(set(int(x) for x in seed))
+    elems = sorted({int(x) for x in seed})
     if not elems:
         raise ValueError("seed must be nonempty")
-    current = set(elems)
-    frontier = list(elems)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(current):
-                for c in (int(L.meet[a, b]), int(L.join[a, b])):
-                    if c not in current:
-                        current.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    inclusion = tuple(sorted(current))
-    idx = np.array(inclusion)
-    sub_leq = L.leq[np.ix_(idx, idx)]
-    labels = [L.label(x) for x in inclusion]
-    sub = build_from_leq(len(inclusion), sub_leq, labels=labels, caps=caps)
-    return sub, inclusion
+    if elems[0] < 0 or elems[-1] >= L.n:
+        raise ValueError(f"seed elements must be in 0..{L.n - 1}, got {elems}")
+    idx = np.array(elems)
+    ix = np.ix_(idx, idx)
+    while (grown := np.union1d(L.meet[ix], L.join[ix])).size > idx.size:
+        idx = grown
+        ix = np.ix_(idx, idx)
+    if len(idx) > caps.max_lattice:
+        raise SizeCapExceeded(len(idx), caps.max_lattice)
+    pos = np.empty(L.n, dtype=L.meet.dtype)     # element of L -> position
+    pos[idx] = np.arange(len(idx))
+    leq = L.leq[ix]
+    inclusion = tuple(idx.tolist())
+    return FiniteLattice(
+        len(idx), leq, pos[L.meet[ix]], pos[L.join[ix]],
+        int(np.argmax(leq.all(axis=1))), int(np.argmax(leq.all(axis=0))),
+        tuple(map(L.label, inclusion)), *_cover_edges(leq)), inclusion
 
 
 # -- isomorphism and embedding search ------------------------------------------

@@ -430,9 +430,19 @@ class PCWitness:
     x2: int
 
 
-def is_pairwise_complete(space: UltraSpace) -> PCWitness | None:
+def _cap_split_pairs(space: UltraSpace, caps: Caps) -> None:
+    """Both completeness checks walk all 4^attrs pairs (X1, X2) of attribute
+    sets; refuse before walking when that exceeds caps.max_enum."""
+    pairs = 4 ** len(space.attrs)
+    if pairs > caps.max_enum:
+        raise EnumerationCapExceeded(pairs, caps.max_enum)
+
+
+def is_pairwise_complete(space: UltraSpace,
+                         caps: Caps = DEFAULT_CAPS) -> PCWitness | None:
     """None if every split of every distance admits a midpoint; else the
     first failing (f, g, X1, X2) in ascending scan order."""
+    _cap_split_pairs(space, caps)
     p = len(space.points)
     n_attrs = len(space.attrs)
     for f in range(p):
@@ -462,25 +472,28 @@ class BCWitness:
 
 def _act_table(space: UltraSpace, caps: Caps) -> np.ndarray:
     """table[x, t] = act(space, x, t) for every attribute mask x and point
-    mask t, as a (2^attrs, 2^points) int64 array."""
+    mask t, as a (2^attrs, 2^points) int64 array. Each side, then the whole
+    table, must stay within caps.max_enum."""
     p = len(space.points)
-    for m in (p, len(space.attrs)):
+    for m in (p, len(space.attrs), p + len(space.attrs)):
         if 1 << m > caps.max_enum:
             raise EnumerationCapExceeded(1 << m, caps.max_enum)
     xs = np.arange(1 << len(space.attrs), dtype=np.int64)
     dist = np.array(space.dist, dtype=np.int64).reshape(p, p)
     bit = np.int64(1) << np.arange(p, dtype=np.int64)
     # single[x, g]: the points within x of g; act(x, -) distributes over
-    # unions, so each row extends from singletons to every point set
+    # unions, so the table extends from singletons to every point set, for
+    # all x at once (one column per x until the transpose)
     single = bit @ ((dist[None] & ~xs[:, None, None]) == 0)
-    return np.array([_subset_table(p, 0, lambda i, t: t | row[i])
-                     for row in single])
+    return _subset_table(p, np.zeros_like(xs),
+                         lambda g, t: t | single[:, g]).T
 
 
 def bc_identity_check(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> BCWitness | None:
     """Check act(X1|X2, T) == act(X1, act(X2, T)) everywhere; None if it holds,
     else the first failing (X1, X2, T) in ascending scan order."""
     table = _act_table(space, caps)
+    _cap_split_pairs(space, caps)
     for x1 in range(len(table)):
         for x2 in range(len(table)):
             bad = np.flatnonzero(table[x1 | x2] != table[x1][table[x2]])
@@ -619,6 +632,9 @@ def space_from_json(doc: dict) -> UltraSpace:
     attrs = document_list(document_field(doc, "attrs", "space"), str, "attrs")
     idx = {a: i for i, a in enumerate(attrs)}
     points = document_list(document_field(doc, "points", "space"), str, "points")
+    for what, names in (("attribute", attrs), ("point", points)):
+        if len(set(names)) != len(names):
+            raise BadDocument(f"duplicate {what} names")
     dist = []
     for row in document_list(document_field(doc, "dist", "space"), list, "dist"):
         cells = [document_list(cell, str, "a distance") for cell in

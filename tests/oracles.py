@@ -3,8 +3,9 @@
 Everything here works from first definitions (order matrices, row dicts,
 set comprehensions) and deliberately avoids the package's meet/join tables,
 bitmask tricks, and caching, so a bug in those cannot hide from the tests.
-Sizes are expected to be tiny; nothing here is clever. The one exception
-is `plain_scan`, which folds terms through a lattice's own tables.
+Sizes are expected to be tiny; nothing here is clever. The exceptions are
+`plain_scan`, which folds terms through a lattice's own tables, and
+`sublattice_closure`, which closes a seed over them.
 """
 from __future__ import annotations
 
@@ -161,6 +162,23 @@ def lattice_tables(n, leq):
     }
 
 
+def sublattice_closure(L, seed):
+    """The least subset of L containing seed and closed under L.meet and
+    L.join, ascending, by a breadth-first walk over pairs."""
+    current = set(int(x) for x in seed)
+    frontier = list(current)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in list(current):
+                for c in (int(L.meet[a, b]), int(L.join[a, b])):
+                    if c not in current:
+                        current.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return tuple(sorted(current))
+
+
 def canon_key(m, rel):
     """Lexicographically least sorted strict-pair tuple of an order on m
     points over all relabelings."""
@@ -204,24 +222,48 @@ def plain_scan(L, inc, chunk=1 << 16):
     time, each term folded through L.meet and L.join over whole columns. It
     reads the tables (the tests check them against the order) so that it
     stays fast enough for every small lattice, and shares no code with the
-    package's scan: no blocks, no broadcasting over axes.
+    package's scan: no blocks, no broadcasting over axes. Per chunk, each
+    distinct subterm is folded once; values are the narrowest unsigned type
+    that holds a pair index a * n + b, looked up in the flattened tables.
     """
     names = sorted(set(inc.variables))
     k, n = len(names), L.n
+    dtype = np.min_scalar_type(n * n - 1)
+    width = dtype.type(n)
+    meet, join = L.meet.astype(dtype).ravel(), L.join.astype(dtype).ravel()
+    leq = L.leq.ravel()
 
-    def fold(t, cols):
-        if isinstance(t, Var):
-            return cols[names.index(t.name)]
-        table = L.meet if isinstance(t, Meet) else L.join
-        acc = fold(t.args[0], cols)
-        for a in t.args[1:]:
-            acc = table[acc, fold(a, cols)]
-        return acc
+    def fold(t, cols, seen):
+        if t not in seen:
+            if isinstance(t, Var):
+                seen[t] = cols[names.index(t.name)]
+            else:
+                table = meet if isinstance(t, Meet) else join
+                acc = fold(t.args[0], cols, seen)
+                for a in t.args[1:]:
+                    acc = np.take(table, acc * width + fold(a, cols, seen))
+                seen[t] = acc
+        return seen[t]
+
+    def digits(start, stop):
+        """Column i: digit i, most significant first, of start..stop-1 in
+        base n. It runs through 0..n-1 (cyclically) in runs of n^(k-1-i)."""
+        out = []
+        for i in range(k):
+            run = n ** (k - 1 - i)
+            first, last = start // run, (stop - 1) // run
+            counts = np.full(last - first + 1, run)
+            counts[0] -= start % run
+            counts[-1] -= run - 1 - (stop - 1) % run
+            values = (np.arange(first, last + 1) % n).astype(dtype)
+            out.append(np.repeat(values, counts))
+        return out
 
     for start in range(0, n**k, chunk):
-        idx = np.arange(start, min(start + chunk, n**k), dtype=np.int64)
-        cols = [idx // n ** (k - 1 - i) % n for i in range(k)]
-        viol = ~L.leq[fold(inc.lhs, cols), fold(inc.rhs, cols)]
+        cols = digits(start, min(start + chunk, n**k))
+        seen = {}
+        viol = ~np.take(leq, fold(inc.lhs, cols, seen) * width
+                        + fold(inc.rhs, cols, seen))
         if viol.any():
             first = start + int(np.argmax(viol))
             witness = {name: first // n ** (k - 1 - i) % n

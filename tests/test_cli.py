@@ -312,9 +312,12 @@ SPACE = {"attrs": ["a"], "points": ["0", "1"],
      _with_entry(FRAME, "rels", (1, 1), "b")),
     (["check", "bc", "--space"], _with_entry(SPACE, "dist", (0, 1), ["b"])),
     (["check", "pc", "--space"], {**SPACE, "dist": SPACE["dist"][:1]}),
+    (["check", "pc", "--space"], {**SPACE, "attrs": ["a", "a"]}),
+    (["check", "pc", "--space"], {**SPACE, "points": ["p", "p"]}),
 ], ids=["lattice-list", "leq-string", "leq-2", "leq-ragged", "cover-int",
         "jp-string", "frame-relation-int", "frame-block-string",
-        "space-unknown-attr", "space-ragged"])
+        "space-unknown-attr", "space-ragged", "space-duplicate-attr",
+        "space-duplicate-point"])
 def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -388,6 +391,40 @@ def test_check_bc_caps_attribute_sets(tmp_path, capsys):
     assert code == 3
     assert out["error"]["detail"] == (
         f"enumeration of {1 << 70} subsets exceeds cap {1 << 20}")
+
+
+def _one_step_space(n_points, n_attrs):
+    """Points p0.. at mutual distance {the last attribute}."""
+    last = [f"a{n_attrs - 1}"]
+    return {"attrs": [f"a{i}" for i in range(n_attrs)],
+            "points": [f"p{i}" for i in range(n_points)],
+            "dist": [[[] if f == g else last for g in range(n_points)]
+                     for f in range(n_points)]}
+
+
+@pytest.mark.parametrize("verb, points, attrs, need", [
+    ("pc", 2, 70, 4**70),      # pc takes caps: 4^70 split pairs
+    ("bc", 1, 19, 4**19),      # the table fits; its 4^19 split pairs do not
+])
+def test_completeness_checks_cap_split_pairs(tmp_path, capsys, verb, points,
+                                             attrs, need):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(_one_step_space(points, attrs)))
+    code, out, _ = run(capsys, "check", verb, "--space", str(path))
+    assert code == 3
+    assert out["error"] == {
+        "type": "EnumerationCapExceeded",
+        "detail": f"enumeration of {need} subsets exceeds cap {1 << 20}"}
+
+
+def test_check_bc_caps_the_whole_action_table(capsys):
+    # 2^6 attribute sets and 2^16 point sets each pass; 2^22 entries do not
+    points = ",".join(format(i, "06b") for i in range(16))
+    code, out, _ = run(capsys, "check", "bc", "--attrs", "6", "--dom", "2",
+                       "--points", points)
+    assert code == 3
+    assert out["error"]["detail"] == \
+        f"enumeration of {1 << 22} subsets exceeds cap {1 << 20}"
 
 
 def test_bad_arguments_exit_2(capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 
 import numpy as np
@@ -52,27 +53,54 @@ def oracle_tables(L):
     return meet, join
 
 
-def oracle_eval(tables, t, v):
-    meet, join = tables
-    if isinstance(t, Var):
-        return v[t.name]
-    table = meet if isinstance(t, Meet) else join
-    acc = oracle_eval(tables, t.args[0], v)
-    for a in t.args[1:]:
-        acc = table[acc][oracle_eval(tables, a, v)]
-    return acc
-
-
 def oracle_check(L, inc):
-    """(verdict, witness, rank) by a plain lexicographic python scan."""
-    tables = oracle_tables(L)
+    """(verdict, witness, rank) by a plain lexicographic python scan.
+
+    A subterm's value depends only on its own variables, so a subterm over
+    fewer than all of them keeps its values per assignment to its own; the
+    rest are folded through the tables at every valuation.
+    """
+    meet, join = oracle_tables(L)
     names = sorted(set(inc.variables))
+
+    def compile_term(t):
+        """(positions of t's variables, t as a function of a valuation)."""
+        if isinstance(t, Var):
+            i = names.index(t.name)
+            return {i}, operator.itemgetter(i)
+        table = meet if isinstance(t, Meet) else join
+        own, args = set(), []
+        for a in t.args:
+            vs, f = compile_term(a)
+            own |= vs
+            args.append(f)
+
+        first, rest = args[0], args[1:]
+
+        def value(vals):
+            acc = first(vals)
+            for f in rest:
+                acc = table[acc][f(vals)]
+            return acc
+
+        if len(own) == len(names):
+            return own, value
+        key, memo = operator.itemgetter(*sorted(own)), {}
+
+        def cached(vals):
+            k = key(vals)
+            try:
+                return memo[k]
+            except KeyError:
+                v = memo[k] = value(vals)
+                return v
+
+        return own, cached
+
+    lhs, rhs = compile_term(inc.lhs)[1], compile_term(inc.rhs)[1]
     for rank, vals in enumerate(itertools.product(range(L.n), repeat=len(names))):
-        v = dict(zip(names, vals))
-        lv = oracle_eval(tables, inc.lhs, v)
-        rv = oracle_eval(tables, inc.rhs, v)
-        if not L.leq[lv, rv]:
-            return "counterexample", v, rank
+        if not L.leq[lhs(vals), rhs(vals)]:
+            return "counterexample", dict(zip(names, vals)), rank
     return "holds", None, L.n ** len(names)
 
 

@@ -340,6 +340,35 @@ def test_sublattice_inclusion_preserves_ops(r22):
             assert incl[int(sub.meet[a, b])] == int(L.meet[incl[a], incl[b]])
 
 
+def test_sublattice_closure_restricts_parent(r22):
+    """Every seed of at most three elements of R(2,2): the closure is the
+    reference walk's, and the sublattice is the one build_from_leq makes of
+    the restricted order, with the same labels, dtypes and covers."""
+    L = r22.lattice
+    seeds = [s for k in (1, 2, 3) for s in itertools.combinations(range(L.n), k)]
+    assert len(seeds) == 2951
+    for seed in seeds:
+        sub, incl = sublattice_closure(L, seed)
+        assert incl == oracles.sublattice_closure(L, seed)
+        idx = np.array(incl)
+        want = build_from_leq(len(incl), L.leq[np.ix_(idx, idx)],
+                              labels=[L.labels[x] for x in incl])
+        assert (sub.n, sub.bottom, sub.top, sub.labels) == \
+            (want.n, want.bottom, want.top, want.labels)
+        for name in ("leq", "meet", "join", "lo", "hi"):
+            got, ref = getattr(sub, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+
+
+def test_sublattice_closure_rejects_seeds_outside_the_lattice():
+    L = build_R(Schema(("a",), ("0", "1"))).lattice
+    for seed in ([-1], [0, L.n]):
+        with pytest.raises(ValueError, match=f"0..{L.n - 1}"):
+            sublattice_closure(L, seed)
+    with pytest.raises(ValueError, match="nonempty"):
+        sublattice_closure(L, [])
+
+
 # -- isomorphism and embedding ------------------------------------------------------
 
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rellat import (
+    BadDocument,
     EnumerationCapExceeded,
     NotAnUltraSpace,
     NotSurjective,
@@ -395,6 +397,47 @@ def test_two_point_subspace_fails_both(hamming22):
     lhs = act(sub, 0b11, 0b10)
     rhs = act(sub, 0b01, act(sub, 0b10, 0b10))
     assert lhs != rhs
+
+
+def test_completeness_checks_cap_split_pairs(hamming22):
+    # both walk 4^attrs pairs (X1, X2); below the cap they still answer
+    one_point = make_space([f"a{i}" for i in range(19)], ["p"], [[0]])
+    for check in (is_pairwise_complete, bc_identity_check):
+        with pytest.raises(EnumerationCapExceeded) as err:
+            check(one_point)
+        assert (err.value.need, err.value.cap) == (4**19, 1 << 20)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        is_pairwise_complete(hamming22, Caps(max_enum=15))
+    assert err.value.need == 16
+    assert is_pairwise_complete(hamming22, Caps(max_enum=16)) is None
+    # the bc table has 2^(2+4) entries, so that is its least workable cap
+    assert bc_identity_check(hamming22, Caps(max_enum=64)) is None
+
+
+def test_action_table_is_capped_by_its_full_size():
+    # 2^6 attribute sets and 2^16 point sets pass one by one; the 2^22-entry
+    # table is refused before anything of that size is allocated
+    sub = subspace(hamming_space(Schema(tuple("abcdef"), ("0", "1"))), range(16))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapExceeded) as err:
+            bc_identity_check(sub)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (err.value.need, err.value.cap) == (1 << 22, 1 << 20)
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"attrs": ["a", "a"], "points": ["p", "q"],
+      "dist": [[[], ["a"]], [["a"], []]]}, "duplicate attribute names"),
+    ({"attrs": ["a"], "points": ["p", "p"],
+      "dist": [[[], ["a"]], [["a"], []]]}, "duplicate point names"),
+])
+def test_space_document_rejects_duplicate_names(doc, message):
+    with pytest.raises(BadDocument, match=message):
+        space_from_json(doc)
 
 
 def test_pc_agrees_with_bc_on_small_spaces(hamming22):
