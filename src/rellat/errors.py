@@ -161,7 +161,8 @@ class Caps:
     """Resource limits; every expensive routine takes one of these.
 
     max_lattice   hard cap on lattice element count,
-    max_enum      cap on subsets walked per enumeration,
+    max_enum      cap on subsets walked per enumeration; it also bounds the
+                  p^2 point pairs of is_pairwise_complete (check pc),
     eval_budget   cap on the valuations a check covers: |L|^k raw valuations
                   for an exhaustive scan, factored or not (not the term
                   evaluations it performs), the sample count for a sampled one,

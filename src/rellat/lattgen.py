@@ -1,9 +1,25 @@
 """Small-lattice corpora: exhaustive enumeration up to isomorphism and
 seeded random lattices built from intersection-closed set families.
 
-The exhaustive enumerator walks partial orders on the elements strictly
-between bottom and top, since any isomorphism fixes those two; candidates
-that fail to have all meets and joins are dropped by the lattice validator.
+The exhaustive enumerator walks partial orders on the m = k-2 elements
+strictly between bottom and top, since any isomorphism fixes those two;
+candidates that fail to have all meets and joins are dropped by the
+lattice validator. A strict order is an m-by-m boolean matrix. The
+3^C(m,2) orientations of the point pairs are filled as a stack of such
+matrices, a bounded block at a time in `itertools.product` order, and the
+transitive ones (no pair in r∘r outside r) are kept.
+
+The canonical key of an order is the largest m*m-bit row-major word of its
+matrix over all m! relabelings, with pair (a, b) at bit a*m + b counted from
+the top. Its set bits, read in index order, are the lexicographically least
+sorted pair tuple, and the isomorphism classes are returned sorted by that
+tuple (a shorter tuple that is a prefix of a longer one comes first, which
+the numeric order of the words does not give).
+
+Each class is represented by its first member in the iteration order of the
+set of kept orders (frozensets of pairs, added in orientation order). That
+order fixes which labelled lattice stands for each class, and the census
+digests the benchmark checks against pin it, so it must not change.
 """
 from __future__ import annotations
 
@@ -18,68 +34,55 @@ from .lattice import FiniteLattice, build_from_closed_family, build_from_leq, \
     make_closed_family
 
 
-def _inner_posets(m: int, caps: Caps = DEFAULT_CAPS):
-    """All partial orders on m labeled points, as frozensets of strict pairs.
+def _inner_posets(m: int, caps: Caps = DEFAULT_CAPS) -> set[frozenset]:
+    """All partial orders on m labeled points, as a set of frozensets of
+    strict pairs added in orientation order.
 
-    Walks all 3^C(m,2) orientations of the point pairs; raises
-    EnumerationCapExceeded before walking when that exceeds caps.max_enum."""
-    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
-    if 3 ** len(pairs) > caps.max_enum:
-        raise EnumerationCapExceeded(3 ** len(pairs), caps.max_enum)
+    Fills the 3^C(m,2) orientations of the point pairs as strict-order
+    matrices, 4096 at a time; raises EnumerationCapExceeded before filling
+    when their count exceeds caps.max_enum."""
+    a, b = np.triu_indices(m, 1)
+    total = 3 ** len(a)
+    if total > caps.max_enum:
+        raise EnumerationCapExceeded(total, caps.max_enum)
+    place = 3 ** np.arange(len(a) - 1, -1, -1)   # the first pair varies slowest
+    # choice 1 orients a pair upward, 2 downward; each pair tuple is made
+    # once and shared by every order that holds it, which keeps the set small
+    sides = ((), tuple(zip(a.tolist(), b.tolist())),
+             tuple(zip(b.tolist(), a.tolist())))
     seen = set()
-    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
-        rel = set()
-        for (a, b), c in zip(pairs, choice):
-            if c == 1:
-                rel.add((a, b))
-            elif c == 2:
-                rel.add((b, a))
-        ok = True
-        for a, b in rel:
-            for c in range(m):
-                if (b, c) in rel and (a, c) not in rel:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            seen.add(frozenset(rel))
+    for lo in range(0, total, 4096):
+        choice = np.arange(lo, min(lo + 4096, total))[:, None] // place % 3
+        r = np.zeros((len(choice), m, m), dtype=bool)
+        r[:, a, b] = choice == 1
+        r[:, b, a] = choice == 2
+        for row in choice[~((r @ r) & ~r).any(axis=(1, 2))].tolist():
+            seen.add(frozenset(sides[c][j] for j, c in enumerate(row) if c))
     return seen
 
 
-def _canon_keys(m: int, rels: Sequence[frozenset]) -> np.ndarray:
-    """Row i: the canonical key of the strict order rels[i] on m points, the
-    lexicographically least sorted pair tuple over all relabelings.
-
-    A pair (a, b) is the index a*m + b, so sorted pair tuples compare as
-    sorted index vectors. Rows are padded at the end with m*m, and every
-    relabeling of one order pads alike. Each relabeling is applied to all
-    orders at once; decode a row with `_key_pairs`."""
-    pad = m * m
-    width = 1 + max((len(rel) for rel in rels), default=0)   # >= one pad
-    pairs = np.full((len(rels), width), pad, dtype=np.int16)
+def _canon_words(m: int, rels: Sequence[frozenset]) -> np.ndarray:
+    """Entry i: the canonical key of the strict order rels[i] on m points, the
+    largest row-major word of its matrix over all relabelings, with pair
+    (a, b) at bit a*m + b counted from the top."""
+    flat = np.zeros((len(rels), m * m), dtype=np.int64)
     for i, rel in enumerate(rels):
-        pairs[i, :len(rel)] = [a * m + b for a, b in rel]
-    relabels = []
+        flat[i, [a * m + b for a, b in rel]] = 1
+    bit = 1 << np.arange(m * m - 1, -1, -1, dtype=np.int64)
+    words = np.zeros(len(rels), dtype=np.int64)
+    weight = np.empty_like(bit)
     for perm in itertools.permutations(range(m)):
-        p = np.array(perm, dtype=np.int16)
-        relabels.append(np.append((p[:, None] * m + p).ravel(), pad))
-    best = np.full_like(pairs, pad)
-    for r0 in range(0, len(rels), 512):   # 512 orders at a time bound memory
-        block, least = pairs[r0:r0 + 512], best[r0:r0 + 512]
-        rows = np.arange(len(block))
-        for relabel in relabels:
-            img = np.sort(relabel[block], axis=1)
-            differ = img != least
-            first = differ.argmax(axis=1)
-            less = differ.any(axis=1) & (img[rows, first] < least[rows, first])
-            least[less] = img[less]
-    return best
+        p = np.array(perm, dtype=np.intp)
+        # pair (p[a], p[b]) weighs what (a, b) does in the relabeled word
+        weight[(p[:, None] * m + p).ravel()] = bit
+        np.maximum(words, flat @ weight, out=words)
+    return words
 
 
-def _key_pairs(m: int, row: np.ndarray) -> tuple:
-    """A row of `_canon_keys` as its sorted tuple of pairs."""
-    return tuple(divmod(d, m) for d in row.tolist() if d != m * m)
+def _word_indices(m: int, word: int) -> list[int]:
+    """The set bits of a canonical word in index order: the indices a*m + b
+    of its order's least sorted pair tuple, by which the classes sort."""
+    return [j for j in range(m * m) if word >> (m * m - 1 - j) & 1]
 
 
 def _leq_from_inner(k: int, rel: frozenset) -> np.ndarray:
@@ -104,14 +107,14 @@ def lattices_of_order(k: int, caps: Caps = DEFAULT_CAPS) -> list[FiniteLattice]:
     m = k - 2
     rels = list(_inner_posets(m, caps))
     first = {}
-    for row, rel in zip(_canon_keys(m, rels), rels):
-        first.setdefault(row.tobytes(), (row, rel))
-    reps = {_key_pairs(m, row): rel for row, rel in first.values()}
+    for word, rel in zip(_canon_words(m, rels).tolist(), rels):
+        # the first member in set order; the census references pin this choice
+        first.setdefault(word, rel)
     out = []
-    for key in sorted(reps):
-        rel = reps[key]
+    for word in sorted(first, key=lambda w: _word_indices(m, w)):
         try:
-            out.append(build_from_leq(k, _leq_from_inner(k, rel), caps=caps))
+            out.append(build_from_leq(k, _leq_from_inner(k, first[word]),
+                                      caps=caps))
         except NotALattice:
             continue
     return out

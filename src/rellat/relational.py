@@ -441,26 +441,38 @@ def _cap_split_pairs(space: UltraSpace, caps: Caps) -> None:
 def is_pairwise_complete(space: UltraSpace,
                          caps: Caps = DEFAULT_CAPS) -> PCWitness | None:
     """None if every split of every distance admits a midpoint; else the
-    first failing (f, g, X1, X2) in ascending scan order."""
+    first failing (f, g, X1, X2) in ascending scan order.
+
+    Refuses the 4^attrs split pairs, then the p^2 point pairs, beyond
+    caps.max_enum. With ball[X][f, g] meaning d(f, g) is inside X, a split
+    (X1, X2) fails at the pairs in ball[X1|X2] that no midpoint h links by
+    ball[X1][f, h] and ball[X2][h, g]. Splits go a block of X2 values at a
+    time, so memory stays O(p^2) and few points with many attributes do not
+    pay one numpy round per split."""
     _cap_split_pairs(space, caps)
     p = len(space.points)
-    n_attrs = len(space.attrs)
-    for f in range(p):
-        for g in range(p):
-            if f == g:
-                continue
-            d = space.dist[f][g]
-            for x1 in range(1 << n_attrs):
-                for x2 in range(1 << n_attrs):
-                    if d & ~(x1 | x2):
-                        continue
-                    ok = any(
-                        space.dist[f][h] & ~x1 == 0 and space.dist[h][g] & ~x2 == 0
-                        for h in range(p)
-                    )
-                    if not ok:
-                        return PCWitness(f, g, x1, x2)
-    return None
+    if p * p > caps.max_enum:
+        raise EnumerationCapExceeded(p * p, caps.max_enum)
+    dist = np.array(space.dist, dtype=np.int64).reshape(p, p)
+    xs = np.arange(1 << len(space.attrs), dtype=np.int64)
+    step = max(1, (1 << 16) // max(1, p * p))   # X2 values per block
+
+    def balls(x):
+        return (dist & ~x[:, None, None]) == 0
+
+    best = None   # (f*p + g, x1, x2) of the least failure so far
+    for x1 in range(len(xs)):
+        near = balls(xs[x1:x1 + 1]).astype(np.float32)
+        for lo in range(0, len(xs), step):
+            x2 = xs[lo:lo + step]
+            linked = near @ balls(x2).astype(np.float32) > 0
+            bad = (balls(x1 | x2) & ~linked).reshape(len(x2), p * p)
+            hit = np.flatnonzero(bad.any(axis=0))
+            if hit.size and (best is None or hit[0] < best[0]):
+                best = (int(hit[0]), x1, lo + int(bad[:, hit[0]].argmax()))
+    if best is None:
+        return None
+    return PCWitness(*divmod(best[0], p), best[1], best[2])
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,24 @@ def sublattice_closure(L, seed):
     return tuple(sorted(current))
 
 
+def inner_posets(m):
+    """Every strict order on m points as a frozenset of pairs, in a set
+    filled in itertools.product order of the pair orientations (none, a<b,
+    b<a), with transitivity tested pair by pair."""
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    seen = set()
+    for choice in itertools.product((0, 1, 2), repeat=len(pairs)):
+        rel = set()
+        for (a, b), c in zip(pairs, choice):
+            if c == 1:
+                rel.add((a, b))
+            elif c == 2:
+                rel.add((b, a))
+        if all((a, c) in rel for a, b in rel for b2, c in rel if b2 == b):
+            seen.add(frozenset(rel))
+    return seen
+
+
 def canon_key(m, rel):
     """Lexicographically least sorted strict-pair tuple of an order on m
     points over all relabelings."""
@@ -383,6 +401,26 @@ def space_violation(d):
             for h in range(p):
                 if d[f][g] & ~(d[f][h] | d[h][g]):
                     return "triangle", (f, g, h)
+    return None
+
+
+def pairwise_complete_witness(space):
+    """The first (f, g, X1, X2), scanning f, g, X1, X2 in ascending order,
+    where X1 | X2 contains d(f, g) but no h has d(f, h) inside X1 and
+    d(h, g) inside X2; None if there is none."""
+    p = len(space.points)
+    for f in range(p):
+        for g in range(p):
+            if f == g:
+                continue
+            d = space.dist[f][g]
+            for x1 in range(1 << len(space.attrs)):
+                for x2 in range(1 << len(space.attrs)):
+                    if d & ~(x1 | x2):
+                        continue
+                    if not any(space.dist[f][h] & ~x1 == 0 and
+                               space.dist[h][g] & ~x2 == 0 for h in range(p)):
+                        return f, g, x1, x2
     return None
 
 

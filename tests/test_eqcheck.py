@@ -340,6 +340,19 @@ def test_scan_of_one_element_lattice(monkeypatch):
         assert outcome(res) == ("holds", None, 1)
 
 
+def test_scan_finds_last_non_constant_valuation(monkeypatch):
+    # on the two-element chain the last valuation (1, 1) is constant, and a
+    # lattice term at a constant valuation is that constant, so no inclusion
+    # fails there; x <= y fails first at (1, 0), the valuation before it
+    L = chain(2)
+    inc = parse("x <= y")
+    assert oracle_check(L, inc) == ("counterexample", {"x": 1, "y": 0}, 2)
+    for chunk in (1, 2, 1 << 16):
+        monkeypatch.setattr(equations, "_CHUNK", chunk)
+        res = check_inclusion(L, inc)
+        assert outcome(res) == ("counterexample", {"x": 1, "y": 0}, 3)
+
+
 # -- sampled mode -------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import collections
+import hashlib
 import itertools
 import random
 import time
@@ -478,8 +479,23 @@ def test_batched_canonical_keys_match_reference(m):
     rels = sorted(lattgen._inner_posets(m), key=sorted)
     if m == 5:
         rels = random.Random(0).sample(rels, 300)
-    got = [lattgen._key_pairs(m, row) for row in lattgen._canon_keys(m, rels)]
+    got = [tuple(divmod(j, m) for j in lattgen._word_indices(m, word))
+           for word in lattgen._canon_words(m, rels).tolist()]
     assert got == [oracles.canon_key(m, r) for r in rels]
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_inner_posets_iterate_like_the_orientation_walk(m):
+    """Same orders, and the same set iteration order, which picks each
+    class's representative."""
+    assert list(lattgen._inner_posets(m)) == list(oracles.inner_posets(m))
+
+
+def test_census_representatives_are_pinned():
+    """The labelled lattice standing for each class, in order, for k <= 7."""
+    data = b"".join(L.leq.tobytes() for L in all_lattices_upto(7))
+    assert hashlib.sha256(data).hexdigest() == (
+        "e50dda5aed6a04dcf4c7ce96061b485e9523dd8fb5e72a5b65c198c2e4ab5d20")
 
 
 def test_lattice_generation_respects_enum_cap():

@@ -414,6 +414,50 @@ def test_completeness_checks_cap_split_pairs(hamming22):
     assert bc_identity_check(hamming22, Caps(max_enum=64)) is None
 
 
+def test_pc_witness_matches_midpoint_walk(schema22):
+    # every subspace of H(2,3) with at most 4 points (the empty one too),
+    # against the p^2 x 4^attrs x p walk from the definition
+    full = hamming_space(Schema(schema22.attrs, ("0", "1", "2")))
+    failing = 0
+    for k in range(5):
+        for idx in itertools.combinations(range(9), k):
+            sub = subspace(full, idx)
+            w = is_pairwise_complete(sub)
+            want = oracles.pairwise_complete_witness(sub)
+            assert (None if w is None else (w.f, w.g, w.x1, w.x2)) == want, idx
+            failing += want is not None
+    assert 0 < failing < 256
+
+
+def test_pc_witness_matches_midpoint_walk_across_blocks():
+    # 41 to 60 of the 64 points of H(6,2): the 64 values of X2 go in several
+    # blocks, and each least witness has X2 >= 32, past the first block
+    full = hamming_space(Schema(tuple("abcdef"), ("0", "1")))
+    for seed in (0, 5, 6, 12, 13):
+        rng = random.Random(seed)
+        idx = sorted(rng.sample(range(64), rng.randint(33, 63)))
+        sub = subspace(full, idx)
+        w = is_pairwise_complete(sub)
+        assert w.x2 >= 32
+        assert (w.f, w.g, w.x1, w.x2) == oracles.pairwise_complete_witness(sub)
+
+
+def test_pc_caps_point_pairs():
+    # points at mutual distance {a}: 4 split pairs pass, p^2 point pairs are
+    # capped next; 1,024 points would be exactly at the default cap
+    def one_step(p):
+        return make_space(["a"], [f"p{i}" for i in range(p)],
+                          [[int(f != g) for g in range(p)] for f in range(p)])
+
+    with pytest.raises(EnumerationCapExceeded) as err:
+        is_pairwise_complete(one_step(1025))
+    assert (err.value.need, err.value.cap) == (1_050_625, 1 << 20)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        is_pairwise_complete(one_step(4), Caps(max_enum=15))
+    assert err.value.need == 16
+    assert is_pairwise_complete(one_step(4), Caps(max_enum=16)) is None
+
+
 def test_action_table_is_capped_by_its_full_size():
     # 2^6 attribute sets and 2^16 point sets pass one by one; the 2^22-entry
     # table is refused before anything of that size is allocated
