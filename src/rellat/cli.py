@@ -11,6 +11,10 @@ Every run prints a JSON report to stdout (sorted keys, so the same
 invocation line yields byte-identical output) and a one-line summary to
 stderr. Exit codes: 0 holds/success/found, 1 counterexample/witness/not
 found, 2 usage error or malformed input document, 3 budget or cap exceeded.
+
+`rellat --stats PATH <verb> ...` also writes the run's work counters (see
+rellat.stats) to PATH as JSON; stdout and the files a verb writes stay
+byte-identical to a run without it.
 """
 from __future__ import annotations
 
@@ -24,6 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import stats
 from .equations import catalog_inclusion, check_inclusion, verify_witness
 from .errors import (
     BadDocument,
@@ -193,7 +198,7 @@ def _report(args, command: str, inputs: dict[str, str], result: dict,
             seed=None, budget=None, evaluations=None) -> dict:
     params = {
         k: v for k, v in sorted(vars(args).items())
-        if k not in ("func",) and v is not None
+        if k not in ("func", "stats") and v is not None
     }
     return {
         "command": command,
@@ -602,6 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="rellat",
         description="finite-lattice laboratory for relational lattices")
+    top.add_argument("--stats", metavar="PATH",
+                     help="write the run's work counters to this JSON file")
     verbs = top.add_subparsers(dest="verb", required=True)
 
     build = verbs.add_parser("build", help="construct objects and save JSON")
@@ -744,6 +751,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     top = build_parser()
     args = top.parse_args(argv)
+    if args.stats is None:
+        return _run(args)
+    with stats.collect() as counters:
+        code = _run(args)
+    try:
+        _dump(counters, args.stats)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except (BudgetExceeded, SizeCapExceeded, EnumerationCapExceeded) as e:

@@ -16,6 +16,20 @@ its lexicographically least tuple; so the first violation found is the
 least raw witness. Each axis's values are shaped to broadcast along that
 axis alone, so every subterm is evaluated only over the axes it depends on.
 
+Two adjacent axes of the same kind, two outer variables or two blocks with
+the same interface, merge into one triangular axis when swapping them fixes
+both sides of the inclusion up to the order of meet and join arguments, as
+y and z do in RL1 and the blocks y0..y2 and z0..z2 do in Unjp (the
+lex-leader symmetry breaking of Crawford, Ginsberg, Luks and Roy, KR 1996).
+The axis runs over the c(c+1)/2 pairs (a, b), a <= b, of the c values or
+classes, in lexicographic order. The swap maps violations to violations,
+and a violation whose first half exceeds its second has a smaller mirror
+image; so the least violation has its first half at or before its second,
+and, classes being ordered by their least tuples, lies in the triangle. The
+scan finds the same witness over about half the space, and the evaluation
+count stays defined on the raw space. A variable pair's triangle holds half
+as many entries as a meet table.
+
 Sampled mode draws from a seeded generator and is reproducible from
 (seed, samples). Every counterexample is re-verified by the scalar evaluator
 before being reported.
@@ -24,11 +38,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
+from . import stats
 from .errors import (
     DEFAULT_CAPS,
     BudgetExceeded,
@@ -47,6 +63,7 @@ from .terms import (
     distributive_equal,
     mk_join,
     mk_meet,
+    substitute,
     variables,
 )
 
@@ -324,13 +341,34 @@ def _choose_blocks(runs, k: int, n: int) -> tuple[tuple[int, int], ...]:
     return min((c + n ** e, b) for e, (c, b) in best[k].items())[1]
 
 
+def _ac_form(t: Term):
+    """t up to the order of meet and join arguments: a variable's name, or
+    the node's type with the frozenset of its arguments' forms."""
+    if isinstance(t, Var):
+        return t.name
+    return type(t), frozenset(map(_ac_form, t.args))
+
+
+def _swap_fixes(inc: Inclusion, left, right) -> bool:
+    """Whether swapping left[t] with right[t], for every t, leaves both
+    sides of inc unchanged up to the order of meet and join arguments."""
+    swap = {a: Var(b) for a, b in zip(left, right)}
+    swap.update((b, Var(a)) for a, b in zip(left, right))
+    return all(_ac_form(substitute(side, swap)) == _ac_form(side)
+               for side in (inc.lhs, inc.rhs))
+
+
 @functools.lru_cache(maxsize=256)
 def _plan(inc: Inclusion, n: int):
     """The scan of inc over n-element lattices: (segments, lprog, rprog),
-    one segment per axis of the scanned space, (start, stop, interface
-    programs over the block's own variables) for a block chosen by the cost
-    model and (i, i + 1, None) for an outer variable; the programs read one
-    column per outer variable and per interface subterm."""
+    one segment (start, stop, progs, paired) per axis of the scanned space.
+    progs is None for an outer variable and, for a block chosen by the cost
+    model, its interface programs over the block's own variables. A paired
+    segment is two adjacent equal halves, two outer variables or two blocks
+    with the same programs, that a swap of the halves maps onto each other
+    while fixing both sides of inc; disjoint pairs are taken leftmost first.
+    The programs read one column per outer variable and per interface
+    subterm, in the order of the variables."""
     names = inc.variables
     blocks = dict(_choose_blocks(_runs(inc), len(names), n))
     lhs, rhs = inc.lhs, inc.rhs
@@ -354,7 +392,16 @@ def _plan(inc: Inclusion, n: int):
             var_index[f"{tag}{f}"] = len(var_index)
         segments.append((i, j, tuple(_compile(t, local) for t in faces)))
         i = j
-    return tuple(segments), _compile(lhs, var_index), _compile(rhs, var_index)
+    merged = []
+    for i, j, progs in segments:
+        if merged and not merged[-1][3]:
+            h, _, before, _ = merged[-1]
+            if before == progs and i - h == j - i and \
+                    _swap_fixes(inc, names[h:i], names[i:j]):
+                merged[-1] = (h, j, progs, True)
+                continue
+        merged.append((i, j, progs, False))
+    return tuple(merged), _compile(lhs, var_index), _compile(rhs, var_index)
 
 
 def _classes(meet, join, progs, n: int, s: int):
@@ -377,30 +424,44 @@ def _classes(meet, join, progs, n: int, s: int):
         for pos, kk in zip(firsts.tolist(), key[firsts].tolist()):
             seen.setdefault(kk, start + pos)
     keys = np.fromiter(seen, dtype=np.int64, count=len(seen))
-    return list(seen.values()), [(keys // n ** (m - 1 - f)) % n for f in range(m)]
+    ranks = np.fromiter(seen.values(), dtype=np.int64, count=len(seen))
+    return ranks, [(keys // n ** (m - 1 - f)) % n for f in range(m)]
 
 
 def _scan(meet, join, leq, plan, n: int) -> int | None:
     """Rank of the lexicographically least violating valuation, or None.
     Scans one axis per segment of the plan: an outer variable's n values or
     a block's classes, each standing for its least tuple, so the first
-    violation found is the least."""
+    violation found is the least. A paired segment's axis is the triangle
+    of entry pairs (a, b), a <= b, in lex order: its swap maps violations
+    to violations, so the least one has its first half at or before its
+    second."""
     segments, lprog, rprog = plan
     axes, ranks = [], []
-    for i, j, progs in segments:
+    for i, j, progs, paired in segments:
+        width = (j - i) // 2 if paired else j - i
         if progs is None:
-            axes.append((n, [np.arange(n)]))
-            ranks.append(range(n))
+            r, vals = np.arange(n), [np.arange(n)]
         else:
-            r, vals = _classes(meet, join, progs, n, j - i)
-            axes.append((len(r), vals))
-            ranks.append(r)
+            r, vals = _classes(meet, join, progs, n, width)
+            stats.add("blocks", 1 + paired)
+            stats.add("block_classes", len(r) * (1 + paired))
+        if paired:
+            a, b = np.triu_indices(len(r))
+            vals = [v[a] for v in vals] + [v[b] for v in vals]
+            r = r[a] * n ** width + r[b]
+        axes.append((len(r), vals))
+        ranks.append(r)
+    counting = stats.collecting()
     for head, cols in _walk(axes):
+        if counting:
+            stats.add("valuations_scanned",
+                      math.prod(np.broadcast_shapes(*(c.shape for c in cols))))
         hit = _first_violation(meet, join, leq, lprog, rprog, cols)
         if hit is not None:
             first = 0
-            for (i, j, _), r, h, d in zip(segments, ranks, head, hit):
-                first = first * n ** (j - i) + r[h + int(d)]
+            for (i, j, _, _), r, h, d in zip(segments, ranks, head, hit):
+                first = first * n ** (j - i) + int(r[h + int(d)])
             return first
     return None
 

@@ -139,6 +139,11 @@ class ODGraph:
         """(element, bitmask of the cover) for every non-trivial cover."""
         return tuple((k, sum(1 << c for c in cov)) for k, cov in self.nontrivial())
 
+    @cached_property
+    def closed_masks(self) -> dict[int, int]:
+        """closed_mask's results on this graph so far, keyed by mask."""
+        return {}
+
     def le(self, a: int, b: int) -> bool:
         return bool(self.down_masks[b] >> a & 1)
 
@@ -247,7 +252,10 @@ def od_graph_from_json(doc: dict) -> ODGraph:
 
 
 def closed_mask(g: ODGraph, mask: int) -> int:
-    """Least set above mask that is a downset closed under the cover rules."""
+    """Least set above mask that is a downset closed under the cover rules;
+    computed once per graph and mask."""
+    if mask in g.closed_masks:
+        return g.closed_masks[mask]
     down = g.down_masks
     s = 0
     for i in range(g.n):
@@ -261,6 +269,7 @@ def closed_mask(g: ODGraph, mask: int) -> int:
             if not s >> k & 1 and cm & ~s == 0:
                 s |= down[k]
                 changed = True
+    g.closed_masks[mask] = s
     return s
 
 

@@ -503,14 +503,17 @@ def _act_table(space: UltraSpace, caps: Caps) -> np.ndarray:
 
 def bc_identity_check(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> BCWitness | None:
     """Check act(X1|X2, T) == act(X1, act(X2, T)) everywhere; None if it holds,
-    else the first failing (X1, X2, T) in ascending scan order."""
+    else the first failing (X1, X2, T) in ascending scan order. Each X1
+    compares all X2 rows of the action table at once."""
     table = _act_table(space, caps)
     _cap_split_pairs(space, caps)
+    xs = np.arange(len(table))
     for x1 in range(len(table)):
-        for x2 in range(len(table)):
-            bad = np.flatnonzero(table[x1 | x2] != table[x1][table[x2]])
-            if bad.size:
-                return BCWitness(x1, x2, int(bad[0]))
+        bad = table[x1 | xs] != table[x1][table]
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            x2 = int(rows[0])
+            return BCWitness(x1, x2, int(bad[x2].argmax()))
     return None
 
 

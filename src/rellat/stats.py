@@ -1,0 +1,47 @@
+"""Opt-in work counters.
+
+Code that does countable work calls `add(name, amount)`. Nothing is kept
+unless a caller has opened a collector with `collect()`; then every `add` in
+that context, and only there, sums into the collector's dict. The collector
+lives in a context variable, so concurrent callers each see their own.
+
+Counters written by the exhaustive scan (`equations.check_inclusion`):
+
+    valuations_scanned  entries of the scanned space that were evaluated:
+                        whole chunks, up to the one holding the first
+                        violation. It is below the raw space |L|^k when block
+                        classes or a symmetric pair shrink the space; the
+                        report's `evaluations` stays defined on the raw space.
+    blocks              blocks scanned over their classes (a pair counts two)
+    block_classes       the classes of those blocks, summed
+"""
+from __future__ import annotations
+
+import contextlib
+import contextvars
+from typing import Iterator
+
+_COUNTERS: contextvars.ContextVar[dict[str, int] | None] = \
+    contextvars.ContextVar("rellat_stats", default=None)
+
+
+@contextlib.contextmanager
+def collect() -> Iterator[dict[str, int]]:
+    """Sum every counter added inside the block into the yielded dict."""
+    counters: dict[str, int] = {}
+    token = _COUNTERS.set(counters)
+    try:
+        yield counters
+    finally:
+        _COUNTERS.reset(token)
+
+
+def collecting() -> bool:
+    """Whether a collector is open, for callers whose count costs work."""
+    return _COUNTERS.get() is not None
+
+
+def add(name: str, amount: int) -> None:
+    counters = _COUNTERS.get()
+    if counters is not None:
+        counters[name] = counters.get(name, 0) + int(amount)

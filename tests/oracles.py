@@ -4,8 +4,9 @@ Everything here works from first definitions (order matrices, row dicts,
 set comprehensions) and deliberately avoids the package's meet/join tables,
 bitmask tricks, and caching, so a bug in those cannot hide from the tests.
 Sizes are expected to be tiny; nothing here is clever. The exceptions are
-`plain_scan`, which folds terms through a lattice's own tables, and
-`sublattice_closure`, which closes a seed over them.
+`plain_scan`, which folds terms through a lattice's own tables,
+`sublattice_closure`, which closes a seed over them, and
+`bc_identity_witness`, which reads a space's action table.
 """
 from __future__ import annotations
 
@@ -421,6 +422,19 @@ def pairwise_complete_witness(space):
                     if not any(space.dist[f][h] & ~x1 == 0 and
                                space.dist[h][g] & ~x2 == 0 for h in range(p)):
                         return f, g, x1, x2
+    return None
+
+
+def bc_identity_witness(table):
+    """The first (X1, X2, T), scanning X1, X2 in ascending order, where
+    table[X1 | X2][T] != table[X1][table[X2][T]], one X2 row at a time;
+    None if there is none. table[x, t] is the action of attribute set x on
+    point set t."""
+    for x1 in range(len(table)):
+        for x2 in range(len(table)):
+            bad = np.flatnonzero(table[x1 | x2] != table[x1][table[x2]])
+            if bad.size:
+                return x1, x2, int(bad[0])
     return None
 
 

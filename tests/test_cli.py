@@ -186,6 +186,26 @@ def test_check_eq_holds(capsys, r22_file):
     assert doc["evaluations"] == 26 ** 3
 
 
+def test_stats_flag_writes_counters_beside_identical_output(tmp_path, capsys,
+                                                          r22_file):
+    # --stats adds a side file; stdout and the written lattice keep their
+    # bytes, and a failed write is an exit 2
+    stats_path = str(tmp_path / "stats.json")
+    argv = ["check", "eq", "--eq", "RL1", "--lattice", r22_file]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(["--stats", stats_path] + argv) == 0
+    assert capsys.readouterr().out == plain
+    with open(stats_path) as fh:
+        assert json.load(fh) == {"valuations_scanned": 26 * 26 * 27 // 2}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["build", "rel", "--attrs", "1", "--dom", "2", "--out", str(a)]) == 0
+    assert main(["--stats", stats_path, "build", "rel", "--attrs", "1",
+                 "--dom", "2", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert main(["--stats", str(tmp_path / "no" / "dir.json")] + argv) == 2
+
+
 def test_check_eq_inline_inclusion(capsys, r22_file):
     code, doc, _ = run(capsys, "check", "eq", "--inclusion", "x ^ y <= x",
                        "--lattice", r22_file)

@@ -33,7 +33,7 @@ from rellat import (
     rd,
     verify_witness,
 )
-from rellat import equations
+from rellat import equations, stats
 from conftest import boolean_cube, chain, diamond_m3, leq_from_covers, pentagon_n5
 import oracles
 
@@ -187,7 +187,7 @@ def outcome(res):
 
 def has_block(inc, n):
     """Whether the scan of inc over n-element lattices has a block axis."""
-    return any(progs is not None for _, _, progs in equations._plan(inc, n)[0])
+    return any(progs is not None for _, _, progs, _ in equations._plan(inc, n)[0])
 
 
 def relabel(L, perm):
@@ -252,11 +252,113 @@ def test_catalog_blocks():
     for name, inc in CATALOG.items():
         segments = equations._plan(inc, 7)[0]
         names = inc.variables
-        got[name] = [names[i:j] for i, j, progs in segments
-                     if progs is not None]
+        got[name] = []
+        for i, j, progs, paired in segments:
+            if progs is not None:
+                halves = [(i, (i + j) // 2), ((i + j) // 2, j)] if paired else [(i, j)]
+                got[name] += [names[a:b] for a, b in halves]
     ys, zs = ("y0", "y1", "y2"), ("z0", "z1", "z2")
     assert got == {"Dist": [], "RL1": [], "SymPC": [], "VarRL1": [],
                    "Unjp": [ys, zs], "RL2": [ys, zs], "RMod": [zs], "Sym": [zs]}
+
+
+def symmetric_pairs(inc, n):
+    """The halves of each paired segment in the scan of inc at n."""
+    names = inc.variables
+    return [(names[i:(i + j) // 2], names[(i + j) // 2:j])
+            for i, j, _, paired in equations._plan(inc, n)[0] if paired]
+
+
+def test_catalog_symmetric_pairs():
+    """The variable swaps each law's scan folds into a triangle, at n = 7."""
+    got = {name: symmetric_pairs(inc, 7) for name, inc in CATALOG.items()}
+    ys, zs = ("y0", "y1", "y2"), ("z0", "z1", "z2")
+    yz = [(("y",), ("z",))]
+    assert got == {"Dist": yz, "RL1": yz, "SymPC": yz, "VarRL1": yz,
+                   "Unjp": [(ys, zs)], "RL2": [(ys, zs)], "RMod": [], "Sym": []}
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 30])
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_symmetric_scan_matches_plain_scan(small_lattices, monkeypatch,
+                                           name, chunk):
+    """Every law on the small lattices, their downward relabelings and
+    shuffled copies (up to 7, 6 and 5 elements for laws of 3, 5 and more
+    variables), with the triangle sliced across chunks."""
+    inc = CATALOG[name]
+    top = {3: 7, 5: 6}.get(len(inc.variables), 5)
+    lattices = [L for L in small_lattices if L.n <= top]
+    lattices += [relabel_downward(L) for L in lattices]
+    lattices += [shuffled(L, seed) for seed, L in enumerate(lattices)]
+    want = [oracles.plain_scan(L, inc) for L in lattices]
+    monkeypatch.setattr(equations, "_CHUNK", chunk)
+    for L, expected in zip(lattices, want):
+        assert outcome(check_inclusion(L, inc)) == expected
+
+
+@pytest.mark.parametrize("name, first, second", [
+    ("Dist", ("y",), ("z",)),
+    ("Unjp", ("y0", "y1", "y2"), ("z0", "z1", "z2")),
+])
+def test_least_witness_has_first_half_strictly_lower(m3, name, first, second):
+    # the least witness lies strictly inside the triangle, so a scan of the
+    # other triangle (first half >= second) finds its mirror image instead
+    inc = CATALOG[name]
+    assert symmetric_pairs(inc, m3.n) == [(first, second)]
+    res = check_inclusion(m3, inc)
+    assert [res.witness[v] for v in first] < [res.witness[v] for v in second]
+    assert outcome(res) == oracles.plain_scan(m3, inc)
+
+
+@pytest.mark.parametrize("text", [
+    # RL1 with x, y, z renamed b, a, c: the symmetric a and c are not
+    # adjacent in sorted order
+    "b ^ ((a ^ (c v b)) v (c ^ (a v b))) <= (b ^ a) v (b ^ c)",
+    # swapping y and z fixes the left side only
+    "x ^ (y v z) <= (x ^ y) v z",
+    # swapping the blocks y0..y2 and z0..z2 fixes both sides, but their
+    # interface subterms come in opposite orders (ld, rd and rd, ld), so
+    # their classes cannot serve one axis
+    "(y0 ^ (y1 v y2) v (z0 ^ z1) v (z0 ^ z2))"
+    " ^ ((y0 ^ y1) v (y0 ^ y2) v z0 ^ (z1 v z2)) <= x",
+])
+def test_unfixed_swaps_take_unreduced_scan(small_lattices, text):
+    inc = parse(text)
+    for L in small_lattices:
+        if 2 <= L.n <= 6:
+            assert symmetric_pairs(inc, L.n) == []
+            assert outcome(check_inclusion(L, inc)) == oracles.plain_scan(L, inc)
+
+
+@pytest.mark.parametrize("chunk", [7, 1 << 16])
+def test_scan_counts_half_the_space_of_a_symmetric_law(monkeypatch, chunk):
+    # SymPC holds on a chain; its (y, z) triangle has n(n + 1)/2 entries per
+    # value of x, while evaluations counts the raw space
+    monkeypatch.setattr(equations, "_CHUNK", chunk)
+    with stats.collect() as counters:
+        res = check_inclusion(chain(6), CATALOG["SymPC"])
+    assert outcome(res) == ("holds", None, 6**3)
+    assert counters == {"valuations_scanned": 6 * 21}
+
+
+def test_scan_counts_chunks_up_to_the_witness(m3, monkeypatch):
+    # Dist fails on the diamond at (1, 2, 3): past 15 triangle entries for
+    # x = 0 and 10 for x = 1, one entry per chunk
+    monkeypatch.setattr(equations, "_CHUNK", 1)
+    with stats.collect() as counters:
+        res = check_inclusion(m3, CATALOG["Dist"])
+    assert outcome(res) == ("counterexample", {"x": 1, "y": 2, "z": 3},
+                            25 + 2 * 5 + 3 + 1)
+    assert counters == {"valuations_scanned": 15 + 10 + 1}
+
+
+def test_scan_counts_block_classes(m3):
+    with stats.collect() as counters:
+        check_inclusion(m3, CATALOG["RMod"])
+    segments = equations._plan(CATALOG["RMod"], m3.n)[0]
+    classes = equations._classes(m3.meet, m3.join, segments[-1][2], m3.n, 3)[0]
+    assert counters["blocks"] == 1
+    assert counters["block_classes"] == len(classes) < m3.n ** 3
 
 
 def test_interleaved_block_takes_plain_scan(m3, n5):
@@ -289,15 +391,31 @@ def test_budget_exceeded(m3):
         check_inclusion(m3, CATALOG["Unjp"], caps=Caps(eval_budget=1000))
 
 
-def test_scan_walks_prefix_and_slices_middle_axis(monkeypatch):
-    # a chain 0 < ... < 60 under a diamond (atoms 61..63, top 64). RL1 has
-    # no block, so the scan has one axis per variable; with 1000 entries per
-    # evaluated block, x is walked as a scalar, y is sliced 15 values at a
-    # time and z is whole. The least witness is the diamond's atoms, far
-    # into the space
-    L = build_from_leq(65, leq_from_covers(
+def chain_under_diamond():
+    """A chain 0 < ... < 60 under a diamond (atoms 61..63, top 64)."""
+    return build_from_leq(65, leq_from_covers(
         65, [(i, i + 1) for i in range(60)]
         + [(60, a) for a in (61, 62, 63)] + [(a, 64) for a in (61, 62, 63)]))
+
+
+def test_scan_walks_prefix_and_slices_middle_axis(monkeypatch):
+    # x ^ (y v z) <= (x ^ y) v z has no block and no symmetric pair, so the
+    # scan has one axis per variable; with 1000 entries per evaluated block,
+    # x is walked as a scalar, y is sliced 15 values at a time and z is
+    # whole. The least witness is the diamond's atoms, far into the space
+    L = chain_under_diamond()
+    inc = parse("x ^ (y v z) <= (x ^ y) v z")
+    monkeypatch.setattr(equations, "_CHUNK", 1000)
+    res = check_inclusion(L, inc)
+    assert res.witness == {"x": 61, "y": 62, "z": 63}
+    assert res.evaluations == 61 * 65**2 + 62 * 65 + 63 + 1
+    assert outcome(res) == oracles.plain_scan(L, inc)
+
+
+def test_scan_slices_triangle_of_symmetric_pair(monkeypatch):
+    # RL1's (y, z) triangle has 2,145 pairs; x is walked as a scalar and the
+    # triangle sliced 1000 at a time, and the witness is the same atoms
+    L = chain_under_diamond()
     inc = CATALOG["RL1"]
     monkeypatch.setattr(equations, "_CHUNK", 1000)
     res = check_inclusion(L, inc)

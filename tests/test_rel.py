@@ -43,9 +43,10 @@ from rellat import (
     typed_map_from_fibers,
     typed_R,
     Caps,
+    DEFAULT_CAPS,
     TypedMap,
 )
-from rellat import lattice
+from rellat import lattice, relational
 from conftest import boolean_cube
 import oracles
 
@@ -512,6 +513,24 @@ def test_bc_witness_matches_definition(schema22):
         assert (None if w is None else (w.x1, w.x2, w.t)) == want, idx
         failing += want is not None
     assert 0 < failing < 126
+
+
+@pytest.mark.parametrize("attrs, dom", [(3, 3), (4, 2)])
+def test_bc_witness_matches_row_by_row_walk(attrs, dom):
+    # 40 seeded subspaces each of H(3,3) and H(4,2), from 1 to 9 points,
+    # against the one-X2-row-at-a-time loop over the same action table
+    full = hamming_space(Schema(tuple("abcd")[:attrs], tuple("012")[:dom]))
+    rng = random.Random(attrs * 10 + dom)
+    failing = 0
+    for _ in range(40):
+        idx = sorted(rng.sample(range(len(full.points)), rng.randint(1, 9)))
+        sub = subspace(full, idx)
+        w = bc_identity_check(sub)
+        want = oracles.bc_identity_witness(
+            relational._act_table(sub, DEFAULT_CAPS))
+        assert (None if w is None else (w.x1, w.x2, w.t)) == want, idx
+        failing += want is not None
+    assert 0 < failing < 40
 
 
 def test_join_formula_shortcut_on_pairwise_complete_space(hamming22):
