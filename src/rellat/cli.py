@@ -50,11 +50,12 @@ from .frames import (
     universal_product,
 )
 from .lattice import (
+    _row_blocks,
     build_from_closed_family,
     find_embedding,
     find_isomorphism,
-    lattice_from_json,
     lattice_document,
+    lattice_from_json,
     sublattice_closure,
 )
 from .odgraph import (
@@ -76,7 +77,6 @@ from .relational import (
     hamming_space,
     is_pairwise_complete,
     space_from_json,
-    subspace,
     typed_R,
     typed_map_from_fibers,
 )
@@ -87,8 +87,12 @@ from .terms import Inclusion, parse, pretty_inclusion
 
 
 def _sha256(path: str) -> str:
+    """The file's sha256, read a megabyte at a time."""
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _load(path: str) -> dict:
@@ -131,22 +135,112 @@ def _json_chunks(obj, pad: str = "") -> Iterator[str]:
         yield json.dumps(obj)
 
 
+def _row_layout(n: int, pad: str) -> tuple[np.ndarray, slice]:
+    """One row of an n-by-n order matrix as the json module writes it in a
+    value that starts on a line indented by `pad`: the bytes of the row's
+    record, led by its "," separator (the first row's is "["), with every
+    cell 0, and the positions of the cells in it. A record of 9n + 12
+    bytes at the top level: separator, newline, four spaces, "[", then n
+    cells each on its own line six spaces in, newline, four spaces, "]"."""
+    row_pad, cell_pad = pad + "  ", pad + "    "
+    head = ",\n" + row_pad + "[\n" + cell_pad
+    text = head + (",\n" + cell_pad).join("0" * n) + "\n" + row_pad + "]"
+    step = len(cell_pad) + 3
+    return (np.frombuffer(text.encode("ascii"), dtype=np.uint8),
+            slice(len(head), len(head) + step * n, step))
+
+
 def _order_chunks(leq: np.ndarray, pad: str) -> Iterator[str]:
-    """An n-by-n boolean matrix as n rows of 0/1, one chunk per row; the
-    cells come from one pass over the matrix, not one encoder call each."""
+    """An n-by-n boolean matrix as n rows of 0/1, a block of rows per chunk,
+    each block the row record repeated with its cells filled in."""
     n = len(leq)
     if not n:
         yield "[]"
         return
-    row_pad, cell_pad = pad + "  ", pad + "    "
-    cells = (leq.view(np.uint8) + 48).tobytes().decode("ascii")
-    cell_sep = ",\n" + cell_pad
-    sep = "[\n" + row_pad
-    for i in range(0, n * n, n):
-        yield (sep + "[\n" + cell_pad + cell_sep.join(cells[i:i + n])
-               + "\n" + row_pad + "]")
-        sep = ",\n" + row_pad
+    template, cells = _row_layout(n, pad)
+    for r0, r1 in _row_blocks(n, len(template)):
+        block = np.tile(template, (r1 - r0, 1))
+        block[:, cells] += leq[r0:r1].view(np.uint8)
+        if r0 == 0:
+            block[0, 0] = ord("[")
+        yield block.tobytes().decode("ascii")
     yield "\n" + pad + "]"
+
+
+# A saved lattice is read back through `_lattice_document`. When its
+# top-level "leq" is laid out exactly as `_order_chunks` lays it out, the
+# rows are read as bytes straight into a boolean matrix and only the rest
+# goes through the json module; any other document, valid or not, goes
+# through `_load` as before, so answers and error texts do not depend on
+# which way a file was read.
+
+
+def _load_lattice(path: str, caps: Caps):
+    return lattice_from_json(_lattice_document(path), caps)
+
+
+def _lattice_document(path: str) -> dict:
+    """The lattice document at path, its "leq" a boolean matrix when the
+    file holds the emitted layout, else as `_load` gives it."""
+    with open(path, "rb") as fh:
+        doc = _direct_lattice_document(fh.read())
+    if doc is None:
+        stats.add("lattice_docs_parsed", 1)
+        return _load(path)
+    stats.add("lattice_docs_direct", 1)
+    return doc
+
+
+def _direct_lattice_document(data: bytes) -> dict | None:
+    """The document in data with its top-level "leq" as an n-by-n boolean
+    matrix, or None unless that value is byte for byte the `_row_layout`
+    records of n rows (n the document's own "n") and the rest, with `null`
+    in its place, parses as JSON with that `null` as the top-level "leq".
+
+    Every fixed byte of every record is compared with the layout, and
+    every cell must be 0 or 1, one block of rows at a time. The rest is
+    decoded as `_load` decodes it: its universal newlines can only turn a
+    carriage return into a newline, which JSON reads alike outside strings
+    and rejects alike inside them.
+    """
+    key = data.find(b'"leq": [\n    [\n      ')
+    if key < 0:
+        return None
+    start = key + len(b'"leq": ')
+    first = data.find(b"\n    ]", start)
+    n, extra = divmod(first + 6 - start - 12, 9)    # a record: 9n + 12 bytes
+    if first < 0 or extra or n < 1:
+        return None
+    width = 9 * n + 12
+    end = start + n * width
+    if data[end:end + 4] != b"\n  ]":
+        return None
+    template, cells = _row_layout(n, "  ")
+    rows = np.frombuffer(data, dtype=np.uint8, count=end - start,
+                         offset=start).reshape(n, width)
+    leq = np.empty((n, n), dtype=bool)
+    for r0, r1 in _row_blocks(n, width):
+        block = rows[r0:r1]
+        wrong = block != template
+        wrong[0, 0] &= r0 > 0          # the first row's "[" was found above
+        wrong[:, cells] = (block[:, cells] | 1) != ord("1")  # neither 0 nor 1
+        if wrong.any():
+            return None
+        np.equal(block[:, cells], ord("1"), out=leq[r0:r1])
+    # `null` stands in for the rows; if it is the only `null` in the text,
+    # the top-level "leq" being null means the rows were that value
+    head, tail = data[:start], data[end + 4:]
+    if b"null" in head or b"null" in tail:
+        return None
+    try:
+        doc = json.loads((head + b"null" + tail).decode("utf-8"))
+    except ValueError:                      # not UTF-8, or not JSON
+        return None
+    if (not isinstance(doc, dict) or "leq" not in doc or doc["leq"] is not None
+            or type(doc.get("n")) is not int or doc["n"] != n):
+        return None
+    doc["leq"] = leq
+    return doc
 
 
 def _print_json(doc: dict) -> None:
@@ -313,7 +407,7 @@ def _cmd_build_countermodel(args) -> int:
 
 def _cmd_od_extract(args) -> int:
     caps = _caps(args)
-    L = lattice_from_json(_load(args.lattice), caps)
+    L = _load_lattice(args.lattice, caps)
     g = extract_od_graph(L, caps)
     sha = _dump(od_graph_to_json(g), args.out)
     rep = _report(args, "odgraph extract", {"lattice": args.lattice}, {
@@ -377,7 +471,7 @@ def _parse_valuation(text: str) -> dict[str, int]:
 
 def _cmd_check_eq(args) -> int:
     caps = _caps(args)
-    L = lattice_from_json(_load(args.lattice), caps)
+    L = _load_lattice(args.lattice, caps)
     if args.eq:
         inc = catalog_inclusion(args.eq)
     elif args.inclusion:
@@ -431,15 +525,8 @@ def _space_from_args(args, caps):
         return space_from_json(_load(args.space)), {"space": args.space}
     if args.attrs is None or args.dom is None:
         raise RellatError("need --space FILE or --attrs N --dom N")
-    space = hamming_space(_schema(args.attrs, args.dom), caps)
-    if args.points:
-        wanted = args.points.split(",")
-        index = {p: i for i, p in enumerate(space.points)}
-        missing = [p for p in wanted if p not in index]
-        if missing:
-            raise RellatError(f"unknown points: {missing}; have {list(space.points)}")
-        space = subspace(space, sorted(index[p] for p in wanted))
-    return space, {}
+    points = args.points.split(",") if args.points else None
+    return hamming_space(_schema(args.attrs, args.dom), caps, points), {}
 
 
 def _cmd_check_bc(args) -> int:
@@ -481,8 +568,8 @@ def _cmd_check_pc(args) -> int:
 
 def _cmd_check_iso(args) -> int:
     caps = _caps(args)
-    L1 = lattice_from_json(_load(args.lattice), caps)
-    L2 = lattice_from_json(_load(args.other), caps)
+    L1 = _load_lattice(args.lattice, caps)
+    L2 = _load_lattice(args.other, caps)
     m = find_isomorphism(L1, L2, caps)
     rep = _report(args, "check iso",
                   {"lattice": args.lattice, "other": args.other},
@@ -494,7 +581,7 @@ def _cmd_check_iso(args) -> int:
 
 def _cmd_check_nation(args) -> int:
     caps = _caps(args)
-    L = lattice_from_json(_load(args.lattice), caps)
+    L = _load_lattice(args.lattice, caps)
     g = extract_od_graph(L, caps)
     R = reconstruct(g, caps)
     m = find_isomorphism(L, R, caps) if L.n == R.n else None
@@ -532,7 +619,7 @@ def _cmd_search_sublattice(args) -> int:
     if args.max_seed < 1:
         raise RellatError(f"--max-seed must be at least 1, not {args.max_seed}")
     caps = _caps(args)
-    L = lattice_from_json(_load(args.lattice), caps)
+    L = _load_lattice(args.lattice, caps)
     goal = {"all-prime-cover": _goal_all_prime_cover,
             "illdefined": _goal_illdefined}[args.goal]
     tried = 0
@@ -584,8 +671,8 @@ def _cmd_search_pmorphism(args) -> int:
 
 def _cmd_search_embedding(args) -> int:
     caps = _caps(args)
-    L1 = lattice_from_json(_load(args.lattice), caps)
-    L2 = lattice_from_json(_load(args.into), caps)
+    L1 = _load_lattice(args.lattice, caps)
+    L2 = _load_lattice(args.into, caps)
     m = find_embedding(L1, L2, caps)
     rep = _report(args, "search embedding",
                   {"lattice": args.lattice, "into": args.into},

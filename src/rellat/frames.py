@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import stats
 from .errors import (
     DEFAULT_CAPS,
     BadFrame,
@@ -293,6 +294,7 @@ def p_morphism_search(src: Frame, dst: Frame,
     while True:
         w = len(assign)
         if w == ns:
+            stats.add("pmorphism_nodes", nodes)
             return assign
         for v in range(v, nd):
             if nd - covered - (hits[v] == 0) > ns - w - 1:
@@ -309,6 +311,7 @@ def p_morphism_search(src: Frame, dst: Frame,
         else:
             # no candidate fits world w: undo world w - 1, try its next image
             if not assign:
+                stats.add("pmorphism_nodes", nodes)
                 return None
             w -= 1
             v = assign.pop()
@@ -326,6 +329,7 @@ def p_morphism_search(src: Frame, dst: Frame,
             continue
         nodes += 1
         if nodes > caps.search_nodes:
+            stats.add("pmorphism_nodes", nodes)
             raise SearchBudgetExceeded(nodes, caps.search_nodes)
         covered += hits[v] == 0
         hits[v] += 1

@@ -47,6 +47,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import stats
 from .errors import (
     DEFAULT_CAPS,
     BadDocument,
@@ -534,6 +535,7 @@ def _search(
         img[i], stack[i] = stack[i][0], stack[i][1:]
         nodes += 1
         if nodes > caps.search_nodes:
+            stats.add("search_nodes", nodes)
             raise SearchBudgetExceeded(nodes, caps.search_nodes)
         if i + 1 < len(gens):
             stack.append(candidates(i + 1))
@@ -545,7 +547,9 @@ def _search(
         if (len(set(phi.tolist())) == L1.n
                 and (phi[L1.meet] == L2.meet[np.ix_(phi, phi)]).all()
                 and (phi[L1.join] == L2.join[np.ix_(phi, phi)]).all()):
+            stats.add("search_nodes", nodes)
             return phi.tolist()
+    stats.add("search_nodes", nodes)
     return None
 
 
@@ -580,13 +584,15 @@ def lattice_from_json(data: dict, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
 
 def _document_order(rows, n: int) -> np.ndarray:
     """A document's leq rows as an n-by-n boolean matrix; every entry must
-    be 0, 1, true or false."""
+    be 0, 1, true or false. A boolean matrix is taken as it is, not copied."""
     try:
         arr = np.asarray(rows)
     except ValueError:                      # rows of different lengths
         raise BadDocument(f"leq must be {n} rows of {n} entries") from None
     if arr.shape != (n, n):
         raise BadDocument(f"leq must be {n} rows of {n} entries")
-    if arr.dtype.kind not in "biu" or arr.size and (arr.min() < 0 or arr.max() > 1):
+    if arr.dtype == bool:
+        return arr
+    if arr.dtype.kind not in "iu" or arr.size and (arr.min() < 0 or arr.max() > 1):
         raise BadDocument("leq entries must be 0, 1, true or false")
     return arr.astype(bool)

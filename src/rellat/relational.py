@@ -20,6 +20,7 @@ from .errors import (
     EnumerationCapExceeded,
     NotAnUltraSpace,
     NotSurjective,
+    RellatError,
     SchemaMismatch,
     SizeCapExceeded,
     document_field,
@@ -331,9 +332,11 @@ def make_space(attrs: Sequence[str], points: Sequence[str],
 
 
 def _product_space(schema: Schema, values: Sequence[Sequence[int]],
-                   caps: Caps) -> UltraSpace:
+                   caps: Caps, points: Sequence[str] | None = None) -> UltraSpace:
     """Points are the full-header rows taking, at attribute i, a value of
-    values[i], in product order; the distance is the disagreement set."""
+    values[i], in product order; the distance is the disagreement set.
+    With `points`, only the rows so labelled are kept, still in product
+    order, and only their distances are computed."""
     count = 1
     for v in values:
         count *= len(v)
@@ -343,14 +346,24 @@ def _product_space(schema: Schema, values: Sequence[Sequence[int]],
     codes = [schema.encode_row(full, choice)
              for choice in itertools.product(*values)]
     labels = [schema.row_label(full, c) for c in codes]
+    if points is not None:
+        index = {p: i for i, p in enumerate(labels)}
+        missing = [p for p in points if p not in index]
+        if missing:
+            raise RellatError(f"unknown points: {missing}; have {labels}")
+        keep = sorted(index[p] for p in points)
+        codes, labels = [codes[i] for i in keep], [labels[i] for i in keep]
     d = [[schema.delta(f, g) for g in codes] for f in codes]
     return make_space(schema.attrs, labels, d)
 
 
-def hamming_space(schema: Schema, caps: Caps = DEFAULT_CAPS) -> UltraSpace:
-    """All full-header rows, with the disagreement-set distance."""
+def hamming_space(schema: Schema, caps: Caps = DEFAULT_CAPS,
+                  points: Sequence[str] | None = None) -> UltraSpace:
+    """All full-header rows, with the disagreement-set distance; with
+    `points`, the subspace of the rows with those labels (RellatError names
+    any label that is not a row's)."""
     return _product_space(
-        schema, [range(len(schema.dom))] * len(schema.attrs), caps)
+        schema, [range(len(schema.dom))] * len(schema.attrs), caps, points)
 
 
 def subspace(space: UltraSpace, indices: Sequence[int]) -> UltraSpace:
@@ -503,17 +516,25 @@ def _act_table(space: UltraSpace, caps: Caps) -> np.ndarray:
 
 def bc_identity_check(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> BCWitness | None:
     """Check act(X1|X2, T) == act(X1, act(X2, T)) everywhere; None if it holds,
-    else the first failing (X1, X2, T) in ascending scan order. Each X1
-    compares all X2 rows of the action table at once."""
+    else the first failing (X1, X2, T) in ascending scan order.
+
+    Both sides distribute over unions of T and send the empty set to itself,
+    so they agree on every T iff they agree on every single point, and when
+    (X1, X2) fails, its least failing T is its least failing single point:
+    any failing T holds one, and a set's mask is at least that of each of
+    its points. A round compares all X2 and all points for a block of X1
+    values, at most 2^16 entries, as `is_pairwise_complete` blocks X2."""
     table = _act_table(space, caps)
     _cap_split_pairs(space, caps)
     xs = np.arange(len(table))
-    for x1 in range(len(table)):
-        bad = table[x1 | xs] != table[x1][table]
-        rows = np.flatnonzero(bad.any(axis=1))
-        if rows.size:
-            x2 = int(rows[0])
-            return BCWitness(x1, x2, int(bad[x2].argmax()))
+    single = table[:, 1 << np.arange(len(space.points))]   # act(x, {g})
+    step = max(1, (1 << 16) // max(1, single.size))       # X1 values per round
+    for lo in range(0, len(xs), step):
+        x1s = xs[lo:lo + step]
+        bad = single[x1s[:, None] | xs] != table[x1s[:, None, None], single]
+        if bad.any():
+            x1, x2, g = np.unravel_index(bad.argmax(), bad.shape)
+            return BCWitness(lo + int(x1), int(x2), 1 << int(g))
     return None
 
 

@@ -14,6 +14,21 @@ Counters written by the exhaustive scan (`equations.check_inclusion`):
                         report's `evaluations` stays defined on the raw space.
     blocks              blocks scanned over their classes (a pair counts two)
     block_classes       the classes of those blocks, summed
+
+Counters written by the searches, each added once per call:
+
+    search_nodes        images given to generators in `lattice._search`
+                        (isomorphism and embedding search), counted after
+                        its filters
+    pmorphism_nodes     images given to worlds in `frames.p_morphism_search`,
+                        counted after its cuts
+
+Counters written by the command line when it reads a lattice file, one per
+file:
+
+    lattice_docs_direct  files whose order matrix was read straight from the
+                         emitted row layout
+    lattice_docs_parsed  files read through the json module
 """
 from __future__ import annotations
 

@@ -3,11 +3,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rellat import (
+    DEFAULT_CAPS,
+    RellatError,
     Schema,
     build_countermodel,
     build_from_leq,
@@ -17,10 +21,22 @@ from rellat import (
     frame_to_json,
     l_of_frame,
     lattice_to_json,
+    lattice_from_json,
     make_frame,
     od_graph_to_json,
+    stats,
+    typed_R,
+    typed_map_from_fibers,
 )
-from rellat.cli import _dump, _json_chunks, main
+from rellat.cli import (
+    _direct_lattice_document,
+    _dump,
+    _json_chunks,
+    _lattice_document,
+    _load_lattice,
+    _order_chunks,
+    main,
+)
 from rellat.lattice import lattice_document
 from conftest import chain, pentagon_n5
 
@@ -197,7 +213,8 @@ def test_stats_flag_writes_counters_beside_identical_output(tmp_path, capsys,
     assert main(["--stats", stats_path] + argv) == 0
     assert capsys.readouterr().out == plain
     with open(stats_path) as fh:
-        assert json.load(fh) == {"valuations_scanned": 26 * 26 * 27 // 2}
+        assert json.load(fh) == {"lattice_docs_direct": 1,
+                                 "valuations_scanned": 26 * 26 * 27 // 2}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["build", "rel", "--attrs", "1", "--dom", "2", "--out", str(a)]) == 0
     assert main(["--stats", stats_path, "build", "rel", "--attrs", "1",
@@ -577,6 +594,9 @@ def assert_lattice_written_as_encoder(L, path):
 def test_writer_matches_encoder_on_census(tmp_path, small_lattices):
     for L in small_lattices:
         assert_lattice_written_as_encoder(L, tmp_path / "l.json")
+        # an order matrix below the top level is laid out alike
+        assert written_text({"a": [lattice_document(L)]}) == \
+            encoder_text({"a": [lattice_to_json(L)]})
         doc = od_graph_to_json(extract_od_graph(L))
         assert written_text(doc) == encoder_text(doc)
 
@@ -640,3 +660,198 @@ def test_reports_read_as_encoder_output(tmp_path, capsys, r22_file):
         main(argv)
         out = capsys.readouterr().out
         assert out == encoder_text(json.loads(out)) + "\n"
+
+
+# -- the lattice reader ------------------------------------------------------------
+
+
+def _diamond(k: int, labels: bool):
+    """M_k: bottom 0, atoms 1..k, top k + 1."""
+    n = k + 2
+    leq = np.array([[a == b or a == 0 or b == n - 1 for b in range(n)]
+                    for a in range(n)])
+    return build_from_leq(n, leq, labels=[f"e{i}" for i in range(n)]
+                          if labels else None)
+
+
+def _same_lattice(L1, L2):
+    assert (L1.n, L1.bottom, L1.top, L1.labels) == \
+        (L2.n, L2.bottom, L2.top, L2.labels)
+    for field in ("leq", "meet", "join", "lo", "hi"):
+        a, b = getattr(L1, field), getattr(L2, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+def _assert_read_directly(text: str) -> dict:
+    """The document read from text without the json module, which must
+    match the json module's reading of it."""
+    doc = _direct_lattice_document(text.encode("utf-8"))
+    assert doc is not None
+    want = json.loads(text)
+    assert doc["leq"].dtype == bool
+    assert np.array_equal(doc["leq"], np.array(want["leq"], dtype=bool))
+    assert {**doc, "leq": None} == {**want, "leq": None}
+    return doc
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_R(Schema(("a", "b"), ("0", "1"))).lattice,
+    lambda: typed_R(typed_map_from_fibers([4, 2])).lattice,
+    lambda: _diamond(11, labels=True),
+    lambda: _diamond(11, labels=False),
+    lambda: chain(1),
+], ids=["R22", "typed42", "M11-labels", "M11", "one-element"])
+def test_reader_reads_written_lattices_as_json_does(tmp_path, make):
+    L = make()
+    path = tmp_path / "l.json"
+    _dump(lattice_document(L), str(path))
+    text = path.read_text(encoding="utf-8")
+    doc = _assert_read_directly(text)
+    _same_lattice(lattice_from_json(doc), lattice_from_json(json.loads(text)))
+    with stats.collect() as counters:
+        _same_lattice(_load_lattice(str(path), DEFAULT_CAPS), L)
+    assert counters == {"lattice_docs_direct": 1}
+
+
+@st.composite
+def random_orders(draw):
+    """A random partial order on at most 12 elements, relabelled, with
+    labels or without."""
+    n = draw(st.integers(1, 12))
+    strict = np.triu(np.array(draw(st.lists(st.booleans(), min_size=n * n,
+                                            max_size=n * n))).reshape(n, n), 1)
+    leq = np.eye(n, dtype=bool) | strict
+    for _ in range(n):
+        leq = leq | (leq.astype(int) @ leq.astype(int) > 0)
+    perm = np.array(draw(st.permutations(range(n))))
+    labels = draw(st.none() | st.lists(st.text(max_size=3), min_size=n,
+                                       max_size=n))
+    return leq[np.ix_(perm, perm)], labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_orders())
+def test_reader_reads_random_orders_as_json_does(order):
+    leq, labels = order
+    doc = {"n": len(leq), "leq": leq}
+    if labels is not None:
+        doc["labels"] = labels
+    text = written_text(doc)
+    read = _assert_read_directly(text)
+    try:
+        want = lattice_from_json(json.loads(text))
+    except RellatError as e:
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            lattice_from_json(read)
+    else:
+        _same_lattice(lattice_from_json(read), want)
+
+
+def _other_rows(text: str) -> str:
+    """The rows of the dual of the document's order, laid out as the writer
+    lays out a top-level matrix."""
+    leq = np.array(json.loads(text)["leq"], dtype=bool).T
+    return "".join(_order_chunks(leq, "  "))
+
+
+def _row_start(text: str, row: int) -> int:
+    """Where the given row of the document's leq starts."""
+    at = text.index('"leq": [')
+    for _ in range(row + 1):
+        at = text.index("\n    [", at + 1)
+    return at
+
+
+def _replace_in_row(text: str, row: int, old: str, new: str) -> str:
+    """text with the first `old` in the given row of leq replaced."""
+    i = text.index(old, _row_start(text, row))
+    return text[:i] + new + text[i + len(old):]
+
+
+# Each variant of a written document (N5 with labels) is read through the
+# json module; its answer or error is the json module's.
+READER_FALLBACKS = {
+    "compact": lambda t: json.dumps(json.loads(t), separators=(",", ":")),
+    "true-false": lambda t: json.dumps(
+        {**json.loads(t), "leq": [[bool(c) for c in row]
+                                  for row in json.loads(t)["leq"]]},
+        indent=2, sort_keys=True),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "extra-space": lambda t: _replace_in_row(t, 2, ",\n", " ,\n"),
+    "tab-in-row": lambda t: _replace_in_row(t, 2, "\n      ", "\n     \t"),
+    "tab-in-closing": lambda t: t.replace("\n    ]\n  ]", "\n    ]\n \t]"),
+    "cell-2": lambda t: _replace_in_row(t, 3, "0", "2"),
+    "ragged": lambda t: _replace_in_row(t, 1, ",\n      0", ""),
+    "n-disagrees": lambda t: t.replace('"n": 5', '"n": 4'),
+    "nested-leq-first": lambda t: t.replace(
+        "{\n", '{\n  "a": {"leq": ' + _other_rows(t) + "},\n", 1),
+    "nested-leq-and-null": lambda t: t.replace(
+        "{\n", '{\n  "a": {"leq": ' + _other_rows(t) + "},\n", 1).replace(
+        '\n  "leq": [\n    [', '\n  "leq": null,\n  "x": [\n    [', 1),
+    "duplicate-leq-other-first": lambda t: t.replace(
+        '\n  "leq": ', '\n  "leq": ' + _other_rows(t) + ',\n  "leq": ', 1),
+    "duplicate-leq-other-last": lambda t: t.replace(
+        '\n  "n": ', '\n  "leq": ' + _other_rows(t) + ',\n  "n": ', 1),
+    "list-holding-leq": lambda t: '[\n  {"leq": ' + _other_rows(t)
+    + '},\n  "leq"\n]',
+    "bom": lambda t: "\ufeff" + t,
+    "cut-in-rows": lambda t: t[:_row_start(t, 2) + 20],
+    "cut-after-rows": lambda t: t[:t.index("\n    ]\n  ]") + 10],
+}
+
+
+@pytest.mark.parametrize("name", list(READER_FALLBACKS))
+def test_reader_falls_back_to_json(tmp_path, capsys, name):
+    written = written_text(lattice_document(pentagon_n5())) + "\n"
+    text = READER_FALLBACKS[name](written)
+    path = tmp_path / "l.json"
+    path.write_bytes(text.encode("utf-8"))
+    assert _direct_lattice_document(path.read_bytes()) is None
+    argv = ["check", "eq", "--eq", "Dist", "--lattice", str(path)]
+    stats_path = str(tmp_path / "stats.json")
+    code, report, err = run(capsys, "--stats", stats_path, *argv)
+    with open(stats_path) as fh:
+        assert json.load(fh).get("lattice_docs_parsed") == 1
+    # the answer or error the json module's document gives
+    with open(path, encoding="utf-8") as fh:
+        try:
+            want = lattice_from_json(json.load(fh))
+        except ValueError as e:
+            assert (code, report) == (2, None)
+            assert err == f"error: {path} is not a JSON document: {e}\n"
+            return
+        except RellatError as e:
+            assert (code, report, err) == (2, None, f"error: {e}\n")
+            return
+    got = lattice_from_json(_lattice_document(str(path)))
+    _same_lattice(got, want)
+    assert code == (0 if report["result"]["verdict"] == "holds" else 1)
+
+
+def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
+                                                                 capsys,
+                                                                 r22_file):
+    prod, two = str(tmp_path / "prod.json"), str(tmp_path / "two.json")
+    assert main(["build", "product", "--components", "2", "--n", "2",
+                 "--out", prod]) == 0
+    assert main(["build", "frame", "--rels", "0,0;0,1", "--out", two]) == 0
+    capsys.readouterr()
+    stats_path = tmp_path / "stats.json"
+    for argv, keys in (
+            (["check", "iso", "--lattice", r22_file, "--other", r22_file],
+             {"lattice_docs_direct", "search_nodes"}),
+            (["search", "pmorphism", "--src", prod, "--dst", two],
+             {"pmorphism_nodes"}),
+            (["odgraph", "extract", "--lattice", r22_file, "--out", "OUT"],
+             {"lattice_docs_direct"})):
+        plain_out, counted_out = tmp_path / "plain.json", tmp_path / "counted.json"
+        assert main([str(plain_out) if a == "OUT" else a for a in argv]) in (0, 1)
+        plain = capsys.readouterr().out
+        assert main(["--stats", str(stats_path)]
+                    + [str(counted_out) if a == "OUT" else a for a in argv]) in (0, 1)
+        assert capsys.readouterr().out == plain.replace(str(plain_out),
+                                                        str(counted_out))
+        if "OUT" in argv:
+            assert plain_out.read_bytes() == counted_out.read_bytes()
+        counters = json.loads(stats_path.read_text())
+        assert counters.keys() == keys and all(v > 0 for v in counters.values())

@@ -13,6 +13,7 @@ from rellat import (
     EnumerationCapExceeded,
     NotAnUltraSpace,
     NotSurjective,
+    RellatError,
     Schema,
     SchemaMismatch,
     act,
@@ -531,6 +532,31 @@ def test_bc_witness_matches_row_by_row_walk(attrs, dom):
         assert (None if w is None else (w.x1, w.x2, w.t)) == want, idx
         failing += want is not None
     assert 0 < failing < 40
+
+
+def test_bc_witness_past_the_first_round_of_x1():
+    # points of H(9,2) that agree on the first six attributes, so every X1
+    # inside those six acts as the empty set and each least witness has
+    # X1 >= 64: past the first round of X1 values (32 for four points, 42
+    # for three, 64 for two), against the row-by-row walk
+    schema = Schema(tuple("abcdefghi"), ("0", "1"))
+    for tails in (("000", "011"), ("000", "011", "101"),
+                  ("001", "010", "100", "111")):
+        space = hamming_space(schema, points=["000000" + t for t in tails])
+        w = bc_identity_check(space)
+        assert w.x1 >= 64
+        assert (w.x1, w.x2, w.t) == oracles.bc_identity_witness(
+            relational._act_table(space, DEFAULT_CAPS))
+
+
+def test_hamming_points_match_the_subspace_of_the_full_space():
+    schema = Schema(tuple("abc"), ("0", "1", "2"))
+    full = hamming_space(schema)
+    for labels in (["212", "000"], ["012"], ["111", "000", "222", "021"]):
+        sub = hamming_space(schema, points=labels)
+        assert sub == subspace(full, sorted(full.points.index(p) for p in labels))
+    with pytest.raises(RellatError, match=r"unknown points: \['33'\]"):
+        hamming_space(schema, points=["000", "33"])
 
 
 def test_join_formula_shortcut_on_pairwise_complete_space(hamming22):
