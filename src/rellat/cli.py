@@ -629,8 +629,6 @@ def _cmd_search_sublattice(args) -> int:
             if tried > caps.search_nodes:
                 raise SearchBudgetExceeded(tried, caps.search_nodes)
             sub, incl = sublattice_closure(L, seed, caps)
-            if len(sub.join_irreducibles()) > caps.max_ji:
-                continue
             g = extract_od_graph(sub, caps)
             hit = goal(g)
             if hit is not None:

@@ -9,7 +9,8 @@ One scan, in one process, covers the space as a product of axes: one per
 outer variable, with its n values, and one per block. A block is a run of
 consecutive sorted variables that reaches the terms only through fewer
 subterms than it has variables, as y0..y2 reach Unjp only through ld(ys)
-and rd(ys); a cost model picks the blocks. For each lattice a block's tuples
+and rd(ys). The blocks are disjoint runs taken shortest first, then
+leftmost, so they are fixed per inclusion. For each lattice a block's tuples
 are enumerated once and grouped into classes by the values of those
 interface subterms, and its axis runs over the classes, each standing for
 its lexicographically least tuple; so the first violation found is the
@@ -298,49 +299,6 @@ def _factor(t: Term, block: frozenset[str], faces: dict[Term, int],
     return type(t)(tuple(args))
 
 
-@functools.lru_cache(maxsize=256)
-def _runs(inc: Inclusion) -> tuple[tuple[int, int, int], ...]:
-    """(start, stop, interface count) of the candidate blocks: the runs of
-    the sorted variables, short of all of them, with fewer interface subterms
-    than variables and no shorter such run inside. A run around a smaller
-    block would enumerate that block's tuples once per value of its other
-    variables; the smaller block alone enumerates them once."""
-    names = inc.variables
-    k = len(names)
-    found = []
-    for size in range(2, k):
-        for i in range(k - size + 1):
-            j = i + size
-            if any(i <= a and b <= j for a, b, _ in found):
-                continue
-            faces: dict[Term, int] = {}
-            for side in (inc.lhs, inc.rhs):
-                _factor(side, frozenset(names[i:j]), faces, "")
-            if len(faces) < size:
-                found.append((i, j, len(faces)))
-    return tuple(sorted(found))
-
-
-def _choose_blocks(runs, k: int, n: int) -> tuple[tuple[int, int], ...]:
-    """The runs to enumerate as blocks: the partition of the k variables into
-    blocks and single outer variables that minimises the block enumerations,
-    sum of n^|B|, plus the bound prod n^m_B * n^outer on the space scanned.
-    Empty unless that beats the plain scan's n^k."""
-    # best[i][e]: (least enumeration cost, blocks) over the first i
-    # variables with scan-space exponent e
-    best: list[dict[int, tuple[int, tuple]]] = [{} for _ in range(k + 1)]
-    best[0][0] = (0, ())
-    for i in range(k):
-        for e, (cost, blocks) in list(best[i].items()):
-            steps = [(i + 1, e + 1, cost, blocks)]
-            steps += [(j, e + m, cost + n ** (j - i), blocks + ((i, j),))
-                      for a, j, m in runs if a == i]
-            for j, e2, c2, b2 in steps:
-                if e2 not in best[j] or c2 < best[j][e2][0]:
-                    best[j][e2] = (c2, b2)
-    return min((c + n ** e, b) for e, (c, b) in best[k].items())[1]
-
-
 def _ac_form(t: Term):
     """t up to the order of meet and join arguments: a variable's name, or
     the node's type with the frozenset of its arguments' forms."""
@@ -359,38 +317,51 @@ def _swap_fixes(inc: Inclusion, left, right) -> bool:
 
 
 @functools.lru_cache(maxsize=256)
-def _plan(inc: Inclusion, n: int):
-    """The scan of inc over n-element lattices: (segments, lprog, rprog),
-    one segment (start, stop, progs, paired) per axis of the scanned space.
-    progs is None for an outer variable and, for a block chosen by the cost
-    model, its interface programs over the block's own variables. A paired
-    segment is two adjacent equal halves, two outer variables or two blocks
-    with the same programs, that a swap of the halves maps onto each other
-    while fixing both sides of inc; disjoint pairs are taken leftmost first.
-    The programs read one column per outer variable and per interface
-    subterm, in the order of the variables."""
+def _plan(inc: Inclusion):
+    """The scan of inc: (segments, lprog, rprog), one segment
+    (start, stop, progs, paired) per axis of the scanned space.
+
+    The blocks are disjoint runs of the sorted variables, short of all of
+    them, with fewer interface subterms than variables: windows are tried
+    shortest first, then leftmost, and each one that overlaps no block
+    taken so far is factored out of the sides as already factored. A run
+    around a smaller block would enumerate that block's tuples once per
+    value of its other variables; the smaller block alone enumerates them
+    once. progs is None for an outer variable and, for a block, its
+    interface programs over the block's own variables. A paired segment is
+    two adjacent equal halves, two outer variables or two blocks with the
+    same programs, that a swap of the halves maps onto each other while
+    fixing both sides of inc; disjoint pairs are taken leftmost first. The
+    programs read one column per outer variable and per interface subterm,
+    in the order of the variables."""
     names = inc.variables
-    blocks = dict(_choose_blocks(_runs(inc), len(names), n))
+    k = len(names)
     lhs, rhs = inc.lhs, inc.rhs
+    blocks: dict[int, tuple[int, tuple]] = {}
+    for size in range(2, k):
+        for i in range(k - size + 1):
+            j = i + size
+            if any(i < b and a < j for a, (b, _) in blocks.items()):
+                continue
+            tag = f"#{i}."
+            block = frozenset(names[i:j])
+            faces: dict[Term, int] = {}
+            sides = [_factor(side, block, faces, tag) for side in (lhs, rhs)]
+            if len(faces) < size:
+                lhs, rhs = sides
+                local = {name: p for p, name in enumerate(names[i:j])}
+                blocks[i] = j, tuple(_compile(t, local) for t in faces)
     var_index: dict[str, int] = {}
     segments = []
     i = 0
-    while i < len(names):
-        if i not in blocks:
+    while i < k:
+        j, progs = blocks.get(i, (i + 1, None))
+        if progs is None:
             var_index[names[i]] = len(var_index)
-            segments.append((i, i + 1, None))
-            i += 1
-            continue
-        j = blocks[i]
-        tag = f"#{i}."
-        block = frozenset(names[i:j])
-        faces: dict[Term, int] = {}
-        lhs = _factor(lhs, block, faces, tag)
-        rhs = _factor(rhs, block, faces, tag)
-        local = {name: p for p, name in enumerate(names[i:j])}
-        for f in range(len(faces)):
-            var_index[f"{tag}{f}"] = len(var_index)
-        segments.append((i, j, tuple(_compile(t, local) for t in faces)))
+        else:
+            for f in range(len(progs)):
+                var_index[f"#{i}.{f}"] = len(var_index)
+        segments.append((i, j, progs))
         i = j
     merged = []
     for i, j, progs in segments:
@@ -491,7 +462,7 @@ def check_inclusion(
         total = n**k
         if total > caps.eval_budget:
             raise BudgetExceeded(total, caps.eval_budget)
-        first = _scan(L.meet, L.join, L.leq, _plan(inc, n), n)
+        first = _scan(L.meet, L.join, L.leq, _plan(inc), n)
         if first is None:
             return CheckResult("holds", None, total, "exhaustive")
         witness = {name: first // n ** (k - 1 - i) % n

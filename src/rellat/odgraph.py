@@ -42,6 +42,7 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
+    _row_blocks,
     _subset_table,
     build_from_closed_family,
     make_closed_family,
@@ -160,22 +161,30 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
     n = len(elems)
     if len(set(elems)) != n:
         raise BadODGraph("duplicate element labels")
-    pairs = set()
+    lo, hi = [], []
     for a, b in leq_pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise BadODGraph(f"order pair ({a},{b}) out of range")
-        if a != b:
-            pairs.add((a, b))
-    for a, b in pairs:
-        if (b, a) in pairs:
-            raise BadODGraph(f"order not antisymmetric at ({a},{b})")
-    for a, b in pairs:
-        for c in range(n):
-            if (b, c) in pairs and (a, c) not in pairs and a != c:
-                raise BadODGraph(f"order not transitive at ({a},{b},{c})")
+        lo.append(a)
+        hi.append(b)
+    lt = np.zeros((n, n), dtype=bool)
+    lt[np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)] = True
+    np.fill_diagonal(lt, False)
+    both = lt & lt.T
+    if both.any():
+        a, b = map(int, np.argwhere(both)[0])
+        raise BadODGraph(f"order not antisymmetric at ({a},{b})")
+    # a < b < c without a < c; antisymmetry rules out a = c
+    d = lt.astype(np.float32)
+    for r0, r1 in _row_blocks(n, n):
+        broken = (d[r0:r1] @ d > 0) & ~lt[r0:r1]
+        if broken.any():
+            a = r0 + int(np.argmax(broken.any(axis=1)))
+            b = int(np.argmax(lt[a] & (d @ ~lt[a] > 0)))
+            c = int(np.argmax(lt[b] & ~lt[a]))
+            raise BadODGraph(f"order not transitive at ({a},{b},{c})")
     if len(jp) != n:
         raise BadODGraph("jp flag count does not match element count")
-    leq = {(a, b) for a, b in pairs} | {(i, i) for i in range(n)}
     entries = set()
     for k, cov in mjc:
         c = tuple(sorted(set(cov)))
@@ -183,13 +192,13 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
             raise BadODGraph(f"cover entry ({k},{c}) out of range")
         if not c:
             raise BadODGraph(f"empty cover for element {k}")
-        for a in c:
-            for b in c:
-                if a != b and (a, b) in leq:
-                    raise BadODGraph(f"cover {c} of {k} is not an antichain")
+        if lt[np.ix_(c, c)].any():
+            raise BadODGraph(f"cover {c} of {k} is not an antichain")
         entries.add((k, c))
-    for j in range(n):
-        own = [c for k, c in entries if k == j]
+    covers: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for k, c in entries:
+        covers[k].append(c)
+    for j, own in enumerate(covers):
         if (j,) not in own:
             raise BadODGraph(f"element {j} is missing its trivial cover")
         if jp[j] and len(own) != 1:
@@ -199,7 +208,7 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
                              "the trivial cover")
     return ODGraph(
         elems=tuple(str(e) for e in elems),
-        leq_pairs=tuple(sorted(pairs)),
+        leq_pairs=tuple(zip(*(x.tolist() for x in np.nonzero(lt)))),
         jp=tuple(bool(x) for x in jp),
         mjc=tuple(sorted(entries)),
     )

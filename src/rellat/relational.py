@@ -343,18 +343,43 @@ def _product_space(schema: Schema, values: Sequence[Sequence[int]],
     if count > caps.max_enum:
         raise EnumerationCapExceeded(count, caps.max_enum)
     full = schema.full_header
-    codes = [schema.encode_row(full, choice)
-             for choice in itertools.product(*values)]
-    labels = [schema.row_label(full, c) for c in codes]
+    choices = itertools.product(*values)
     if points is not None:
-        index = {p: i for i, p in enumerate(labels)}
-        missing = [p for p in points if p not in index]
-        if missing:
-            raise RellatError(f"unknown points: {missing}; have {labels}")
-        keep = sorted(index[p] for p in points)
-        codes, labels = [codes[i] for i in keep], [labels[i] for i in keep]
+        picks = [_choice_of(schema, values, p) for p in points]
+        if None in picks:
+            # a label that does not parse back: look it up among every
+            # row's label, which also names the unknown ones
+            choices = list(choices)
+            labels = [schema.row_label(full, schema.encode_row(full, c))
+                      for c in choices]
+            index = {p: i for i, p in enumerate(labels)}
+            missing = [p for p in points if p not in index]
+            if missing:
+                raise RellatError(f"unknown points: {missing}; have {labels}")
+            picks = [choices[index[p]] for p in points]
+        rank = [{v: r for r, v in enumerate(vs)} for vs in values]
+        choices = sorted(picks, key=lambda c: [r[v] for r, v in zip(rank, c)])
+    codes = [schema.encode_row(full, c) for c in choices]
+    labels = [schema.row_label(full, c) for c in codes]
     d = [[schema.delta(f, g) for g in codes] for f in codes]
     return make_space(schema.attrs, labels, d)
+
+
+def _choice_of(schema: Schema, values: Sequence[Sequence[int]],
+               label: str) -> tuple[int, ...] | None:
+    """The value choice from `values` whose full-header row is labelled
+    `label`, read as one character per attribute or as "(v0,v1,...)", or
+    None if that reading gives no choice that renders back to `label`."""
+    parts = list(label) if len(label) == len(values) else label[1:-1].split(",")
+    index = {d: i for i, d in enumerate(schema.dom)}
+    choice = tuple(index.get(name, -1) for name in parts)
+    if len(choice) != len(values) or \
+            any(v not in vs for v, vs in zip(choice, values)):
+        return None
+    full = schema.full_header
+    if schema.row_label(full, schema.encode_row(full, choice)) != label:
+        return None
+    return choice
 
 
 def hamming_space(schema: Schema, caps: Caps = DEFAULT_CAPS,

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report shape, reproducibility."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -509,6 +510,20 @@ def test_search_sublattice_budget_exit(capsys, r22_file):
     assert code == 3
     assert doc["error"]["type"] == "SearchBudgetExceeded"
     assert doc["error"]["detail"] == "search node 3 exceeds the search_nodes cap 2"
+
+
+@pytest.mark.parametrize("goal", ["all-prime-cover", "illdefined"])
+def test_search_sublattice_cap_exit(capsys, monkeypatch, r22_file, goal):
+    # the closure of seed (0, 1) has two irreducibles: past max_ji = 1, its
+    # extraction raises rather than the seed being skipped
+    from rellat import cli
+
+    monkeypatch.setattr(cli, "DEFAULT_CAPS",
+                        dataclasses.replace(DEFAULT_CAPS, max_ji=1))
+    code, doc, _ = run(capsys, "search", "sublattice", "--lattice", r22_file,
+                       "--goal", goal, "--max-seed", "2")
+    assert code == 3
+    assert doc["error"]["type"] == "CoverEnumerationCapExceeded"
 
 
 def test_search_sublattice_not_found(tmp_path, capsys):

@@ -185,9 +185,9 @@ def outcome(res):
     return res.verdict, res.witness, res.evaluations
 
 
-def has_block(inc, n):
-    """Whether the scan of inc over n-element lattices has a block axis."""
-    return any(progs is not None for _, _, progs, _ in equations._plan(inc, n)[0])
+def has_block(inc):
+    """Whether the scan of inc has a block axis."""
+    return any(progs is not None for _, _, progs, _ in equations._plan(inc)[0])
 
 
 def relabel(L, perm):
@@ -204,11 +204,10 @@ def relabel_downward(L):
 @pytest.mark.parametrize("name", ["Unjp", "RL2", "RMod", "Sym"])
 def test_factored_scan_matches_plain_scan(small_lattices, name):
     inc = CATALOG[name]
+    assert has_block(inc)
     lattices = [L for L in small_lattices if L.n <= 6]
     lattices += [relabel_downward(L) for L in lattices if L.n <= 5]
     for L in lattices:
-        if L.n > 2:
-            assert has_block(inc, L.n)
         res = check_inclusion(L, inc)
         assert outcome(res) == oracles.plain_scan(L, inc)
 
@@ -216,11 +215,14 @@ def test_factored_scan_matches_plain_scan(small_lattices, name):
 @pytest.mark.parametrize("text", [
     "x ^ y0 ^ (y1 v y2) <= (y0 ^ y1) v (y0 ^ y2)",
     "(y0 ^ y1) v x <= (x v y0) ^ (x v y1) ^ w",
+    # the runs (x, y) and (y, z) overlap
+    "x ^ y ^ z <= w",
 ])
 def test_factored_scan_under_relabeling(small_lattices, text):
     """Block classes scanned in the order of their least tuples, which under
     shuffled element labels is far from the order of their values."""
     inc = parse(text)
+    assert has_block(inc)
     rng = random.Random(0)
     for L in small_lattices:
         if not 3 <= L.n <= 6:
@@ -229,7 +231,6 @@ def test_factored_scan_under_relabeling(small_lattices, text):
             perm = list(range(L.n))
             rng.shuffle(perm)
             L2 = relabel(L, perm)
-            assert has_block(inc, L2.n)
             res = check_inclusion(L2, inc)
             assert outcome(res) == oracles.plain_scan(L2, inc)
 
@@ -247,10 +248,10 @@ def test_factored_scan_across_chunks(m3, n5, monkeypatch, name):
 
 
 def test_catalog_blocks():
-    """The runs of sorted variables each law is factored over, at n = 7."""
+    """The runs of sorted variables each law is factored over."""
     got = {}
     for name, inc in CATALOG.items():
-        segments = equations._plan(inc, 7)[0]
+        segments = equations._plan(inc)[0]
         names = inc.variables
         got[name] = []
         for i, j, progs, paired in segments:
@@ -262,16 +263,25 @@ def test_catalog_blocks():
                    "Unjp": [ys, zs], "RL2": [ys, zs], "RMod": [zs], "Sym": [zs]}
 
 
-def symmetric_pairs(inc, n):
-    """The halves of each paired segment in the scan of inc at n."""
+def test_overlapping_runs_take_the_leftmost():
+    # (x, y) and (y, z) each reach the sides through one meet; the block is
+    # the leftmost shortest run, fixed per inclusion
+    inc = parse("x ^ y ^ z <= w")
+    blocks = [inc.variables[i:j]
+              for i, j, progs, _ in equations._plan(inc)[0] if progs is not None]
+    assert blocks == [("x", "y")]
+
+
+def symmetric_pairs(inc):
+    """The halves of each paired segment in the scan of inc."""
     names = inc.variables
     return [(names[i:(i + j) // 2], names[(i + j) // 2:j])
-            for i, j, _, paired in equations._plan(inc, n)[0] if paired]
+            for i, j, _, paired in equations._plan(inc)[0] if paired]
 
 
 def test_catalog_symmetric_pairs():
-    """The variable swaps each law's scan folds into a triangle, at n = 7."""
-    got = {name: symmetric_pairs(inc, 7) for name, inc in CATALOG.items()}
+    """The variable swaps each law's scan folds into a triangle."""
+    got = {name: symmetric_pairs(inc) for name, inc in CATALOG.items()}
     ys, zs = ("y0", "y1", "y2"), ("z0", "z1", "z2")
     yz = [(("y",), ("z",))]
     assert got == {"Dist": yz, "RL1": yz, "SymPC": yz, "VarRL1": yz,
@@ -304,7 +314,7 @@ def test_least_witness_has_first_half_strictly_lower(m3, name, first, second):
     # the least witness lies strictly inside the triangle, so a scan of the
     # other triangle (first half >= second) finds its mirror image instead
     inc = CATALOG[name]
-    assert symmetric_pairs(inc, m3.n) == [(first, second)]
+    assert symmetric_pairs(inc) == [(first, second)]
     res = check_inclusion(m3, inc)
     assert [res.witness[v] for v in first] < [res.witness[v] for v in second]
     assert outcome(res) == oracles.plain_scan(m3, inc)
@@ -324,9 +334,9 @@ def test_least_witness_has_first_half_strictly_lower(m3, name, first, second):
 ])
 def test_unfixed_swaps_take_unreduced_scan(small_lattices, text):
     inc = parse(text)
+    assert symmetric_pairs(inc) == []
     for L in small_lattices:
         if 2 <= L.n <= 6:
-            assert symmetric_pairs(inc, L.n) == []
             assert outcome(check_inclusion(L, inc)) == oracles.plain_scan(L, inc)
 
 
@@ -355,7 +365,7 @@ def test_scan_counts_chunks_up_to_the_witness(m3, monkeypatch):
 def test_scan_counts_block_classes(m3):
     with stats.collect() as counters:
         check_inclusion(m3, CATALOG["RMod"])
-    segments = equations._plan(CATALOG["RMod"], m3.n)[0]
+    segments = equations._plan(CATALOG["RMod"])[0]
     classes = equations._classes(m3.meet, m3.join, segments[-1][2], m3.n, 3)[0]
     assert counters["blocks"] == 1
     assert counters["block_classes"] == len(classes) < m3.n ** 3
@@ -368,8 +378,8 @@ def test_interleaved_block_takes_plain_scan(m3, n5):
     inc = parse("b ^ (d v (a ^ (c v e))) <= (b ^ (d v (a ^ c) v (a ^ e)))"
                 " v (b ^ (d v (a ^ (c v e) ^ (d v b))))")
     assert inc.variables == ("a", "b", "c", "d", "e")
+    assert not has_block(inc)
     for L in (m3, n5):
-        assert not has_block(inc, L.n)
         assert_matches_slow_scan(L, inc)
 
 
@@ -377,8 +387,8 @@ def test_witness_in_later_block_class(m3):
     # y0..y2 reach the term only through ld and rd. The block's first class
     # is that of the tuple (0, 0, 0); this witness's tuple lies in another
     inc = Inclusion(mk_meet([Var("x"), ld(*YS)]), rd(*YS))
+    assert has_block(inc)
     for L in (m3, relabel_downward(m3)):
-        assert has_block(inc, L.n)
         res = check_inclusion(L, inc)
         assert res.verdict == "counterexample"
         assert [res.witness[y.name] for y in YS] != [0, 0, 0]
@@ -441,7 +451,7 @@ def test_no_block_scan_matches_plain_scan(m3, n5, monkeypatch, text, chunk):
     inc = CATALOG[text] if text in CATALOG else parse(text)
     lattices = [m3, n5, relabel_downward(m3), relabel_downward(n5),
                 shuffled(m3), shuffled(n5)]
-    assert not has_block(inc, 5)
+    assert not has_block(inc)
     want = [oracles.plain_scan(L, inc) for L in lattices]
     monkeypatch.setattr(equations, "_CHUNK", chunk)
     for L, expected in zip(lattices, want):

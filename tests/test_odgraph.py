@@ -176,6 +176,55 @@ def test_cover_members_must_be_antichain(n5):
                       [(k, list(c)) for k, c in g.mjc] + [(2, [0, 2])])
 
 
+def chain_graph(n):
+    """The od-graph of an n-element chain's irreducibles: a chain again,
+    every element join-prime."""
+    return ([str(i) for i in range(n)],
+            [(a, b) for a in range(n) for b in range(a + 1, n)],
+            [True] * n, [(j, [j]) for j in range(n)])
+
+
+def test_long_chain_graph_validates():
+    # 499,500 order pairs, checked as one boolean matrix
+    start = time.perf_counter()
+    g = make_od_graph(*chain_graph(1000))
+    assert time.perf_counter() - start < 10
+    assert g.leq_pairs == tuple(sorted(chain_graph(1000)[1]))
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ([(3, 2), (2, 3), (1, 0), (0, 1)], "order not antisymmetric at (0,1)"),
+    ([(3, 1), (1, 4), (2, 1), (0, 2)], "order not transitive at (0,2,1)"),
+])
+def test_order_witness_is_least(pairs, message):
+    elems, _, jp, mjc = chain_graph(5)
+    with pytest.raises(BadODGraph) as err:
+        make_od_graph(elems, pairs, jp, mjc)
+    assert str(err.value) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=16))
+def test_order_witness_matches_pair_loops(pairs):
+    # the lexicographically least (a, b) with a < b < a, else the least
+    # (a, b, c) with a < b < c but not a < c
+    lt = {(a, b) for a, b in pairs if a != b}
+    anti = [(a, b) for a, b in sorted(lt) if (b, a) in lt]
+    trans = [(a, b, c) for a, b in sorted(lt) for c in range(6)
+             if (b, c) in lt and (a, c) not in lt and a != c]
+    elems, _, jp, mjc = chain_graph(6)
+    if anti:
+        want = "order not antisymmetric at ({},{})".format(*anti[0])
+    elif trans:
+        want = "order not transitive at ({},{},{})".format(*trans[0])
+    else:
+        assert make_od_graph(elems, pairs, jp, mjc).leq_pairs == tuple(sorted(lt))
+        return
+    with pytest.raises(BadODGraph) as err:
+        make_od_graph(elems, pairs, jp, mjc)
+    assert str(err.value) == want
+
+
 def test_graph_json_round_trip(g22):
     assert od_graph_from_json(od_graph_to_json(g22)) == g22
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -557,6 +558,38 @@ def test_hamming_points_match_the_subspace_of_the_full_space():
         assert sub == subspace(full, sorted(full.points.index(p) for p in labels))
     with pytest.raises(RellatError, match=r"unknown points: \['33'\]"):
         hamming_space(schema, points=["000", "33"])
+
+
+def test_hamming_points_are_read_from_their_labels():
+    # rows with a two-character value render in parentheses; a label must
+    # render back to itself, and one that is no row's label is named in the
+    # error beside every row's label, as before
+    schema = Schema(tuple("ab"), tuple(str(i) for i in range(11)))
+    full = hamming_space(schema)
+    labels = ["(10,1)", "(0,10)", "99", "00"]
+    sub = hamming_space(schema, points=labels)
+    assert sub == subspace(full, sorted(full.points.index(p) for p in labels))
+    for bad in ("(0,1)", "(10,1", "0", "(1,2,3)", "1 0"):
+        with pytest.raises(RellatError) as err:
+            hamming_space(schema, points=["00", bad])
+        assert str(err.value) == \
+            f"unknown points: {[bad]}; have {list(full.points)}"
+    # a value name holding a comma does not parse back, so its row is
+    # looked up among all rows' labels
+    schema = Schema(tuple("ab"), ("x,", "y"))
+    full = hamming_space(schema)
+    assert hamming_space(schema, points=["(y,x,)", "yy"]) == \
+        subspace(full, [full.points.index("(y,x,)"), full.points.index("yy")])
+
+
+def test_hamming_points_of_a_wide_space_skip_the_other_rows():
+    # two of the 2^20 rows of H(20, 2): only their labels are parsed
+    schema = Schema(tuple("abcdefghijklmnopqrst"), ("0", "1"))
+    start = time.perf_counter()
+    space = hamming_space(schema, points=["1" * 20, "0" * 20])
+    assert time.perf_counter() - start < 5
+    assert space.points == ("0" * 20, "1" * 20)
+    assert space.dist == ((0, (1 << 20) - 1), ((1 << 20) - 1, 0))
 
 
 def test_join_formula_shortcut_on_pairwise_complete_space(hamming22):
