@@ -31,6 +31,17 @@ scan finds the same witness over about half the space, and the evaluation
 count stays defined on the raw space. A variable pair's triangle holds half
 as many entries as a meet table.
 
+The same argument runs over the automorphisms of the lattice. When the
+first segment is one unpaired outer variable and the space holds more than
+_CHUNK entries, that variable runs over `lattice.orbit_minima` only, the
+elements least in their orbit. An automorphism maps violations to
+violations, so a violation whose first value is not least in its orbit has
+an image with a smaller first value, which is lexicographically smaller;
+the least violation's first value is therefore an orbit minimum, and the
+later axes are scanned for it as before. R(2,3) and typed 4,2 have 32
+orbit minima each, of 530 and 278 elements. Smaller spaces keep the full
+axis and search for no automorphisms.
+
 Sampled mode draws from a seeded generator and is reproducible from
 (seed, samples). Every counterexample is re-verified by the scalar evaluator
 before being reported.
@@ -54,7 +65,7 @@ from .errors import (
     UnboundVariable,
     UnknownEquation,
 )
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, orbit_minima
 from .terms import (
     Inclusion,
     Join,
@@ -399,14 +410,19 @@ def _classes(meet, join, progs, n: int, s: int):
     return ranks, [(keys // n ** (m - 1 - f)) % n for f in range(m)]
 
 
-def _scan(meet, join, leq, plan, n: int) -> int | None:
+def _scan(L: FiniteLattice, plan) -> int | None:
     """Rank of the lexicographically least violating valuation, or None.
     Scans one axis per segment of the plan: an outer variable's n values or
     a block's classes, each standing for its least tuple, so the first
     violation found is the least. A paired segment's axis is the triangle
     of entry pairs (a, b), a <= b, in lex order: its swap maps violations
     to violations, so the least one has its first half at or before its
-    second."""
+    second. When the first segment is one unpaired outer variable and the
+    space holds more than _CHUNK entries, its axis runs over the orbit
+    minima of L only: an automorphism maps violations to violations, so a
+    violation whose first value is not least in its orbit has a smaller
+    image, and the least violation's first value is an orbit minimum."""
+    meet, join, leq, n = L.meet, L.join, L.leq, L.n
     segments, lprog, rprog = plan
     axes, ranks = [], []
     for i, j, progs, paired in segments:
@@ -423,6 +439,10 @@ def _scan(meet, join, leq, plan, n: int) -> int | None:
             r = r[a] * n ** width + r[b]
         axes.append((len(r), vals))
         ranks.append(r)
+    _, _, progs, paired = segments[0]
+    if progs is None and not paired and math.prod(len(r) for r in ranks) > _CHUNK:
+        minima = orbit_minima(L)
+        axes[0], ranks[0] = (len(minima), [minima]), minima
     counting = stats.collecting()
     for head, cols in _walk(axes):
         if counting:
@@ -462,7 +482,7 @@ def check_inclusion(
         total = n**k
         if total > caps.eval_budget:
             raise BudgetExceeded(total, caps.eval_budget)
-        first = _scan(L.meet, L.join, L.leq, _plan(inc), n)
+        first = _scan(L, _plan(inc))
         if first is None:
             return CheckResult("holds", None, total, "exhaustive")
         witness = {name: first // n ** (k - 1 - i) % n

@@ -173,10 +173,15 @@ class Caps:
 
     A search node is one value given to one position: an image given to a
     generator (bottom or a join-irreducible) by find_isomorphism and
-    find_embedding, once it passes their down/up-count, order and
-    join-dominance filters; an image given to a world
-    by p_morphism_search, once it passes the forward, back and surjectivity
-    cuts; a seed tried by `rellat search sublattice`.
+    find_embedding, once it passes their down/up-count, pair-count, order
+    and join-dominance filters (the pair counts: the joins and meets of a
+    candidate with the assigned images have down-sets and up-sets at least
+    as large as those of the generators' joins and meets); an image given
+    to a world by p_morphism_search, once it passes the forward, back and
+    surjectivity cuts; a seed tried by `rellat search sublattice`. The
+    automorphism searches behind an exhaustive scan's orbit minima
+    (`lattice.orbit_minima`) have a budget of their own, n + |J|^2 nodes,
+    and keep the orbits found when it runs out, so no cap changes a scan.
     """
 
     max_lattice: int = 4096

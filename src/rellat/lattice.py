@@ -169,6 +169,7 @@ def _subset_table(m: int, seed, step: Callable) -> np.ndarray:
     over a graph's elements; the relational and frame actions use it to
     extend an action from single points to every point set.
     """
+    stats.add("subset_entries", 1 << m)
     t = np.empty((1 << m, *np.shape(seed)), dtype=np.int64)
     t[0] = seed
     for i in range(m):
@@ -437,7 +438,7 @@ def find_isomorphism(
     ji2 = L2.join_irreducibles()
     if L1.n != L2.n or len(L1.join_irreducibles()) != len(ji2):
         return None
-    return _search(L1, L2, [L2.bottom], ji2, caps)
+    return _search(L1, L2, [[L2.bottom]] + [ji2] * len(ji2), caps)[0]
 
 
 def find_embedding(
@@ -450,46 +451,104 @@ def find_embedding(
     """
     if L1.n > L2.n:
         return None
-    return _search(L1, L2, range(L2.n), range(L2.n), caps)
+    gens = 1 + len(L1.join_irreducibles())
+    return _search(L1, L2, [range(L2.n)] * gens, caps)[0]
+
+
+def orbit_minima(L: FiniteLattice) -> np.ndarray:
+    """The elements of L that are least in their orbit under the
+    automorphisms found, ascending; computed once per lattice.
+
+    For each join-irreducible j, ascending, and each later one j2 with the
+    same down-set and up-set sizes that no map found so far has joined to
+    j, `_search` looks for an automorphism sending j to j2 (the least one).
+    The orbits are the components of x ~ phi(x) over the maps found, which
+    pass `_search`'s full meet/join check and so are automorphisms; the
+    orbits of the group they generate (as in McKay, "Practical graph
+    isomorphism", 1981). All these searches share one budget of
+    n + |J|^2 nodes: at most |J| - 1 maps join two orbits, each taking
+    |J| + 1 nodes when nothing backtracks, and n nodes are left for
+    backtracking and failed searches. When the budget runs out the orbits
+    found so far are kept. Every element that is not returned is moved
+    below itself by some automorphism.
+    """
+    if "orbits" not in L._cache:
+        ji = L.join_irreducibles()
+        down, up = L.leq.sum(0), L.leq.sum(1)
+        least = list(range(L.n))            # union-find, rooted at minima
+
+        def root(x: int) -> int:
+            while least[x] != x:
+                least[x] = x = least[least[x]]
+            return x
+
+        pools = [[L.bottom]] + [ji] * len(ji)
+        budget = L.n + len(ji) ** 2
+        try:
+            for a, j in enumerate(ji, 1):
+                for j2 in ji[a:]:
+                    if (down[j2] != down[j] or up[j2] != up[j]
+                            or root(j2) == root(j)):
+                        continue
+                    phi, nodes = _search(
+                        L, L, [*pools[:a], [j2], *pools[a + 1:]],
+                        Caps(search_nodes=budget))
+                    budget -= nodes
+                    for x, y in enumerate(phi or ()):
+                        x, y = sorted((root(x), root(y)))
+                        least[y] = x
+        except SearchBudgetExceeded:
+            pass
+        minima = np.array([x for x in range(L.n) if root(x) == x],
+                          dtype=np.intp)
+        minima.setflags(write=False)            # shared by every caller
+        L._cache["orbits"] = minima
+    return L._cache["orbits"]
 
 
 def _search(
     L1: FiniteLattice,
     L2: FiniteLattice,
-    bottoms: Sequence[int],
-    irreducibles: Sequence[int],
+    pools: Sequence[Sequence[int]],
     caps: Caps,
-) -> list[int] | None:
-    """The least embedding L1 -> L2 that sends bottom into `bottoms` and
-    J(L1) into `irreducibles` (both ascending), or None.
+) -> tuple[list[int] | None, int]:
+    """(phi, nodes): the least embedding L1 -> L2 that sends the generators,
+    bottom and then J(L1) ascending, into their ascending `pools`, or None;
+    and the search nodes it took.
 
-    By the duality a map is fixed by its values on the generators, bottom
-    and J(L1): x goes to the join of the images of the generators below it.
-    Generators take images in that order, each trying its candidates in
-    ascending order, so the first map found is least by (image of bottom,
-    images of J(L1) in index order). Before the search starts, each level's
-    pool keeps only the images y with |down-set of y| >= |down-set of g| and
-    |up-set of y| >= |up-set of g|, since an embedding maps both sets of g
-    injectively into those of its image. Each level then keeps the
-    candidates that compare with every assigned image as their generators
-    compare, and that keep join-dominance c <= a v b among irreducibles;
-    all three filters are necessary, and the order test alone rules out
-    reusing an image. A complete assignment is extended and verified
-    against the full meet and join tables. One search node is one image
-    given to one generator, counted after the down/up-count, order and
-    join-dominance filters. The stack is explicit, so depth costs no
+    By the duality a map is fixed by its values on the generators: x goes
+    to the join of the images of the generators below it. Generators take
+    images in that order, each trying its candidates in ascending order, so
+    the first map found is least by (image of bottom, images of J(L1) in
+    index order). Before the search starts, each level's pool keeps only
+    the images y with |down-set of y| >= |down-set of g| and |up-set of y|
+    >= |up-set of g|, since an embedding maps both sets of g injectively
+    into those of its image. Each level then keeps the candidates y for its
+    generator a that compare with every assigned image as their generators
+    compare; whose joins and meets with each assigned image phi(b) have
+    down-sets and up-sets at least as large as those of a v b and a ^ b
+    (the same count argument, as phi(a v b) = y v phi(b)); and that keep
+    join-dominance c <= a v b among irreducibles. All these filters are
+    necessary, and the order test alone rules out reusing an image. A
+    complete assignment is extended and verified against the full meet and
+    join tables. One search node is one image given to one generator,
+    counted after the filters. The stack is explicit, so depth costs no
     recursion.
     """
     gens = np.array([L1.bottom, *L1.join_irreducibles()], dtype=np.intp)
-    pools = [np.asarray(bottoms, dtype=np.intp)]
-    pools += [np.asarray(irreducibles, dtype=np.intp)] * (len(gens) - 1)
     # down-set and up-set sizes: column and row sums of the order matrix
     down1, up1 = L1.leq.sum(0), L1.leq.sum(1)
     down2, up2 = L2.leq.sum(0), L2.leq.sum(1)
+    pools = [np.asarray(p, dtype=np.intp) for p in pools]
     pools = [p[(down2[p] >= down1[g]) & (up2[p] >= up1[g])]
              for p, g in zip(pools, gens)]
     le1 = L1.leq[np.ix_(gens, gens)]
     incomparable = ~(le1 | le1.T)
+    # per pair of generators, the down-set and up-set sizes of a v b and
+    # a ^ b, with the table that gives the images' join and meet
+    ix = np.ix_(gens, gens)
+    pair = [(down1[t1[ix]], up1[t1[ix]], t2)
+            for t1, t2 in ((L1.join, L2.join), (L1.meet, L2.meet))]
     # incomparable level pairs (p, q), p < q, sorted by q: the pairs whose
     # levels are all assigned before level i form a prefix
     qs, ps = np.nonzero(np.tril(incomparable, -1))
@@ -510,6 +569,9 @@ def _search(
         ok = (((below2[pool] & seen) == bits(Y[le1[:i, i]])).all(1)
               & ((above2[pool] & seen) == bits(Y[le1[i, :i]])).all(1))
         pool = pool[ok]
+        for down, up, table in pair:
+            z = table[np.ix_(pool, Y)]
+            pool = pool[((down2[z] >= down[i, :i]) & (up2[z] >= up[i, :i])).all(1)]
         # c <= a v b with the new generator as c, a and b assigned; when a
         # and b compare, a v b is one of them and the order test decides
         k = int(np.searchsorted(qs, i))
@@ -548,9 +610,9 @@ def _search(
                 and (phi[L1.meet] == L2.meet[np.ix_(phi, phi)]).all()
                 and (phi[L1.join] == L2.join[np.ix_(phi, phi)]).all()):
             stats.add("search_nodes", nodes)
-            return phi.tolist()
+            return phi.tolist(), nodes
     stats.add("search_nodes", nodes)
-    return None
+    return None, nodes
 
 
 # -- JSON ------------------------------------------------------------------

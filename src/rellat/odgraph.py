@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import stats
 from .errors import (
     DEFAULT_CAPS,
     BadDocument,
@@ -246,8 +247,10 @@ def od_graph_from_json(doc: dict) -> ODGraph:
 
     elems = document_list(field("elems"), str, "elems")
     pairs = document_list(field("leq_pairs"), list, "leq_pairs")
-    if any(len(document_list(p, int, "an order pair")) != 2 for p in pairs):
-        raise BadDocument("an order pair must hold two element indices")
+    for p in pairs:
+        if len(p) != 2 or type(p[0]) is not int or type(p[1]) is not int:
+            document_list(p, int, "an order pair")     # raises for a non-int
+            raise BadDocument("an order pair must hold two element indices")
     jp = document_list(field("jp"), bool, "jp")
     mjc = []
     for entry in document_list(field("mjc"), list, "mjc"):
@@ -271,13 +274,14 @@ def closed_mask(g: ODGraph, mask: int) -> int:
         if mask >> i & 1:
             s |= down[i]
     rules = g.cover_rules
-    changed = True
+    changed, passes = True, 0
     while changed:
-        changed = False
+        changed, passes = False, passes + 1
         for k, cm in rules:
             if not s >> k & 1 and cm & ~s == 0:
                 s |= down[k]
                 changed = True
+    stats.add("closure_passes", passes)
     g.closed_masks[mask] = s
     return s
 

@@ -10,18 +10,30 @@ Counters written by the exhaustive scan (`equations.check_inclusion`):
     valuations_scanned  entries of the scanned space that were evaluated:
                         whole chunks, up to the one holding the first
                         violation. It is below the raw space |L|^k when block
-                        classes or a symmetric pair shrink the space; the
-                        report's `evaluations` stays defined on the raw space.
+                        classes, a symmetric pair or the orbit minima of the
+                        first variable shrink the space; the report's
+                        `evaluations` stays defined on the raw space.
     blocks              blocks scanned over their classes (a pair counts two)
     block_classes       the classes of those blocks, summed
 
 Counters written by the searches, each added once per call:
 
     search_nodes        images given to generators in `lattice._search`
-                        (isomorphism and embedding search), counted after
-                        its filters
+                        (isomorphism and embedding search, and the
+                        automorphism searches of `lattice.orbit_minima`
+                        that `check eq` runs for a large scan), counted
+                        after its filters
     pmorphism_nodes     images given to worlds in `frames.p_morphism_search`,
                         counted after its cuts
+
+Counters written by the duality and the action tables:
+
+    subset_entries      the 2^m entries of each `lattice._subset_table`
+                        (joins, down-closures and sizes over subsets of
+                        J(L) or of a graph, relational and frame actions)
+    closure_passes      sweeps over the cover rules in `odgraph.closed_mask`
+                        until nothing changes, summed over the masks it
+                        closes (each mask once per graph)
 
 Counters written by the command line when it reads a lattice file, one per
 file:

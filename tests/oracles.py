@@ -5,7 +5,8 @@ set comprehensions) and deliberately avoids the package's meet/join tables,
 bitmask tricks, and caching, so a bug in those cannot hide from the tests.
 Sizes are expected to be tiny; nothing here is clever. The exceptions are
 `plain_scan`, which folds terms through a lattice's own tables,
-`sublattice_closure`, which closes a seed over them, and
+`sublattice_closure`, which closes a seed over them,
+`automorphism_orbit_minima`, which checks maps against them, and
 `bc_identity_witness`, which reads a space's action table.
 """
 from __future__ import annotations
@@ -232,6 +233,34 @@ def least_embedding(n1, leq1, n2, leq2):
             if best is None or key < best[0]:
                 best = (key, list(phi))
     return None if best is None else best[1]
+
+
+def automorphism_orbit_minima(L):
+    """The elements of L that no automorphism moves below themselves.
+
+    Every permutation of the join-irreducibles is extended by joins (x goes
+    to the join of the images of the irreducibles below it) and kept when
+    the extension is a bijection that L.meet and L.join agree with.
+    """
+    n, leq = L.n, L.leq.tolist()
+    meet, join = L.meet.tolist(), L.join.tolist()
+    bottom = greatest_lower_bound(n, leq, range(n))
+    ji = join_irreducibles(n, leq)
+    least = list(range(n))
+    for perm in itertools.permutations(ji):
+        phi = []
+        for x in range(n):
+            y = bottom
+            for j, image in zip(ji, perm):
+                if leq[j][x]:
+                    y = join[y][image]
+            phi.append(y)
+        if len(set(phi)) == n and all(
+                phi[meet[a][b]] == meet[phi[a]][phi[b]]
+                and phi[join[a][b]] == join[phi[a]][phi[b]]
+                for a in range(n) for b in range(n)):
+            least = [min(m, y) for m, y in zip(least, phi)]
+    return [x for x in range(n) if least[x] == x]
 
 
 def plain_scan(L, inc, chunk=1 << 16):

@@ -344,6 +344,10 @@ SPACE = {"attrs": ["a"], "points": ["0", "1"],
      _with_entry(N5, "leq", (0,), [1])),
     (["odgraph", "props", "--odgraph"], _with_entry(GRAPH, "mjc", (1, 1), 5)),
     (["odgraph", "props", "--odgraph"], _with_entry(GRAPH, "jp", (3,), "yes")),
+    (["odgraph", "props", "--odgraph"],
+     {**GRAPH, "leq_pairs": GRAPH["leq_pairs"] + [[0, True]]}),
+    (["odgraph", "props", "--odgraph"],
+     {**GRAPH, "leq_pairs": GRAPH["leq_pairs"] + [[0, 1, 2]]}),
     (["search", "pmorphism", "--dst", "FRAME", "--src"],
      _with_entry(FRAME, "rels", (1,), 5)),
     (["search", "pmorphism", "--dst", "FRAME", "--src"],
@@ -353,9 +357,9 @@ SPACE = {"attrs": ["a"], "points": ["0", "1"],
     (["check", "pc", "--space"], {**SPACE, "attrs": ["a", "a"]}),
     (["check", "pc", "--space"], {**SPACE, "points": ["p", "p"]}),
 ], ids=["lattice-list", "leq-string", "leq-2", "leq-ragged", "cover-int",
-        "jp-string", "frame-relation-int", "frame-block-string",
-        "space-unknown-attr", "space-ragged", "space-duplicate-attr",
-        "space-duplicate-point"])
+        "jp-string", "pair-bool", "pair-triple", "frame-relation-int",
+        "frame-block-string", "space-unknown-attr", "space-ragged",
+        "space-duplicate-attr", "space-duplicate-point"])
 def test_malformed_document_is_bad_input(tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
@@ -851,6 +855,8 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
                  "--out", prod]) == 0
     assert main(["build", "frame", "--rels", "0,0;0,1", "--out", two]) == 0
     capsys.readouterr()
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps(GRAPH))
     stats_path = tmp_path / "stats.json"
     for argv, keys in (
             (["check", "iso", "--lattice", r22_file, "--other", r22_file],
@@ -858,7 +864,9 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
             (["search", "pmorphism", "--src", prod, "--dst", two],
              {"pmorphism_nodes"}),
             (["odgraph", "extract", "--lattice", r22_file, "--out", "OUT"],
-             {"lattice_docs_direct"})):
+             {"lattice_docs_direct", "subset_entries"}),
+            (["odgraph", "props", "--odgraph", str(graph)],
+             {"closure_passes"})):
         plain_out, counted_out = tmp_path / "plain.json", tmp_path / "counted.json"
         assert main([str(plain_out) if a == "OUT" else a for a in argv]) in (0, 1)
         plain = capsys.readouterr().out

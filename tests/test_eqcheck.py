@@ -33,7 +33,7 @@ from rellat import (
     rd,
     verify_witness,
 )
-from rellat import equations, stats
+from rellat import equations, lattice, stats
 from conftest import boolean_cube, chain, diamond_m3, leq_from_covers, pentagon_n5
 import oracles
 
@@ -359,7 +359,9 @@ def test_scan_counts_chunks_up_to_the_witness(m3, monkeypatch):
         res = check_inclusion(m3, CATALOG["Dist"])
     assert outcome(res) == ("counterexample", {"x": 1, "y": 2, "z": 3},
                             25 + 2 * 5 + 3 + 1)
-    assert counters == {"valuations_scanned": 15 + 10 + 1}
+    # the space outgrows a chunk, so x runs over the orbit minima 0, 1, 4,
+    # found by two automorphism searches of four nodes each
+    assert counters == {"valuations_scanned": 15 + 10 + 1, "search_nodes": 8}
 
 
 def test_scan_counts_block_classes(m3):
@@ -457,6 +459,21 @@ def test_no_block_scan_matches_plain_scan(m3, n5, monkeypatch, text, chunk):
     for L, expected in zip(lattices, want):
         res = check_inclusion(L, inc)
         assert outcome(res) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_orbit_scan_matches_plain_scan(small_lattices, monkeypatch, name):
+    """Every law on the lattices of 2 to 6 elements and shuffled copies of
+    them, with chunks so small that every scan's first variable runs over
+    the orbit minima alone."""
+    inc = CATALOG[name]
+    lattices = [L for L in small_lattices if 2 <= L.n <= 6]
+    lattices += [shuffled(L, seed) for seed, L in enumerate(lattices)]
+    assert any(len(lattice.orbit_minima(L)) < L.n for L in lattices)
+    want = [oracles.plain_scan(L, inc) for L in lattices]
+    monkeypatch.setattr(equations, "_CHUNK", 7)
+    for L, expected in zip(lattices, want):
+        assert outcome(check_inclusion(L, inc)) == expected
 
 
 def test_scan_of_one_element_lattice(monkeypatch):

@@ -22,6 +22,7 @@ from rellat import (
     SizeCapExceeded,
     all_lattices_upto,
     build_R,
+    build_countermodel,
     build_from_closed_family,
     build_from_leq,
     enumerate_frames,
@@ -33,13 +34,14 @@ from rellat import (
     lattices_of_order,
     make_closed_family,
     random_lattice,
+    reconstruct,
     set_label,
     structure_query,
     sublattice_closure,
     typed_map_from_fibers,
     typed_R,
 )
-from rellat import lattgen, lattice
+from rellat import lattgen, lattice, stats
 from conftest import boolean_cube, chain, diamond_m3, leq_from_covers, pentagon_n5
 import oracles
 
@@ -435,6 +437,50 @@ def test_embedding_is_least_by_brute_force(small_lattices):
     for L1, L2 in pairs:
         want = oracles.least_embedding(L1.n, L1.leq, L2.n, L2.leq)
         assert find_embedding(L1, L2) == want
+
+
+def relabeled(L, seed):
+    """L with its elements renamed by a seeded permutation."""
+    inv = np.argsort(np.random.default_rng(seed).permutation(L.n))
+    return build_from_leq(L.n, L.leq[np.ix_(inv, inv)])
+
+
+def test_orbit_minima_match_brute_force(small_lattices):
+    lattices = list(small_lattices)
+    lattices += [relabeled(L, seed) for seed, L in enumerate(small_lattices)]
+    lattices += [random_lattice(seed, max_size=10) for seed in range(40)]
+    for L in lattices:
+        got = lattice.orbit_minima(L)
+        assert got.tolist() == oracles.automorphism_orbit_minima(L)
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: typed_R(typed_map_from_fibers([4, 2])).lattice, 32),
+    (lambda: build_R(Schema(("a", "b"), ("0", "1", "2"))).lattice, 32),
+    (lambda: typed_R(typed_map_from_fibers([5, 2])).lattice, 45),
+    (lambda: reconstruct(build_countermodel()), 50),
+], ids=["typed42", "R23", "typed52", "countermodel"])
+def test_orbit_minima_counts(make, count):
+    assert len(lattice.orbit_minima(make())) == count
+
+
+def test_orbit_search_on_typed_4_2_is_small():
+    # 278 elements, 10 irreducibles: the pair-count filter leaves the
+    # automorphism searches almost nothing to backtrack over
+    L = typed_R(typed_map_from_fibers([4, 2])).lattice
+    with stats.collect() as counters:
+        lattice.orbit_minima(L)
+    assert 0 < counters["search_nodes"] <= 100
+
+
+def test_orbit_minima_are_cached():
+    L = diamond_m3()
+    with stats.collect() as counters:
+        first = lattice.orbit_minima(L)
+        assert lattice.orbit_minima(L) is first
+    # two searches, 1 -> 2 and 1 -> 3, of one node per generator each
+    assert counters == {"search_nodes": 8}
+    assert first.tolist() == [0, 1, 4]
 
 
 # -- serialization -----------------------------------------------------------------
