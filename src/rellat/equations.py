@@ -42,6 +42,11 @@ later axes are scanned for it as before. R(2,3) and typed 4,2 have 32
 orbit minima each, of 530 and 278 elements. Smaller spaces keep the full
 axis and search for no automorphisms.
 
+Both sides of an inclusion are evaluated by one register program in which
+equal subterms share a register: ld(ys) and ld(zs), which both sides of Unjp
+contain, are computed once per valuation (20 table lookups, not 24; RL2
+takes 17, not 23). Block interfaces share one program in the same way.
+
 Sampled mode draws from a seeded generator and is reproducible from
 (seed, samples). Every counterexample is re-verified by the scalar evaluator
 before being reported.
@@ -52,7 +57,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -198,24 +203,29 @@ def verify_witness(L: FiniteLattice, inc: Inclusion, v: Mapping[str, int]) -> bo
     return not bool(L.leq[lv, rv])
 
 
-def _compile(t: Term, var_index: dict[str, int]) -> list[tuple]:
-    """Postorder register program: ("var", i) / ("meet", a, b) / ("join", a, b)."""
-    prog: list[tuple] = []
+def _compile(terms: Iterable[Term],
+             var_index: dict[str, int]) -> tuple[tuple, tuple[int, ...]]:
+    """One register program for all of `terms` and the register of each:
+    ("var", i) / ("meet", a, b) / ("join", a, b) in postorder, an n-ary
+    node folded from the left. Each distinct instruction is emitted once,
+    so equal subterms share a register, within a term and across terms, as
+    ld(ys) and ld(zs) do across the sides of Unjp."""
+    prog: dict[tuple, int] = {}              # instruction -> its register
+
+    def emit(op: tuple) -> int:
+        return prog.setdefault(op, len(prog))
 
     def rec(s: Term) -> int:
         if isinstance(s, Var):
-            prog.append(("var", var_index[s.name]))
-            return len(prog) - 1
+            return emit(("var", var_index[s.name]))
         op = "meet" if isinstance(s, Meet) else "join"
         acc = rec(s.args[0])
         for a in s.args[1:]:
-            r = rec(a)
-            prog.append((op, acc, r))
-            acc = len(prog) - 1
+            acc = emit((op, acc, rec(a)))
         return acc
 
-    rec(t)
-    return prog
+    outs = tuple(rec(t) for t in terms)
+    return tuple(prog), outs
 
 
 def _lookup(table: np.ndarray, a, b) -> np.ndarray:
@@ -224,7 +234,8 @@ def _lookup(table: np.ndarray, a, b) -> np.ndarray:
     return table.take(a * np.intp(len(table)) + b)
 
 
-def _run_program(prog: list[tuple], meet, join, cols: list[np.ndarray]) -> np.ndarray:
+def _run_program(prog: tuple, meet, join, cols: list[np.ndarray]) -> list[np.ndarray]:
+    """The value of every register of prog."""
     regs: list[np.ndarray] = []
     for op in prog:
         if op[0] == "var":
@@ -232,7 +243,7 @@ def _run_program(prog: list[tuple], meet, join, cols: list[np.ndarray]) -> np.nd
         else:
             table = meet if op[0] == "meet" else join
             regs.append(_lookup(table, regs[op[1]], regs[op[2]]))
-    return regs[-1]
+    return regs
 
 
 @dataclass(frozen=True)
@@ -248,12 +259,13 @@ class CheckResult:
 _CHUNK = 1 << 16
 
 
-def _first_violation(meet, join, leq, lprog, rprog, cols):
+def _first_violation(meet, join, leq, sides, cols):
     """Index, in C order of the broadcast columns, of the first entry where
-    lhs <= rhs fails, or None."""
-    lv = _run_program(lprog, meet, join, cols)
-    rv = _run_program(rprog, meet, join, cols)
-    viol = ~_lookup(leq, lv, rv)
+    lhs <= rhs fails, or None. sides is the program of both sides and
+    their two registers."""
+    prog, (lhs, rhs) = sides
+    regs = _run_program(prog, meet, join, cols)
+    viol = ~_lookup(leq, regs[lhs], regs[rhs])
     return np.unravel_index(np.argmax(viol), viol.shape) if viol.any() else None
 
 
@@ -329,8 +341,9 @@ def _swap_fixes(inc: Inclusion, left, right) -> bool:
 
 @functools.lru_cache(maxsize=256)
 def _plan(inc: Inclusion):
-    """The scan of inc: (segments, lprog, rprog), one segment
-    (start, stop, progs, paired) per axis of the scanned space.
+    """The scan of inc: (segments, sides), one segment
+    (start, stop, progs, paired) per axis of the scanned space, and the
+    program of both sides with their registers.
 
     The blocks are disjoint runs of the sorted variables, short of all of
     them, with fewer interface subterms than variables: windows are tried
@@ -338,13 +351,14 @@ def _plan(inc: Inclusion):
     taken so far is factored out of the sides as already factored. A run
     around a smaller block would enumerate that block's tuples once per
     value of its other variables; the smaller block alone enumerates them
-    once. progs is None for an outer variable and, for a block, its
-    interface programs over the block's own variables. A paired segment is
+    once. progs is None for an outer variable and, for a block, the
+    program of its interface subterms over the block's own variables, with
+    their registers. A paired segment is
     two adjacent equal halves, two outer variables or two blocks with the
     same programs, that a swap of the halves maps onto each other while
     fixing both sides of inc; disjoint pairs are taken leftmost first. The
-    programs read one column per outer variable and per interface subterm,
-    in the order of the variables."""
+    sides read one column per outer variable and per interface subterm, in
+    the order of the variables."""
     names = inc.variables
     k = len(names)
     lhs, rhs = inc.lhs, inc.rhs
@@ -361,7 +375,7 @@ def _plan(inc: Inclusion):
             if len(faces) < size:
                 lhs, rhs = sides
                 local = {name: p for p, name in enumerate(names[i:j])}
-                blocks[i] = j, tuple(_compile(t, local) for t in faces)
+                blocks[i] = j, _compile(faces, local)
     var_index: dict[str, int] = {}
     segments = []
     i = 0
@@ -370,7 +384,7 @@ def _plan(inc: Inclusion):
         if progs is None:
             var_index[names[i]] = len(var_index)
         else:
-            for f in range(len(progs)):
+            for f in range(len(progs[1])):
                 var_index[f"#{i}.{f}"] = len(var_index)
         segments.append((i, j, progs))
         i = j
@@ -383,7 +397,7 @@ def _plan(inc: Inclusion):
                 merged[-1] = (h, j, progs, True)
                 continue
         merged.append((i, j, progs, False))
-    return tuple(merged), _compile(lhs, var_index), _compile(rhs, var_index)
+    return tuple(merged), _compile((lhs, rhs), var_index)
 
 
 def _classes(meet, join, progs, n: int, s: int):
@@ -392,13 +406,15 @@ def _classes(meet, join, progs, n: int, s: int):
     Returns the rank of each class's first, hence lexicographically least,
     tuple, and per interface subterm the array of its value on each class,
     both in the order of those ranks."""
-    m = len(progs)
+    prog, outs = progs
+    m = len(outs)
     seen: dict[int, int] = {}            # packed interface values -> rank
     for head, cols in _walk([(n, [np.arange(n)])] * s):
         start = sum(h * n ** (s - 1 - d) for d, h in enumerate(head))
+        regs = _run_program(prog, meet, join, cols)
         key = np.int64(0)
-        for prog in progs:
-            key = key * n + _run_program(prog, meet, join, cols)
+        for r in outs:
+            key = key * n + regs[r]
         key = key.ravel()
         order = np.argsort(key, kind="stable")
         sk = key[order]
@@ -423,7 +439,7 @@ def _scan(L: FiniteLattice, plan) -> int | None:
     violation whose first value is not least in its orbit has a smaller
     image, and the least violation's first value is an orbit minimum."""
     meet, join, leq, n = L.meet, L.join, L.leq, L.n
-    segments, lprog, rprog = plan
+    segments, sides = plan
     axes, ranks = [], []
     for i, j, progs, paired in segments:
         width = (j - i) // 2 if paired else j - i
@@ -448,7 +464,7 @@ def _scan(L: FiniteLattice, plan) -> int | None:
         if counting:
             stats.add("valuations_scanned",
                       math.prod(np.broadcast_shapes(*(c.shape for c in cols))))
-        hit = _first_violation(meet, join, leq, lprog, rprog, cols)
+        hit = _first_violation(meet, join, leq, sides, cols)
         if hit is not None:
             first = 0
             for (i, j, _, _), r, h, d in zip(segments, ranks, head, hit):
@@ -497,15 +513,14 @@ def check_inclusion(
         raise ValueError(f"samples must be at least 1, got {samples}")
     if samples > caps.eval_budget:
         raise BudgetExceeded(samples, caps.eval_budget)
-    var_index = {name: i for i, name in enumerate(vars_)}
-    lprog = _compile(inc.lhs, var_index)
-    rprog = _compile(inc.rhs, var_index)
+    sides = _compile((inc.lhs, inc.rhs),
+                     {name: i for i, name in enumerate(vars_)})
     rng = np.random.default_rng(seed)
     done = 0
     while done < samples:
         b = min(_CHUNK, samples - done)
         cols = [c for c in rng.integers(0, n, size=(k, b), dtype=np.int64)]
-        hit = _first_violation(L.meet, L.join, L.leq, lprog, rprog, cols)
+        hit = _first_violation(L.meet, L.join, L.leq, sides, cols)
         if hit is not None:
             pos = int(hit[0])
             witness = {name: int(cols[i][pos]) for i, name in enumerate(vars_)}

@@ -6,42 +6,50 @@ time. The covering relation that construction finds is kept as two index
 arrays, lo[k] < hi[k]; lower covers, atoms and join-irreducibles (elements
 with exactly one lower cover) are read off it.
 
-Construction (`build_from_leq`) works on whole matrices:
+Construction (`build_from_leq`) works on whole matrices and bitsets, with
+no matrix product:
 
-1. Reflexivity and antisymmetry are read off the diagonal and leq & leq.T.
-2. One float32 product d @ d of the 0/1 order counts, for each c and a, the
-   elements x with c <= x <= a. A positive count where c <= a fails breaks
-   transitivity; a count of two where c <= a holds is a cover.
+1. Reflexivity and antisymmetry are read off the diagonal and leq & leq.T,
+   a block of rows at a time.
+2. Covers and transitivity come from each element's down-set, a bitset
+   over ranks in stable down-set-size order. The highest rank left in the
+   strict down-set of a is a lower cover c of a; the down-set of c must lie
+   inside that of a, and is then cleared, until nothing is left: one step
+   per cover. If every such check passes the relation is transitive, by
+   induction on the size of the down-set.
 3. Meets, with joins as meets of the transposed order: the candidate meet
    of a and b is their common lower bound latest in a linear extension
    (elements sorted by height). Over the covers it is b when b <= a, else
    the latest of the candidates of a with the lower covers of b, filled
-   one height at a time, upwards, as elementwise maxima over all a. A
-   product counts the common lower bounds, and the candidate is the meet
-   iff that count equals the size of its down-set. A finite poset with a
-   top in which every pair has a meet is a lattice, and then each join
-   candidate is the join; so the join counts are computed only when some
-   meet fails or there is no top.
-4. Failures are reported with the same witnesses as a per-pair check: the
-   least non-reflexive i, the first i != j in row-major order with i <= j
-   and j <= i, the transitivity witness (c, b, a) with least a, then least b, then
-   least c, and else the first (a, b) with a < b in row-major order that has
-   no meet, or else no join. When the joins were not counted, no join
-   fails, so the witness is the same.
+   one height at a time, upwards, as elementwise maxima over all a. If
+   there is a bottom and meet(a, c) <= meet(a, b) for every a and every
+   cover c < b, every candidate is the meet, by induction on b; this reads
+   one entry of the order per a and cover. A finite poset with a top in
+   which every pair has a meet is a lattice (Davey and Priestley,
+   Introduction to Lattices and Order, ch. 2), and then each join
+   candidate is the join, so joins are never checked.
+4. Only a rejected order reaches the witness code, which gives the same
+   witnesses as a per-pair check: the least non-reflexive i, the first
+   i != j in row-major order with i <= j and j <= i, the transitivity
+   witness (c, b, a) with least a, then least b, then least c, from the
+   down-set bitsets, and else the first (a, b) with a < b in row-major
+   order that has no meet, or else no join. The same check along the
+   covers, one column a at a time, on both tables, finds the first row
+   that has such a pair; only that row's pairs are then counted.
 
 A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
 its parent's tables restricted to it, and only its covers are computed.
 
-Memory: besides leq and the two int32 tables, a build holds one n-by-n
-float32 copy of the order at a time. Every other n-by-n computation, and the
-order matrices of the closed-family, relational and semidirect builds, runs
-in blocks of rows of at most about _BLOCK (2^20) entries, so temporaries
-stay within a few times 8 MB whatever n is. Float32 counts are exact for n
-below 2^24, far beyond any size whose tables fit in memory.
+Memory: besides leq and the two int32 tables, a build holds the down-set
+bitsets, n^2/8 bytes, while it finds the covers. Every other n-by-n
+computation, and the order matrices of the closed-family, relational and
+semidirect builds, runs in blocks of rows of at most about _BLOCK (2^20)
+entries, so temporaries stay within a few times 8 MB whatever n is; the
+meet check reads the order in blocks of columns of about _BLOCK / 4
+entries.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -177,24 +185,55 @@ def _subset_table(m: int, seed, step: Callable) -> np.ndarray:
     return t
 
 
+def _mask_words(masks: Sequence[int]) -> np.ndarray:
+    """Non-negative plain-int bitmasks of any width as the rows of 64-bit
+    words of an n-by-words array."""
+    width = max((m.bit_length() for m in masks), default=0)
+    words = max(1, -(-width // 64))
+    return np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
+                         dtype="<u8").reshape(len(masks), words)
+
+
 def _containment(masks: Sequence[int]) -> np.ndarray:
     """leq[i, j] = masks[i] is a subset of masks[j], for non-negative plain-int
     bitmasks of any width (compared as 64-bit words)."""
-    n = len(masks)
-    words = max(1, -(-max(m.bit_length() for m in masks) // 64))
-    w = np.frombuffer(b"".join(m.to_bytes(8 * words, "little") for m in masks),
-                      dtype="<u8").reshape(n, words)
+    w = _mask_words(masks)
+    n, words = w.shape
     leq = np.empty((n, n), dtype=bool)
     for r0, r1 in _row_blocks(n, n * words):
         leq[r0:r1] = ~(w[r0:r1, None, :] & ~w[None, :, :]).any(axis=2)
     return leq
 
 
+def _open_pair(masks: Sequence[int]) -> tuple[int, int] | None:
+    """The first pair (a, b) of itertools.combinations(masks, 2) whose
+    intersection is not one of masks, or None. Each row's intersections
+    with the later masks are looked up at once in the sorted masks, as
+    integers when they fit one word, else as byte records. The lookups
+    make several temporaries per word, so a block of rows holds about
+    _BLOCK / 8 words."""
+    w = _mask_words(masks)
+    n, words = w.shape
+    key = np.dtype("<u8") if words == 1 else np.dtype((np.void, 8 * words))
+    members = np.sort(w.view(key)[:, 0])
+    for r0, r1 in _row_blocks(n, 8 * n * words):
+        both = (w[r0:r1, None, :] & w[None, r0 + 1:, :]).view(key)[..., 0]
+        at = np.minimum(np.searchsorted(members, both), n - 1)
+        open_ = members[at] != both
+        open_ &= np.arange(r0 + 1, n) > np.arange(r0, r1)[:, None]
+        if open_.any():
+            i = int(np.argmax(open_.any(axis=1)))
+            return masks[r0 + i], masks[r0 + 1 + int(np.argmax(open_[i]))]
+    return None
+
+
 def _as_bool_matrix(n: int, leq) -> np.ndarray:
+    """leq as a C-contiguous boolean matrix (the meet check reads it at
+    flat offsets); one that already is one is not copied."""
     arr = np.asarray(leq, dtype=bool)
     if arr.shape != (n, n):
         raise ValueError(f"leq must be {n}x{n}, got {arr.shape}")
-    return arr
+    return np.ascontiguousarray(arr)
 
 
 def build_from_leq(
@@ -220,73 +259,124 @@ def build_from_leq(
     diagonal = arr.diagonal()
     if not diagonal.all():
         raise NotAPartialOrder("not reflexive", (int(np.argmin(diagonal)),))
-    both = arr & arr.T
-    np.fill_diagonal(both, False)
-    if both.any():
-        i, j = map(int, np.argwhere(both)[0])
-        raise NotAPartialOrder("not antisymmetric", (i, j))
+    for r0, r1 in _row_blocks(n, n):
+        both = arr[r0:r1] & arr[:, r0:r1].T
+        both[np.arange(r1 - r0), np.arange(r0, r1)] = False
+        if both.any():
+            i, j = map(int, np.argwhere(both)[0])
+            raise NotAPartialOrder("not antisymmetric", (r0 + i, j))
 
     lo, hi = _cover_edges(arr)
-    meet, meet_fails = _meet_table(arr, lo, hi)
-    tops = arr.all(axis=0)
-    # a finite poset with a top in which every pair has a meet is a lattice,
-    # and then the join candidates are the joins; count them only otherwise
-    is_lattice = tops.any() and not (meet_fails < n).any()
-    join, join_fails = _meet_table(arr.T, hi, lo, count=not is_lattice)
-    fails = np.minimum(meet_fails, join_fails)
-    if (fails < n).any():
-        a = int(np.argmax(fails < n))
-        b = int(fails[a])
-        raise NotALattice("meet" if meet_fails[a] == b else "join", (a, b))
-    return FiniteLattice(n, arr, meet, join, int(np.argmax(arr.all(axis=1))),
+    meet = _meet_table(arr, lo, hi)
+    join = _meet_table(arr.T, hi, lo)
+    bottoms, tops = arr.all(axis=1), arr.all(axis=0)
+    # a finite poset with a bottom, a top and every meet is a lattice, and
+    # then the join candidates are the joins
+    unmet = _first_fault(arr, meet, lo, hi, n)
+    if unmet < n or not (bottoms.any() and tops.any()):
+        raise _lattice_witness(arr, meet, join, lo, hi, unmet)
+    return FiniteLattice(n, arr, meet, join, int(np.argmax(bottoms)),
                          int(np.argmax(tops)), labels, lo, hi)
 
 
 def _cover_edges(le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The covers lo[k] < hi[k] of a reflexive antisymmetric relation, with
-    lo ascending; raises NotAPartialOrder if it is not transitive.
+    lo ascending. Raises NotAPartialOrder if the relation is not transitive.
 
-    (d @ d)[c, a] counts the x with c <= x <= a. A positive count where
-    c <= a fails breaks transitivity; a count of exactly two (c and a) where
-    c <= a holds is a cover.
+    The down-sets are bitsets: row a holds the x <= a, bit r standing for
+    the element of rank r in stable down-set-size order. For each a, the
+    highest rank left in the strict down-set of a is a lower cover c; its
+    down-set must lie inside that of a, and it is then cleared, until
+    nothing is left. When every such check passes the
+    relation is transitive, by induction on |down-set of a|: every b < a
+    lies below a cover found, whose smaller down-set is closed and inside
+    that of a. In an order, every c < x < a has a larger down-set than c,
+    so it is found or cleared before c, and c with it: the elements found
+    are exactly the lower covers. Each step is a few operations on the
+    down-sets as Python integers, one step per cover.
     """
     n = len(le)
-    d = le.astype(np.float32)
-    broken = np.zeros(n, dtype=bool)   # a with some c <= b <= a, not c <= a
-    lo, hi = [], []
+    order = np.argsort(le.sum(axis=0), kind="stable")    # rank -> element
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    down = np.empty((n, (n + 7) // 8), dtype=np.uint8)
     for r0, r1 in _row_blocks(n, n):
-        between = d[r0:r1] @ d
-        broken |= ((between > 0) & ~le[r0:r1]).any(axis=0)
-        c, a = np.nonzero((between == 2) & le[r0:r1])
-        lo.append(c + r0)
-        hi.append(a)
-    if broken.any():
-        # the witness (c, b, a): least a, then least b <= a, then least c <= b
-        # outside the down-set of a
-        a = int(np.argmax(broken))
-        outside = ~le[:, a]
-        b = int(np.argmax(le[:, a] & (outside.astype(np.float32) @ d > 0)))
-        c = int(np.argmax(le[:, b] & outside))
-        raise NotAPartialOrder("not transitive", (c, b, a))
-    return np.concatenate(lo), np.concatenate(hi)
+        down[r0:r1] = np.packbits(le[:, r0:r1][order].T, axis=1,
+                                  bitorder="little")
+    width, raw = down.shape[1], down.tobytes()
+    sets = [int.from_bytes(raw[a * width:(a + 1) * width], "little")
+            for a in range(n)]
+    element = order.tolist()
+    lo, hi = [], []
+    for a, r in enumerate(rank.tolist()):
+        below = sets[a]
+        rest = below ^ (1 << r)                 # the strict down-set of a
+        while rest:
+            c = element[rest.bit_length() - 1]
+            if sets[c] & ~below:
+                raise _transitivity_witness(le, down)
+            rest &= ~sets[c]
+            lo.append(c)
+            hi.append(a)
+    lo, hi = np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)
+    by_lo = np.lexsort((hi, lo))
+    return lo[by_lo], hi[by_lo]
 
 
-def _meet_table(le: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                count: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The meet table of a partial order with covers lo[k] < hi[k], and for
-    each a the least b > a without a meet (n if every such b has one, or
-    if `count` is false: the caller knows every meet exists).
+def _transitivity_witness(le: np.ndarray, down: np.ndarray) -> NotAPartialOrder:
+    """The witness (c, b, a) of a relation that is not transitive: least a,
+    then least b <= a, then least c <= b outside the down-set of a."""
+    for a in range(len(le)):
+        bs = np.flatnonzero(le[:, a])
+        outside = (down[bs] & ~down[a]).any(axis=1)
+        if outside.any():
+            b = int(bs[np.argmax(outside)])
+            c = int(np.argmax(le[:, b] & ~le[:, a]))
+            return NotAPartialOrder("not transitive", (c, b, a))
+    raise AssertionError("the relation is transitive")
 
-    The table's entries are meets only where they exist. Sorting by height
-    (the longest chain below) is a linear extension. The candidate meet of
-    (a, b) is the common lower bound latest in it: b itself when b <= a,
+
+def _lattice_witness(le: np.ndarray, meet: np.ndarray, join: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray, unmet: int) -> NotALattice:
+    """The first (a, b), a < b, in row-major order of a partial order that
+    has no meet, or else no join, given the candidate tables and `unmet`,
+    the first column with a fault in the meets. The meets of a with every
+    b exist iff every minimal element lies below a and the candidates have
+    no fault in column a (`_first_fault`, whose induction runs for one a
+    at a time), and dually for joins. So the witness lies in the least row
+    a that fails either test. There a candidate, a common lower bound, is
+    the meet iff its down-set is as large as the common down-set of a and
+    b, counted in blocks of columns b (dually, up-sets for joins)."""
+    n = len(le)
+    down, up = le.sum(axis=0), le.sum(axis=1)
+    bounded = np.append(le[down == 1].all(axis=0) & le[:, up == 1].all(axis=1),
+                        False)
+    a = _first_fault(le, join, lo, hi, min(unmet, int(np.argmin(bounded))))
+    fails = np.zeros((2, n), dtype=bool)
+    if a < n:
+        for r0, r1 in _row_blocks(n, n):
+            fails[0, r0:r1] = ((le[:, r0:r1] & le[:, a, None]).sum(axis=0)
+                               != down[meet[a, r0:r1]])
+            fails[1, r0:r1] = ((le[r0:r1] & le[a]).sum(axis=1)
+                               != up[join[a, r0:r1]])
+        fails[:, :a + 1] = False
+    if not fails.any():
+        raise AssertionError("every pair has a meet and a join")
+    b = int(np.argmax(fails.any(axis=0)))
+    return NotALattice("meet" if fails[0, b] else "join", (a, b))
+
+
+def _meet_table(le: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The candidate meet table of a partial order with covers
+    lo[k] < hi[k]: table[b, a] is the candidate meet of a and b, which is
+    their meet where they have one. Sorting by height (the longest chain
+    below) is a linear extension. The candidate meet of (a, b) is the
+    common lower bound latest in it: b itself when b <= a,
     else the latest of the candidates of a with the lower covers of b, since
     every common lower bound lies below one of those covers. The candidates
     are filled one height at a time, upwards, each a few elementwise maxima
-    over all a at once. A candidate is the meet iff the common lower bounds
-    are exactly as many as the elements of its down-set, and one product
-    counts them. Called on the transposed order with the covers reversed,
-    this computes joins.
+    over all a at once. Called on the transposed order with the covers
+    reversed, this computes the candidate joins.
     """
     n = len(le)
     size = le.sum(axis=0)                        # down-set sizes
@@ -298,11 +388,10 @@ def _meet_table(le: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     for b in np.argsort(size, kind="stable").tolist():
         if covers[b]:
             height[b] = 1 + max(height[c] for c in covers[b])
-    order = np.argsort(height, kind="stable")    # rank -> element
+    # rank -> element, as int32 like the table it fills
+    order = np.argsort(height, kind="stable").astype(np.int32)
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
-    # down-set size per rank; rank -1 (no common lower bound) has size -1
-    rank_size = np.append(size[order], -1).astype(np.float32)
     by_height = [[] for _ in range(max(height) + 1)]
     for b in order.tolist():
         by_height[height[b]].append(b)
@@ -315,11 +404,8 @@ def _meet_table(le: np.ndarray, lo: np.ndarray, hi: np.ndarray,
         slots = [np.array([covers[b][k] for b in upper if len(covers[b]) > k])
                  for k in range(len(covers[upper[0]]))]
         levels.append((np.array(upper), slots))
-    # x[a] = down-set of a
-    x = np.ascontiguousarray(le.T, dtype=np.float32) if count else None
 
     table = np.empty((n, n), dtype=np.int32)
-    fails = np.full(n, n, dtype=np.intp)
     for r0, r1 in _row_blocks(n, n):
         # cand[b, a - r0]: rank of the candidate meet of a and b
         below = le[:, r0:r1]
@@ -332,13 +418,32 @@ def _meet_table(le: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                 np.maximum(best[:k], cand[lower], out=best[:k])
             cand[upper] = np.where(below[upper], rank[upper, None], best)
         table[:, r0:r1] = order[cand]
-        if count:
-            # meets are symmetric, so only the pairs b > a are checked
-            common = x[r0:] @ x[r0:r1].T
-            bad = ((common != rank_size[cand[r0:]])
-                   & (np.arange(n - r0)[:, None] > np.arange(r1 - r0)))
-            fails[r0:r1] = np.where(bad.any(axis=0), bad.argmax(axis=0) + r0, n)
-    return table, fails
+    return table
+
+
+def _first_fault(le: np.ndarray, table: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray, stop: int) -> int:
+    """The least column a < stop in which table[c, a] <= table[b, a] fails
+    in the order le for some cover c < b, or stop if there is none, given
+    the candidate meets (`_meet_table`) of a partial order, or its
+    candidate joins. If there is no fault in column a and every minimal
+    element lies below a, every candidate meet of a is the meet, by
+    induction on b: it is b when b <= a, else one of those of a with the
+    lower covers of b, which are meets, and lies above all of them. Where
+    a has every meet, meets are monotone and there is no fault. The order
+    is read at flat offsets, one entry per a and cover, in blocks of
+    columns a of about _BLOCK / 4 entries."""
+    n, flat = len(le), le.ravel()
+    step = max(1, (_BLOCK >> 2) // max(1, len(lo)))
+    for s0 in range(0, stop, step):
+        cols = slice(s0, min(stop, s0 + step))
+        at = table[lo, cols].astype(np.intp)
+        at *= n
+        at += table[hi, cols]
+        holds = flat.take(at)
+        if not holds.all():
+            return s0 + int(np.argmin(holds.all(axis=0)))
+    return stop
 
 
 @dataclass(frozen=True)
@@ -374,13 +479,11 @@ def build_from_closed_family(
         raise ValueError("family must be nonempty")
     if n > caps.max_lattice:
         raise SizeCapExceeded(n, caps.max_lattice)
-    mset = set(members)
     universe_mask = (1 << len(fam.universe)) - 1
-    if universe_mask not in mset:
+    if universe_mask not in members:
         raise NotIntersectionClosed((universe_mask, universe_mask))
-    for a, b in itertools.combinations(members, 2):
-        if a & b not in mset:
-            raise NotIntersectionClosed((a, b))
+    if (pair := _open_pair(members)) is not None:
+        raise NotIntersectionClosed(pair)
     labels = [set_label(fam.universe, m) for m in members]
     return build_from_leq(n, _containment(members), labels=labels, caps=caps)
 
@@ -463,7 +566,7 @@ def orbit_minima(L: FiniteLattice) -> np.ndarray:
     same down-set and up-set sizes that no map found so far has joined to
     j, `_search` looks for an automorphism sending j to j2 (the least one).
     The orbits are the components of x ~ phi(x) over the maps found, which
-    pass `_search`'s full meet/join check and so are automorphisms; the
+    are bijections mapping the covers onto the covers and so automorphisms; the
     orbits of the group they generate (as in McKay, "Practical graph
     isomorphism", 1981). All these searches share one budget of
     n + |J|^2 nodes: at most |J| - 1 maps join two orbits, each taking
@@ -474,7 +577,7 @@ def orbit_minima(L: FiniteLattice) -> np.ndarray:
     """
     if "orbits" not in L._cache:
         ji = L.join_irreducibles()
-        down, up = L.leq.sum(0), L.leq.sum(1)
+        down, up, _, _ = _order_sets(L)
         least = list(range(L.n))            # union-find, rooted at minima
 
         def root(x: int) -> int:
@@ -506,6 +609,18 @@ def orbit_minima(L: FiniteLattice) -> np.ndarray:
     return L._cache["orbits"]
 
 
+def _order_sets(L: FiniteLattice):
+    """(down-set sizes, up-set sizes, down-sets, up-sets) of L, the sets as
+    np.packbits rows; computed once per lattice."""
+    if "order_sets" not in L._cache:
+        sets = (L.leq.sum(0), L.leq.sum(1), np.packbits(L.leq.T, axis=1),
+                np.packbits(L.leq, axis=1))
+        for a in sets:
+            a.setflags(write=False)             # shared by every search
+        L._cache["order_sets"] = sets
+    return L._cache["order_sets"]
+
+
 def _search(
     L1: FiniteLattice,
     L2: FiniteLattice,
@@ -530,15 +645,17 @@ def _search(
     (the same count argument, as phi(a v b) = y v phi(b)); and that keep
     join-dominance c <= a v b among irreducibles. All these filters are
     necessary, and the order test alone rules out reusing an image. A
-    complete assignment is extended and verified against the full meet and
+    complete assignment is extended and verified by `_is_embedding`: a map
+    onto L2 by its covers, a map into a larger L2 against the full meet and
     join tables. One search node is one image given to one generator,
     counted after the filters. The stack is explicit, so depth costs no
     recursion.
     """
     gens = np.array([L1.bottom, *L1.join_irreducibles()], dtype=np.intp)
-    # down-set and up-set sizes: column and row sums of the order matrix
-    down1, up1 = L1.leq.sum(0), L1.leq.sum(1)
-    down2, up2 = L2.leq.sum(0), L2.leq.sum(1)
+    down1, up1, _, _ = _order_sets(L1)
+    # L2's order rows as bitsets: a level tests every candidate against
+    # every assigned image in one pass over n/8 bytes per candidate
+    down2, up2, below2, above2 = _order_sets(L2)
     pools = [np.asarray(p, dtype=np.intp) for p in pools]
     pools = [p[(down2[p] >= down1[g]) & (up2[p] >= up1[g])]
              for p, g in zip(pools, gens)]
@@ -552,10 +669,6 @@ def _search(
     # incomparable level pairs (p, q), p < q, sorted by q: the pairs whose
     # levels are all assigned before level i form a prefix
     qs, ps = np.nonzero(np.tril(incomparable, -1))
-    # L2's order rows as bitsets: a level tests every candidate against
-    # every assigned image in one pass over n/8 bytes per candidate
-    below2 = np.packbits(L2.leq.T, axis=1)
-    above2 = np.packbits(L2.leq, axis=1)
     img = np.zeros(len(gens), dtype=np.intp)
 
     def bits(ys: np.ndarray) -> np.ndarray:
@@ -606,13 +719,26 @@ def _search(
         for g, y in zip(gens[1:], img[1:]):
             below = L1.leq[g]
             phi[below] = L2.join[phi[below], y]
-        if (len(set(phi.tolist())) == L1.n
-                and (phi[L1.meet] == L2.meet[np.ix_(phi, phi)]).all()
-                and (phi[L1.join] == L2.join[np.ix_(phi, phi)]).all()):
+        if _is_embedding(L1, L2, phi):
             stats.add("search_nodes", nodes)
             return phi.tolist(), nodes
     stats.add("search_nodes", nodes)
     return None, nodes
+
+
+def _is_embedding(L1: FiniteLattice, L2: FiniteLattice, phi: np.ndarray) -> bool:
+    """Whether phi, L2's element for each element of L1, is injective and
+    preserves meets and joins. A bijection of finite lattices does iff it
+    maps the covers onto the covers, as it is then an order isomorphism; a
+    map into a larger lattice is checked against the full tables."""
+    if len(set(phi.tolist())) < L1.n:
+        return False
+    if L1.n == L2.n:
+        # L2's covers, as lo * n + hi, are ascending
+        return np.array_equal(np.sort(phi[L1.lo] * L2.n + phi[L1.hi]),
+                              L2.lo * L2.n + L2.hi)
+    return bool((phi[L1.meet] == L2.meet[np.ix_(phi, phi)]).all()
+                and (phi[L1.join] == L2.join[np.ix_(phi, phi)]).all())
 
 
 # -- JSON ------------------------------------------------------------------

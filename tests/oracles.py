@@ -5,7 +5,8 @@ set comprehensions) and deliberately avoids the package's meet/join tables,
 bitmask tricks, and caching, so a bug in those cannot hide from the tests.
 Sizes are expected to be tiny; nothing here is clever. The exceptions are
 `plain_scan`, which folds terms through a lattice's own tables,
-`sublattice_closure`, which closes a seed over them,
+`sublattice_closure`, which closes a seed over them, `sampled_scan`,
+which folds sampled valuations through them,
 `automorphism_orbit_minima`, which checks maps against them, and
 `bc_identity_witness`, which reads a space's action table.
 """
@@ -164,6 +165,16 @@ def lattice_tables(n, leq):
     }
 
 
+def intersection_witness(members):
+    """The first pair (a, b) of members, in itertools.combinations order,
+    whose intersection is not a member, or None."""
+    present = set(members)
+    for a, b in itertools.combinations(members, 2):
+        if a & b not in present:
+            return a, b
+    return None
+
+
 def sublattice_closure(L, seed):
     """The least subset of L containing seed and closed under L.meet and
     L.join, ascending, by a breadth-first walk over pairs."""
@@ -318,6 +329,40 @@ def plain_scan(L, inc, chunk=1 << 16):
                        for i, name in enumerate(names)}
             return "counterexample", witness, first + 1
     return "holds", None, n**k
+
+
+def sampled_scan(L, inc, samples, seed, chunk=1 << 16):
+    """(verdict, witness, evaluations) of a sampled check of inc on L.
+
+    The package's draws: per round, k columns of `chunk` values (fewer in
+    the last round) from numpy's default_rng(seed), k the number of
+    variables in sorted order. Each side is folded through L.meet and
+    L.join on its own, sharing nothing with the other.
+    """
+    names = sorted(set(inc.variables))
+    k, n = len(names), L.n
+
+    def fold(t, cols):
+        if isinstance(t, Var):
+            return cols[names.index(t.name)]
+        table = L.meet if isinstance(t, Meet) else L.join
+        acc = fold(t.args[0], cols)
+        for a in t.args[1:]:
+            acc = table[acc, fold(a, cols)]
+        return acc
+
+    rng = np.random.default_rng(seed)
+    done = 0
+    while done < samples:
+        cols = rng.integers(0, n, size=(k, min(chunk, samples - done)),
+                            dtype=np.int64)
+        viol = ~L.leq[fold(inc.lhs, cols), fold(inc.rhs, cols)]
+        if viol.any():
+            pos = int(np.argmax(viol))
+            witness = {name: int(cols[i, pos]) for i, name in enumerate(names)}
+            return "counterexample", witness, done + pos + 1
+        done += cols.shape[1]
+    return "no_counterexample_found", None, samples
 
 
 def refines(n, leq, xs, ys):

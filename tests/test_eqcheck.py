@@ -1,6 +1,7 @@
 """Inclusion checking: exhaustive and sampled scans against a slow evaluator."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import operator
 import random
@@ -30,6 +31,7 @@ from rellat import (
     ld,
     mk_meet,
     parse,
+    random_lattice,
     rd,
     verify_witness,
 )
@@ -521,6 +523,55 @@ def test_sample_is_reproducible(m3):
     a = check_inclusion(m3, CATALOG["Dist"], mode="sample", samples=300, seed=7)
     b = check_inclusion(m3, CATALOG["Dist"], mode="sample", samples=300, seed=7)
     assert a == b
+
+
+def _sampled_outcomes(lattices):
+    """Every catalog law sampled 3000 times at seeds 0 and 5 on each
+    lattice."""
+    for L in lattices:
+        for name in sorted(CATALOG):
+            for seed in (0, 5):
+                res = check_inclusion(L, CATALOG[name], mode="sample",
+                                      samples=3000, seed=seed)
+                yield L, name, seed, res
+
+
+@pytest.mark.parametrize("chunk", [1 << 16, 97])
+def test_sample_matches_separate_folds(monkeypatch, chunk):
+    """The shared program of both sides finds what folding each side on
+    its own finds, from the same draws, also across rounds."""
+    monkeypatch.setattr(equations, "_CHUNK", chunk)
+    lattices = all_lattices_upto(5) + [random_lattice(s) for s in range(6)]
+    for L, name, seed, res in _sampled_outcomes(lattices):
+        assert outcome(res) == oracles.sampled_scan(
+            L, CATALOG[name], 3000, seed, chunk)
+
+
+def test_sampled_results_are_pinned(monkeypatch):
+    """Verdicts, witnesses and counts on lattices of up to 6 elements and
+    ten random lattices, whole and in rounds of 97 draws, digested."""
+    lattices = all_lattices_upto(6) + [random_lattice(s) for s in range(10)]
+    got = []
+    for chunk in (1 << 16, 97):
+        monkeypatch.setattr(equations, "_CHUNK", chunk)
+        got += [(res.verdict, sorted((res.witness or {}).items()),
+                 res.evaluations)
+                for _, _, _, res in _sampled_outcomes(lattices)]
+    assert sum(verdict == "counterexample" for verdict, _, _ in got) == 154
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "0faf9ffd90110d66fb3b8c036eff2cf03bfe13a587051d8add0445072b21bf5a")
+
+
+@pytest.mark.parametrize("name, lookups", [("Unjp", 20), ("RL2", 17),
+                                           ("Dist", 5)])
+def test_sides_share_equal_subterms(name, lookups):
+    """ld(ys) and ld(zs) in Unjp, lcd(ys) and lcd(zs) in RL2, are each
+    computed once for both sides."""
+    inc = CATALOG[name]
+    prog, (lhs, rhs) = equations._compile(
+        (inc.lhs, inc.rhs), {v: i for i, v in enumerate(inc.variables)})
+    assert sum(op[0] != "var" for op in prog) == lookups
+    assert len(set(prog)) == len(prog) and lhs != rhs
 
 
 def test_sample_rejects_nonpositive_count(m3):

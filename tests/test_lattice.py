@@ -1,8 +1,10 @@
 """Core lattice machinery against definition-level oracles."""
 from __future__ import annotations
 
+import ast
 import collections
 import hashlib
+import inspect
 import itertools
 import random
 import time
@@ -25,6 +27,7 @@ from rellat import (
     build_countermodel,
     build_from_closed_family,
     build_from_leq,
+    closure_system_R,
     enumerate_frames,
     find_embedding,
     find_isomorphism,
@@ -215,6 +218,150 @@ def test_build_matches_definition_on_random_relations(block, monkeypatch):
     for outcome in ("lattice", "meet", "join", "not reflexive",
                     "not antisymmetric", "not transitive"):
         assert seen[outcome] >= 50, seen
+
+
+def _flipped_orders(L):
+    """L's order with one entry flipped three ways: bottom no longer below
+    top breaks transitivity; bottom no longer below the first atom leaves
+    no bottom, so a meet is missing first; the last coatom no longer below
+    top leaves no top, and the first pair that fails lacks a join."""
+    coatom = L.lower_covers(L.top)[-1]
+    for (i, j), outcome in (((L.bottom, L.top), "not transitive"),
+                            ((L.bottom, L.atoms()[0]), "meet"),
+                            ((coatom, L.top), "join")):
+        leq = L.leq.copy()
+        leq[i, j] = False
+        yield leq, outcome
+
+
+@small_blocks
+@pytest.mark.parametrize("make", [
+    lambda: build_R(Schema(("a", "b"), ("0", "1"))).lattice,
+    lambda: typed_R(typed_map_from_fibers([4, 2])).lattice,
+], ids=["R22", "typed42"])
+def test_failure_witnesses_past_one_block(make, block, monkeypatch):
+    """Rejected orders of 26 and 278 elements give the definition's
+    exception and witness. The meet check along the covers and the witness
+    scan span several blocks on typed 4,2 at the default block size, and on
+    both orders at a block of 7 entries."""
+    L = make()
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    for leq, outcome in _flipped_orders(L):
+        assert assert_build_matches_definition(L.n, leq) == outcome
+
+
+def _failing_last(leq):
+    """leq relabelled so that the elements in a pair without a meet or a
+    join come last, and how many there are. A pair has its meet iff some
+    common lower bound has as large a down-set as their common one."""
+    n = len(leq)
+    failing = np.zeros(n, dtype=bool)
+    for side in (leq, leq.T):
+        size = side.sum(axis=0)
+        for a in range(n):
+            common = side[:, a, None] & side
+            best = np.where(common, size[:, None], -1).max(axis=0)
+            failing[a] |= (best != common.sum(axis=0)).any()
+    perm = np.concatenate([np.flatnonzero(~failing), np.flatnonzero(failing)])
+    return leq[np.ix_(perm, perm)], int(failing.sum())
+
+
+@small_blocks
+@pytest.mark.parametrize("make, outcome", [
+    (lambda: build_R(Schema(("a", "b"), ("0", "1"))).lattice, "meet"),
+    (lambda: typed_R(typed_map_from_fibers([4, 2])).lattice, "join"),
+], ids=["R22", "typed42"])
+def test_lattice_witness_in_a_late_row(make, outcome, block, monkeypatch):
+    """With a middle cover removed and the elements of failing pairs
+    relabelled last, the first failing row is late, past the rows the
+    check along the covers passes."""
+    L = make()
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    k = len(L.lo) // 2
+    leq = L.leq.copy()
+    leq[L.lo[k], L.hi[k]] = False
+    leq, failing = _failing_last(leq)
+    assert assert_build_matches_definition(L.n, leq) == outcome
+    with pytest.raises(NotALattice) as got:
+        build_from_leq(L.n, leq)
+    assert got.value.args[0].startswith(f"not a lattice: pair ({L.n - failing},")
+
+
+@st.composite
+def relations(draw):
+    """A relation on at most 12 points: an order on a random permutation,
+    maybe bounded, then maybe entries flipped."""
+    n = draw(st.integers(1, 12))
+    perm = draw(st.permutations(range(n)))
+    leq = np.eye(n, dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            leq[perm[i], perm[j]] = draw(st.booleans())
+    if draw(st.booleans()):
+        for k in range(n):
+            leq |= leq[:, [k]] & leq[[k], :]
+    if draw(st.booleans()):
+        leq[perm[0], :] = leq[:, perm[-1]] = True
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)), max_size=2)):
+        leq[i, j] ^= True
+    return n, leq
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations(), st.sampled_from([lattice._BLOCK, 7]))
+def test_build_matches_definition_on_drawn_relations(relation, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_BLOCK", block)
+        assert_build_matches_definition(*relation)
+
+
+def test_lattice_module_holds_no_matrix_product():
+    """Builds, reloads and sublattices run no BLAS product (whose helper
+    threads spin): the module has no @, dot, matmul or einsum."""
+    tree = ast.parse(inspect.getsource(lattice))
+    for node in ast.walk(tree):
+        assert not isinstance(node, ast.MatMult)
+        assert getattr(node, "attr", None) not in (
+            "dot", "matmul", "einsum", "tensordot", "inner")
+
+
+def _families():
+    """Intersection-closed families: R(2,2)'s closure system, lattices as
+    the sets of join-irreducibles below each element, and seeded families
+    over 5, 64 and 70 points."""
+    yield closure_system_R(Schema(("a", "b"), ("0", "1"))).members
+    yield make_closed_family([], [0]).members
+    for L in (diamond_m3(), pentagon_n5(), boolean_cube(3),
+              build_R(Schema(("a", "b"), ("0", "1"))).lattice):
+        ji = L.join_irreducibles()
+        yield make_closed_family(
+            [str(j) for j in ji],
+            [sum(1 << k for k, j in enumerate(ji) if L.leq[j, x])
+             for x in range(L.n)]).members
+    rng = random.Random(11)
+    for _ in range(20):
+        bits = rng.choice([5, 64, 70])
+        masks = {(1 << bits) - 1} | {rng.getrandbits(bits) for _ in range(4)}
+        while len(closed := {a & b for a in masks for b in masks}) > len(masks):
+            masks = closed
+        yield make_closed_family([f"u{i}" for i in range(bits)], masks).members
+
+
+@small_blocks
+def test_open_pair_matches_pair_loop(block, monkeypatch):
+    """The first pair whose intersection is missing, on closed families
+    and on each of them with one member removed."""
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    opened = 0
+    for members in _families():
+        assert lattice._open_pair(members) is None
+        for k in range(len(members)):
+            rest = members[:k] + members[k + 1:]
+            want = oracles.intersection_witness(rest)
+            assert lattice._open_pair(rest) == want
+            opened += want is not None
+    assert opened >= 50
 
 
 @small_blocks
@@ -437,6 +584,33 @@ def test_embedding_is_least_by_brute_force(small_lattices):
     for L1, L2 in pairs:
         want = oracles.least_embedding(L1.n, L1.leq, L2.n, L2.leq)
         assert find_embedding(L1, L2) == want
+
+
+def test_bijections_are_verified_by_their_covers(small_lattices):
+    """A bijection onto a lattice of the same size, a relabeled copy or
+    another lattice, passes the cover check exactly when it preserves meets
+    and joins. Maps into larger lattices are checked against the tables."""
+    rng = np.random.default_rng(8)
+    lattices = [L for L in small_lattices if L.n >= 3]
+    accepted = 0
+    for L in lattices:
+        M = relabeled(L, L.n)
+        others = [K for K in lattices if K.n == L.n] + [M]
+        iso = np.array(find_isomorphism(L, M))
+        for K in others:
+            maps = [rng.permutation(L.n) for _ in range(20)]
+            maps += [iso[rng.permutation(L.n)] for _ in range(5)]
+            if K is M:
+                maps.append(iso)
+            for phi in maps:
+                want = ((phi[L.meet] == K.meet[np.ix_(phi, phi)]).all()
+                        and (phi[L.join] == K.join[np.ix_(phi, phi)]).all())
+                assert lattice._is_embedding(L, K, phi) == want
+                accepted += bool(want)
+    assert accepted >= len(lattices)
+    assert not lattice._is_embedding(diamond_m3(), boolean_cube(3),
+                                     np.array([0, 1, 2, 4, 7]))
+    assert lattice._is_embedding(chain(3), boolean_cube(3), np.array([0, 1, 7]))
 
 
 def relabeled(L, seed):
