@@ -37,6 +37,25 @@ no matrix product:
    covers, one column a at a time, on both tables, finds the first row
    that has such a pair; only that row's pairs are then counted.
 
+Lattices of closed sets (`_closure_lattice`) skip all of that. Every
+lattice the package constructs, except `build_R` and the `lattgen`
+enumeration, is a family of subsets of a u-point universe closed under
+intersection: the closed families of `build_from_closed_family` (closure
+systems, reconstructions, random lattices) and the fixed pairs of
+`relational.semidirect_core` (typed, semidirect and frame lattices). Given
+the flags of the closed sets among all 2^u masks, the operator cl[S], the
+intersection of the closed supersets of S, is filled in u in-place passes
+over the masks. The flags are accepted only if the universe and every
+cl[S] are flagged, which holds iff the family is closed under intersection,
+as cl(a & b) lies inside a and b. Then meet is a & b and join is
+cl[a | b] (Davey and Priestley, Introduction to Lattices and Order, ch. 7),
+both gathers through the mask -> element table, and a <= b iff their meet
+is a. Only the covers are computed from the order, as above. A family too
+wide for 2^u entries is checked by the intersection scan (`_open_pair`) and
+built by `build_from_leq`; a family the check rejects gets its witness
+from that scan, and a rejected semidirect table is built by
+`build_from_leq`.
+
 A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
 its parent's tables restricted to it, and only its covers are computed.
 
@@ -46,7 +65,10 @@ computation, and the order matrices of the closed-family, relational and
 semidirect builds, runs in blocks of rows of at most about _BLOCK (2^20)
 entries, so temporaries stay within a few times 8 MB whatever n is; the
 meet check reads the order in blocks of columns of about _BLOCK / 4
-entries.
+entries. A build of closed sets holds cl and the mask -> element table,
+2^u int32 entries each (4 MB at u = 20, the most the default
+Caps.max_enum allows), and gathers its tables in blocks of rows of about
+_BLOCK / 4 int32 entries, so each temporary holds about 1 MB.
 """
 from __future__ import annotations
 
@@ -246,6 +268,7 @@ def build_from_leq(
 
     Raises NotAPartialOrder / NotALattice with witnesses, SizeCapExceeded.
     """
+    stats.add("order_builds", 1)
     if n < 1:
         raise ValueError("need at least one element")
     if n > caps.max_lattice:
@@ -471,7 +494,11 @@ def build_from_closed_family(
     """Lattice of an intersection-closed family ordered by inclusion.
 
     Meet is intersection; join is the least member containing the union.
-    Raises NotIntersectionClosed with a witness pair of members.
+    Raises NotIntersectionClosed with a witness pair of members: the
+    universe twice when it is missing, else the first pair of
+    `_open_pair`. When the universe's 2^u subsets fit caps.max_enum, the
+    family is checked and built by `_closure_lattice`; a wider family is
+    checked by `_open_pair` and built by `build_from_leq`.
     """
     members = fam.members
     n = len(members)
@@ -479,13 +506,65 @@ def build_from_closed_family(
         raise ValueError("family must be nonempty")
     if n > caps.max_lattice:
         raise SizeCapExceeded(n, caps.max_lattice)
-    universe_mask = (1 << len(fam.universe)) - 1
+    u = len(fam.universe)
+    universe_mask = (1 << u) - 1
     if universe_mask not in members:
         raise NotIntersectionClosed((universe_mask, universe_mask))
+    labels = [set_label(fam.universe, m) for m in members]
+    if 1 << u <= caps.max_enum and 0 <= min(members) <= max(members) <= universe_mask:
+        closed = np.zeros(1 << u, dtype=bool)
+        closed[list(members)] = True
+        # a family that lists a set twice is no order: build_from_leq says so
+        if np.count_nonzero(closed) == n and \
+                (L := _closure_lattice(u, closed, members, labels)) is not None:
+            return L
     if (pair := _open_pair(members)) is not None:
         raise NotIntersectionClosed(pair)
-    labels = [set_label(fam.universe, m) for m in members]
     return build_from_leq(n, _containment(members), labels=labels, caps=caps)
+
+
+def _closure_lattice(u: int, closed: np.ndarray, members,
+                     labels: Sequence[str]) -> FiniteLattice | None:
+    """The lattice of the subsets of a u-point universe flagged in
+    `closed` (a boolean array over all 2^u masks), ordered by inclusion,
+    element i being the set members[i]; `members` lists every flagged mask
+    once. None if the flagged sets do not contain the universe or are not
+    closed under intersection.
+
+    The operator cl[S], the intersection of the flagged supersets of S
+    (the universe if there are none), is filled in u in-place passes over
+    the 2^u masks, one per point. The family is closed under intersection
+    iff every cl[S] is flagged: cl(a & b) lies inside a and b, so then it
+    is a & b. It is then a lattice (Davey and Priestley, Introduction to
+    Lattices and Order, ch. 7) with meet a & b and join cl[a | b], both
+    read as gathers, a block of rows at a time; a <= b iff their meet is
+    a.
+    """
+    full = (1 << u) - 1
+    if not closed[full]:
+        return None
+    dtype = np.int32 if u < 32 else np.int64     # holds every mask
+    cl = np.where(closed, np.arange(1 << u, dtype=dtype), dtype(full))
+    for i in range(u):
+        pairs = cl.reshape(-1, 2, 1 << i)       # [:, 1] adds point i
+        pairs[:, 0] &= pairs[:, 1]
+    if not closed[cl].all():
+        return None
+    masks = np.asarray(members, dtype=dtype)
+    n = len(masks)
+    pos = np.full(1 << u, -1, dtype=np.int32)   # mask -> element
+    pos[masks] = np.arange(n, dtype=np.int32)
+    leq = np.empty((n, n), dtype=bool)
+    meet = np.empty((n, n), dtype=np.int32)
+    join = np.empty((n, n), dtype=np.int32)
+    for r0, r1 in _row_blocks(n, 4 * n):
+        rows = masks[r0:r1, None]
+        meet[r0:r1] = pos[rows & masks]
+        join[r0:r1] = pos[cl[rows | masks]]
+        np.equal(meet[r0:r1], np.arange(r0, r1)[:, None], out=leq[r0:r1])
+    stats.add("closure_builds", 1)
+    return FiniteLattice(n, leq, meet, join, int(pos[cl[0]]), int(pos[full]),
+                         tuple(labels), *_cover_edges(leq))
 
 
 # -- sublattices -----------------------------------------------------------

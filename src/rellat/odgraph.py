@@ -35,6 +35,7 @@ from .errors import (
     BadODGraph,
     Caps,
     CoverEnumerationCapExceeded,
+    NotAPartialOrder,
     PartitionEnumerationCapExceeded,
     SizeCapExceeded,
     UnknownProperty,
@@ -43,7 +44,7 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
-    _row_blocks,
+    _cover_edges,
     _subset_table,
     build_from_closed_family,
     make_closed_family,
@@ -80,7 +81,7 @@ def _all_minimal_covers(L: FiniteLattice, caps: Caps) -> dict[int, list[tuple[in
     rows = L.leq[idx]                         # rows[t, x]: ji[t] <= x
     bit = np.int64(1) << np.arange(m, dtype=np.int64)
     strict = rows[:, idx] & ~np.eye(m, dtype=bool)
-    under = bit @ strict                      # irreducibles strictly below each
+    under = (strict * bit[:, None]).sum(axis=0)   # irreducibles strictly below each
     joinv = _subset_table(m, L.bottom, lambda i, t: L.join[t, ji[i]])
     below = _subset_table(m, 0, lambda i, t: t | under[i])
     size = _subset_table(m, 0, lambda i, t: t + 1)
@@ -175,15 +176,14 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
     if both.any():
         a, b = map(int, np.argwhere(both)[0])
         raise BadODGraph(f"order not antisymmetric at ({a},{b})")
-    # a < b < c without a < c; antisymmetry rules out a = c
-    d = lt.astype(np.float32)
-    for r0, r1 in _row_blocks(n, n):
-        broken = (d[r0:r1] @ d > 0) & ~lt[r0:r1]
-        if broken.any():
-            a = r0 + int(np.argmax(broken.any(axis=1)))
-            b = int(np.argmax(lt[a] & (d @ ~lt[a] > 0)))
-            c = int(np.argmax(lt[b] & ~lt[a]))
-            raise BadODGraph(f"order not transitive at ({a},{b},{c})")
+    # a < b < c without a < c, least a, then b, then c: in the reversed
+    # order, whose down-sets are the up-sets here, the transitivity witness
+    # (c, b, a) of the covers is that triple reversed
+    try:
+        _cover_edges(np.ascontiguousarray((lt | np.eye(n, dtype=bool)).T))
+    except NotAPartialOrder as e:
+        c, b, a = e.witness
+        raise BadODGraph(f"order not transitive at ({a},{b},{c})") from None
     if len(jp) != n:
         raise BadODGraph("jp flag count does not match element count")
     entries = set()

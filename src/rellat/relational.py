@@ -29,6 +29,7 @@ from .errors import (
 from .lattice import (
     ClosedFamily,
     FiniteLattice,
+    _closure_lattice,
     _containment,
     _row_blocks,
     _subset_table,
@@ -587,20 +588,30 @@ def semidirect_core(
     in T for each X and monotone in X; `_act_table` builds it for
     semidirect() and `frames._path_closure_table` for the frame lattice.
     The pairs come in X-then-T order.
+
+    The pair (X, T) is the set X | T << attrs of attributes and points,
+    and componentwise order is inclusion of these sets. Under the contract
+    they are closed under intersection and hold the full pair, so
+    `lattice._closure_lattice` builds the lattice from the fixed-point
+    flags. A table that breaks the contract so that they are not is built
+    from the inclusion order by `build_from_leq`, which either finds a
+    lattice or raises NotALattice.
     """
     n_attrs = len(attr_names)
-    xs, ts = np.nonzero(table == np.arange(table.shape[1]))
+    fixed = table == np.arange(table.shape[1])
+    xs, ts = np.nonzero(fixed)
     if len(xs) > caps.max_lattice:
         raise SizeCapExceeded(len(xs), caps.max_lattice)
     elems = list(zip(xs.tolist(), ts.tolist()))
-    n = len(elems)
-    # componentwise containment is containment of the concatenated masks
-    leq = _containment([x | t << n_attrs for x, t in elems])
-    labels = [
-        f"({set_label(tuple(attr_names), x)}|{set_label(tuple(point_names), t)})"
-        for x, t in elems
-    ]
-    lattice = build_from_leq(n, leq, labels=labels, caps=caps)
+    masks = xs | ts << n_attrs
+    x_label = {x: set_label(attr_names, x) for x in set(xs.tolist())}
+    t_label = {t: set_label(point_names, t) for t in set(ts.tolist())}
+    labels = [f"({x_label[x]}|{t_label[t]})" for x, t in elems]
+    lattice = _closure_lattice(n_attrs + len(point_names), fixed.T.ravel(),
+                               masks, labels)
+    if lattice is None:
+        lattice = build_from_leq(len(elems), _containment(masks.tolist()),
+                                 labels=labels, caps=caps)
     return SdLattice(lattice, tuple(elems))
 
 

@@ -214,7 +214,7 @@ def test_stats_flag_writes_counters_beside_identical_output(tmp_path, capsys,
     assert main(["--stats", stats_path] + argv) == 0
     assert capsys.readouterr().out == plain
     with open(stats_path) as fh:
-        assert json.load(fh) == {"lattice_docs_direct": 1,
+        assert json.load(fh) == {"lattice_docs_direct": 1, "order_builds": 1,
                                  "valuations_scanned": 26 * 26 * 27 // 2}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["build", "rel", "--attrs", "1", "--dom", "2", "--out", str(a)]) == 0
@@ -729,7 +729,7 @@ def test_reader_reads_written_lattices_as_json_does(tmp_path, make):
     _same_lattice(lattice_from_json(doc), lattice_from_json(json.loads(text)))
     with stats.collect() as counters:
         _same_lattice(_load_lattice(str(path), DEFAULT_CAPS), L)
-    assert counters == {"lattice_docs_direct": 1}
+    assert counters == {"lattice_docs_direct": 1, "order_builds": 1}
 
 
 @st.composite
@@ -860,11 +860,11 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
     stats_path = tmp_path / "stats.json"
     for argv, keys in (
             (["check", "iso", "--lattice", r22_file, "--other", r22_file],
-             {"lattice_docs_direct", "search_nodes"}),
+             {"lattice_docs_direct", "order_builds", "search_nodes"}),
             (["search", "pmorphism", "--src", prod, "--dst", two],
              {"pmorphism_nodes"}),
             (["odgraph", "extract", "--lattice", r22_file, "--out", "OUT"],
-             {"lattice_docs_direct", "subset_entries"}),
+             {"lattice_docs_direct", "order_builds", "subset_entries"}),
             (["odgraph", "props", "--odgraph", str(graph)],
              {"closure_passes"})):
         plain_out, counted_out = tmp_path / "plain.json", tmp_path / "counted.json"
@@ -878,3 +878,26 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
             assert plain_out.read_bytes() == counted_out.read_bytes()
         counters = json.loads(stats_path.read_text())
         assert counters.keys() == keys and all(v > 0 for v in counters.values())
+
+
+def test_stats_count_closure_and_order_builds(tmp_path, capsys):
+    """A typed build is one closure build and no order build; check nation
+    reloads the file (an order build) and builds the reconstruction from
+    its closure operator. Counting changes no output byte."""
+    plain, counted = tmp_path / "plain.json", tmp_path / "counted.json"
+    stats_path = tmp_path / "stats.json"
+    assert main(["build", "typed", "--fibers", "4,2", "--out", str(plain)]) == 0
+    out = capsys.readouterr().out
+    assert main(["--stats", str(stats_path), "build", "typed", "--fibers",
+                 "4,2", "--out", str(counted)]) == 0
+    assert capsys.readouterr().out == out.replace(str(plain), str(counted))
+    assert plain.read_bytes() == counted.read_bytes()
+    counters = json.loads(stats_path.read_text())
+    assert counters["closure_builds"] == 1 and "order_builds" not in counters
+    argv = ["check", "nation", "--lattice", str(plain)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert main(["--stats", str(stats_path)] + argv) == 0
+    assert capsys.readouterr().out == out
+    counters = json.loads(stats_path.read_text())
+    assert (counters["order_builds"], counters["closure_builds"]) == (1, 1)

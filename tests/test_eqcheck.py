@@ -350,7 +350,7 @@ def test_scan_counts_half_the_space_of_a_symmetric_law(monkeypatch, chunk):
     with stats.collect() as counters:
         res = check_inclusion(chain(6), CATALOG["SymPC"])
     assert outcome(res) == ("holds", None, 6**3)
-    assert counters == {"valuations_scanned": 6 * 21}
+    assert counters == {"valuations_scanned": 6 * 21, "order_builds": 1}
 
 
 def test_scan_counts_chunks_up_to_the_witness(m3, monkeypatch):

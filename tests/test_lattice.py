@@ -29,8 +29,10 @@ from rellat import (
     build_from_leq,
     closure_system_R,
     enumerate_frames,
+    extract_od_graph,
     find_embedding,
     find_isomorphism,
+    frame_queries,
     lattice_from_json,
     lattice_to_json,
     l_of_frame,
@@ -38,13 +40,15 @@ from rellat import (
     make_closed_family,
     random_lattice,
     reconstruct,
+    sections_space,
+    semidirect_core,
     set_label,
     structure_query,
     sublattice_closure,
     typed_map_from_fibers,
     typed_R,
 )
-from rellat import lattgen, lattice, stats
+from rellat import frames, lattgen, lattice, odgraph, relational, stats
 from conftest import boolean_cube, chain, diamond_m3, leq_from_covers, pentagon_n5
 import oracles
 
@@ -317,13 +321,15 @@ def test_build_matches_definition_on_drawn_relations(relation, block):
 
 
 def test_lattice_module_holds_no_matrix_product():
-    """Builds, reloads and sublattices run no BLAS product (whose helper
-    threads spin): the module has no @, dot, matmul or einsum."""
-    tree = ast.parse(inspect.getsource(lattice))
-    for node in ast.walk(tree):
-        assert not isinstance(node, ast.MatMult)
-        assert getattr(node, "attr", None) not in (
-            "dot", "matmul", "einsum", "tensordot", "inner")
+    """Builds, reloads, sublattices, extraction and OD-graph reads run no
+    BLAS product (whose helper threads spin): neither module has an @,
+    dot, matmul or einsum."""
+    for module in (lattice, odgraph):
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.MatMult)
+            assert getattr(node, "attr", None) not in (
+                "dot", "matmul", "einsum", "tensordot", "inner")
 
 
 def _families():
@@ -382,6 +388,175 @@ def test_closed_family_past_64_bits(block, monkeypatch):
         for j, b in enumerate(ms):
             assert bool(L.leq[i, j]) == (a & b == a)
             assert ms[int(L.meet[i, j])] == a & b
+
+
+def _assert_same_lattice(got, want):
+    """Equal fields, the tables' dtypes included."""
+    for name in ("leq", "meet", "join", "lo", "hi"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert (got.n, got.bottom, got.top, got.labels) == \
+        (want.n, want.bottom, want.top, want.labels)
+
+
+def _closure_built(build):
+    """build()'s result, which must come from one closure build and
+    validate no order."""
+    with stats.collect() as counters:
+        out = build()
+    assert counters.get("closure_builds") == 1, counters
+    assert "order_builds" not in counters
+    return out
+
+
+def _family_by_order(fam):
+    """A closed family's lattice as build_from_leq builds it from the
+    inclusion order of its members."""
+    labels = [set_label(fam.universe, m) for m in fam.members]
+    return build_from_leq(len(fam.members), lattice._containment(fam.members),
+                          labels=labels)
+
+
+def _semidirect_by_order(attr_names, point_names, table):
+    """semidirect_core's lattice as build_from_leq builds it from the
+    inclusion order of the fixed pairs' sets X | T << attrs, or the
+    NotALattice it raises."""
+    xs, ts = np.nonzero(table == np.arange(table.shape[1]))
+    labels = [f"({set_label(attr_names, x)}|{set_label(point_names, t)})"
+              for x, t in zip(xs.tolist(), ts.tolist())]
+    masks = (xs | ts << len(attr_names)).tolist()
+    try:
+        return build_from_leq(len(masks), lattice._containment(masks),
+                              labels=labels)
+    except NotALattice as e:
+        return e
+
+
+@small_blocks
+def test_semidirect_closure_builds_match_order_builds(block, monkeypatch):
+    """Every frame of at most four worlds that is full and initial (those
+    the frame census uses), and typed 4,2 and 5,2."""
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    census = [f for w in range(1, 5) for f in enumerate_frames(w, 2)
+              if all(frame_queries(f).values())]
+    assert len(census) == 131
+    for f in census:
+        want = _semidirect_by_order(
+            [str(i + 1) for i in range(f.n_rels)], f.worlds,
+            frames._path_closure_table(f, lattice.DEFAULT_CAPS))
+        _assert_same_lattice(_closure_built(lambda: l_of_frame(f)).lattice, want)
+    for fibers in ([4, 2], [5, 2]):
+        tm = typed_map_from_fibers(fibers)
+        space = sections_space(tm)
+        want = _semidirect_by_order(
+            space.attrs, space.points,
+            relational._act_table(space, lattice.DEFAULT_CAPS))
+        _assert_same_lattice(_closure_built(lambda: typed_R(tm)).lattice, want)
+
+
+@small_blocks
+def test_family_closure_builds_match_order_builds(block, monkeypatch, r22,
+                                                  cm_graph):
+    """The families of _families() over at most 20 points, the
+    reconstructions of R(2,2), typed 4,2 and the countermodel's graph, and
+    random_lattice(s) for s < 200."""
+    built = []
+
+    def spy(fam, caps=lattice.DEFAULT_CAPS):
+        built.append(fam)
+        return build_from_closed_family(fam, caps)
+
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    monkeypatch.setattr(odgraph, "build_from_closed_family", spy)
+    monkeypatch.setattr(lattgen, "build_from_closed_family", spy)
+    for members in _families():
+        u = max(members).bit_length()
+        if u <= 20:
+            fam = make_closed_family([f"u{i}" for i in range(u)], members)
+            L = _closure_built(lambda: build_from_closed_family(fam))
+            _assert_same_lattice(L, _family_by_order(fam))
+    typed42 = typed_R(typed_map_from_fibers([4, 2])).lattice
+    graphs = [extract_od_graph(r22.lattice), extract_od_graph(typed42), cm_graph]
+    for g in graphs:
+        L = _closure_built(lambda: reconstruct(g))
+        _assert_same_lattice(L, _family_by_order(built[-1]))
+    for s in range(200):
+        L = _closure_built(lambda: random_lattice(s))
+        _assert_same_lattice(L, _family_by_order(built[-1]))
+
+
+def _broken_tables(rng):
+    """Path-closure tables of frames with one X row made the identity (no
+    longer monotone in X) or one entry grown by a point (no longer
+    idempotent, or no longer a closure), and seeded extensive tables."""
+    for f in enumerate_frames(3, 2):
+        table = frames._path_closure_table(f, lattice.DEFAULT_CAPS)
+        xs, ts = table.shape
+        broken = table.copy()
+        broken[rng.randrange(1, xs)] = np.arange(ts)
+        yield f.n_rels, f.worlds, broken
+        broken = table.copy()
+        x, t = rng.randrange(xs), rng.randrange(ts)
+        broken[x, t] |= 1 << rng.randrange(f.n_worlds)
+        yield f.n_rels, f.worlds, broken
+    for _ in range(150):
+        n_attrs, n_points = rng.randint(1, 2), rng.randint(1, 3)
+        ts = np.arange(1 << n_points)
+        grow = np.array([[rng.getrandbits(n_points) if rng.random() < 0.3 else 0
+                          for _ in ts] for _ in range(1 << n_attrs)])
+        yield n_attrs, tuple(f"p{i}" for i in range(n_points)), ts | grow
+
+
+def test_semidirect_tables_off_contract_give_the_order_build():
+    """A table that is not monotone in X or not idempotent gives the
+    lattice (or the NotALattice) of the inclusion order of its fixed
+    pairs, whichever route builds it."""
+    rng = random.Random(19)
+    routes = collections.Counter()
+    for n_attrs, points, table in _broken_tables(rng):
+        attrs = [str(i + 1) for i in range(n_attrs)]
+        want = _semidirect_by_order(attrs, points, table)
+        with stats.collect() as counters:
+            try:
+                got = semidirect_core(attrs, points, table).lattice
+            except NotALattice as e:
+                got = e
+        if isinstance(want, NotALattice):
+            assert type(got) is NotALattice and got.args == want.args
+        else:
+            _assert_same_lattice(got, want)
+        routes["closure" if "closure_builds" in counters else "order"] += 1
+        routes[type(want).__name__] += 1
+    assert min(routes.values()) >= 20, routes
+
+
+def test_closure_family_failures_raise_the_open_pair():
+    """Each small family of _families() with one member removed, and
+    without its universe, raises the pair the intersection scan or the
+    universe check names."""
+    raised = 0
+    for members in _families():
+        u = max(members).bit_length()
+        if u > 20:
+            continue
+        names = [f"u{i}" for i in range(u)]
+        for k in range(len(members)):
+            rest = members[:k] + members[k + 1:]
+            if not rest:
+                continue
+            if members[k] == (1 << u) - 1:
+                want = ((1 << u) - 1,) * 2
+            else:
+                want = oracles.intersection_witness(rest)
+            if want is None:
+                _closure_built(lambda: build_from_closed_family(
+                    make_closed_family(names, rest)))
+                continue
+            with pytest.raises(NotIntersectionClosed) as got:
+                build_from_closed_family(make_closed_family(names, rest))
+            assert got.value.pair == want
+            raised += 1
+    assert raised >= 50
 
 
 # -- irreducibles and primes -------------------------------------------------------
