@@ -38,22 +38,22 @@ no matrix product:
    that has such a pair; only that row's pairs are then counted.
 
 Lattices of closed sets (`_closure_lattice`) skip all of that. Every
-lattice the package constructs, except `build_R` and the `lattgen`
-enumeration, is a family of subsets of a u-point universe closed under
-intersection: the closed families of `build_from_closed_family` (closure
-systems, reconstructions, random lattices) and the fixed pairs of
-`relational.semidirect_core` (typed, semidirect and frame lattices). Given
-the flags of the closed sets among all 2^u masks, the operator cl[S], the
+lattice the package constructs, except the `lattgen` enumeration, is a
+family of subsets of a u-point universe closed under intersection: the
+closed families of `build_from_closed_family` (closure systems,
+reconstructions, random lattices), the fixed pairs of
+`relational.semidirect_core` (typed, semidirect and frame lattices) and the
+tables of `relational.build_R`, each standing for its closed set. The
+members are flagged among all 2^u masks, and the operator cl[S], the
 intersection of the closed supersets of S, is filled in u in-place passes
-over the masks. The flags are accepted only if the universe and every
-cl[S] are flagged, which holds iff the family is closed under intersection,
-as cl(a & b) lies inside a and b. Then meet is a & b and join is
-cl[a | b] (Davey and Priestley, Introduction to Lattices and Order, ch. 7),
-both gathers through the mask -> element table, and a <= b iff their meet
-is a. Only the covers are computed from the order, as above. A family too
-wide for 2^u entries is checked by the intersection scan (`_open_pair`) and
-built by `build_from_leq`; a family the check rejects gets its witness
-from that scan, and a rejected semidirect table is built by
+over the masks. The family is accepted only if the universe and every
+cl[S] are flagged, which holds iff it is closed under intersection, as
+cl(a & b) lies inside a and b; else NotIntersectionClosed names a pair.
+Then meet is a & b and join is cl[a | b] (Davey and Priestley,
+Introduction to Lattices and Order, ch. 7), both gathers through the mask
+-> element table, and a <= b iff their meet is a. Only the covers are
+computed from the order, as above. A closed family too wide for 2^u
+entries is checked by the intersection scan (`_open_pair`) and built by
 `build_from_leq`.
 
 A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
@@ -61,14 +61,15 @@ its parent's tables restricted to it, and only its covers are computed.
 
 Memory: besides leq and the two int32 tables, a build holds the down-set
 bitsets, n^2/8 bytes, while it finds the covers. Every other n-by-n
-computation, and the order matrices of the closed-family, relational and
-semidirect builds, runs in blocks of rows of at most about _BLOCK (2^20)
-entries, so temporaries stay within a few times 8 MB whatever n is; the
-meet check reads the order in blocks of columns of about _BLOCK / 4
-entries. A build of closed sets holds cl and the mask -> element table,
-2^u int32 entries each (4 MB at u = 20, the most the default
-Caps.max_enum allows), and gathers its tables in blocks of rows of about
-_BLOCK / 4 int32 entries, so each temporary holds about 1 MB.
+computation, and the order matrix of a wide closed family, runs in
+blocks of rows of at most about _BLOCK (2^20) entries, so temporaries
+stay within a few times 8 MB whatever n is; the meet check reads the
+order in blocks of columns of about _BLOCK / 4 entries. A build of closed
+sets holds its flags, cl and the mask -> element table, 2^u entries each
+(4 MB of int32 at u = 20, the most the default Caps.max_enum allows for
+closed families and action tables; for `build_R` 2^u is at most n^2),
+and gathers its tables in blocks of rows of about _BLOCK / 4 int32
+entries, so each temporary holds about 1 MB.
 """
 from __future__ import annotations
 
@@ -496,9 +497,11 @@ def build_from_closed_family(
     Meet is intersection; join is the least member containing the union.
     Raises NotIntersectionClosed with a witness pair of members: the
     universe twice when it is missing, else the first pair of
-    `_open_pair`. When the universe's 2^u subsets fit caps.max_enum, the
-    family is checked and built by `_closure_lattice`; a wider family is
-    checked by `_open_pair` and built by `build_from_leq`.
+    `_open_pair`; and ValueError for members that repeat or are not masks
+    of the universe, which `make_closed_family` never gives. When the
+    universe's 2^u subsets fit caps.max_enum, the family is checked and
+    built by `_closure_lattice`; a wider family is checked by `_open_pair`
+    and built by `build_from_leq`.
     """
     members = fam.members
     n = len(members)
@@ -510,47 +513,45 @@ def build_from_closed_family(
     universe_mask = (1 << u) - 1
     if universe_mask not in members:
         raise NotIntersectionClosed((universe_mask, universe_mask))
+    if len(set(members)) != n or min(members) < 0 or max(members) > universe_mask:
+        raise ValueError(f"members must be distinct masks in 0..{universe_mask}")
     labels = [set_label(fam.universe, m) for m in members]
-    if 1 << u <= caps.max_enum and 0 <= min(members) <= max(members) <= universe_mask:
-        closed = np.zeros(1 << u, dtype=bool)
-        closed[list(members)] = True
-        # a family that lists a set twice is no order: build_from_leq says so
-        if np.count_nonzero(closed) == n and \
-                (L := _closure_lattice(u, closed, members, labels)) is not None:
-            return L
+    if 1 << u <= caps.max_enum:
+        return _closure_lattice(u, members, labels)
     if (pair := _open_pair(members)) is not None:
         raise NotIntersectionClosed(pair)
     return build_from_leq(n, _containment(members), labels=labels, caps=caps)
 
 
-def _closure_lattice(u: int, closed: np.ndarray, members,
-                     labels: Sequence[str]) -> FiniteLattice | None:
-    """The lattice of the subsets of a u-point universe flagged in
-    `closed` (a boolean array over all 2^u masks), ordered by inclusion,
-    element i being the set members[i]; `members` lists every flagged mask
-    once. None if the flagged sets do not contain the universe or are not
-    closed under intersection.
+def _closure_lattice(u: int, members, labels: Sequence[str]) -> FiniteLattice:
+    """The lattice of the distinct masks `members` of a u-point universe,
+    ordered by inclusion, element i being the set members[i]. Raises
+    NotIntersectionClosed with the universe twice if it is not a member,
+    else with the first pair of `_open_pair` if the members are not closed
+    under intersection.
 
-    The operator cl[S], the intersection of the flagged supersets of S
+    The operator cl[S], the intersection of the members containing S
     (the universe if there are none), is filled in u in-place passes over
     the 2^u masks, one per point. The family is closed under intersection
-    iff every cl[S] is flagged: cl(a & b) lies inside a and b, so then it
+    iff every cl[S] is a member: cl(a & b) lies inside a and b, so then it
     is a & b. It is then a lattice (Davey and Priestley, Introduction to
     Lattices and Order, ch. 7) with meet a & b and join cl[a | b], both
     read as gathers, a block of rows at a time; a <= b iff their meet is
     a.
     """
     full = (1 << u) - 1
-    if not closed[full]:
-        return None
     dtype = np.int32 if u < 32 else np.int64     # holds every mask
+    masks = np.asarray(members, dtype=dtype)
+    closed = np.zeros(1 << u, dtype=bool)
+    closed[masks] = True
+    if not closed[full]:
+        raise NotIntersectionClosed((full, full))
     cl = np.where(closed, np.arange(1 << u, dtype=dtype), dtype(full))
     for i in range(u):
         pairs = cl.reshape(-1, 2, 1 << i)       # [:, 1] adds point i
         pairs[:, 0] &= pairs[:, 1]
     if not closed[cl].all():
-        return None
-    masks = np.asarray(members, dtype=dtype)
+        raise NotIntersectionClosed(_open_pair(masks.tolist()))
     n = len(masks)
     pos = np.full(1 << u, -1, dtype=np.int32)   # mask -> element
     pos[masks] = np.arange(n, dtype=np.int32)

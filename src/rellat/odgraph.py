@@ -22,6 +22,7 @@ for both.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -163,14 +164,21 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
     n = len(elems)
     if len(set(elems)) != n:
         raise BadODGraph("duplicate element labels")
-    lo, hi = [], []
-    for a, b in leq_pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise BadODGraph(f"order pair ({a},{b}) out of range")
-        lo.append(a)
-        hi.append(b)
+    # one array of the pairs and one range check; an index too large for
+    # the array is out of range too, and only then are the pairs scanned
+    # for the first one out of range
+    pairs = list(leq_pairs)
+    try:
+        at = np.fromiter(itertools.chain.from_iterable(pairs),
+                         dtype=np.intp).reshape(len(pairs), 2)
+        in_range = not pairs or 0 <= at.min() <= at.max() < n
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        a, b = next((a, b) for a, b in pairs if not (0 <= a < n and 0 <= b < n))
+        raise BadODGraph(f"order pair ({a},{b}) out of range")
     lt = np.zeros((n, n), dtype=bool)
-    lt[np.array(lo, dtype=np.intp), np.array(hi, dtype=np.intp)] = True
+    lt[at[:, 0], at[:, 1]] = True
     np.fill_diagonal(lt, False)
     both = lt & lt.T
     if both.any():

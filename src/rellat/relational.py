@@ -3,7 +3,9 @@
 Headers are bitmasks over the schema's attribute list; a row over a header is
 a fixed-radix integer whose most significant digit belongs to the smallest
 attribute index present. All three constructions order elements
-deterministically, so cross-construction tests can rely on positions.
+deterministically, so cross-construction tests can rely on positions, and
+all three build their lattices as families of closed sets
+(`lattice._closure_lattice`).
 """
 from __future__ import annotations
 
@@ -30,10 +32,7 @@ from .lattice import (
     ClosedFamily,
     FiniteLattice,
     _closure_lattice,
-    _containment,
-    _row_blocks,
     _subset_table,
-    build_from_leq,
     make_closed_family,
     set_label,
 )
@@ -247,40 +246,43 @@ def r_size(schema: Schema) -> int:
 
 
 def build_R(schema: Schema, caps: Caps = DEFAULT_CAPS) -> RLattice:
-    """Enumerate every (header, row set) pair and order by table_leq."""
+    """Every (header, row set) pair, by header, then by row set as a bitmask
+    over the row codes, ordered by table_leq.
+
+    t1 <= t2 iff the closed set of t1 (`_closed_sets`) lies inside that of
+    t2, so `lattice._closure_lattice` builds the lattice from those sets.
+    The size cap bounds the 2^(|A| + |D|^|A|) masks it holds too: for n
+    tables they number at most n^2, as 2^|A| <= n (a table per header at
+    least) and 2^(|D|^|A|) <= n (the full-header tables alone).
+    """
     total = r_size(schema)
     if total > caps.max_lattice:
         raise SizeCapExceeded(total, caps.max_lattice)
-    # elements by header, then by row set as a bitmask over the row codes
-    elems: list[Table] = []
-    start = {}
-    for mask in range(schema.full_header + 1):
-        start[mask] = len(elems)
-        nr = schema.n_rows(mask)
-        for rowset in range(1 << nr):
-            rows = frozenset(i for i in range(nr) if rowset >> i & 1)
-            elems.append(Table(schema, mask, rows))
-    n = len(elems)
-    # t1 <= t2 needs header h2 inside h1; then the block of header pair
-    # (h1, h2) compares each row set over h1, projected to h2, with every
-    # row set over h2 by mask containment
-    leq = np.zeros((n, n), dtype=bool)
-    for h1 in start:
-        sets1 = np.arange(1 << schema.n_rows(h1), dtype=np.int64)
-        for h2 in start:
-            if h2 & ~h1:
-                continue
-            image = np.zeros_like(sets1)
-            for c in range(schema.n_rows(h1)):
-                image |= (sets1 >> c & 1) << schema.restrict_code(h1, c, h2)
-            sets2 = np.arange(1 << schema.n_rows(h2), dtype=np.int64)
-            cols = slice(start[h2], start[h2] + len(sets2))
-            for r0, r1 in _row_blocks(len(sets1), len(sets2)):
-                leq[start[h1] + r0:start[h1] + r1, cols] = \
-                    (image[r0:r1, None] & ~sets2) == 0
-    labels = [table_label(t) for t in elems]
-    lattice = build_from_leq(n, leq, labels=labels, caps=caps)
+    elems = [Table(schema, mask, frozenset(i for i in range(nr) if rowset >> i & 1))
+             for mask in range(schema.full_header + 1)
+             for nr in (schema.n_rows(mask),) for rowset in range(1 << nr)]
+    n_attrs = len(schema.attrs)
+    lattice = _closure_lattice(n_attrs + len(schema.dom) ** n_attrs,
+                               _closed_sets(schema),
+                               [table_label(t) for t in elems])
     return RLattice(schema, lattice, tuple(elems))
+
+
+def _closed_sets(schema: Schema) -> np.ndarray:
+    """The closed set of `closure_system_R` that each table stands for, in
+    `build_R`'s element order: the attributes outside its header, and at
+    bit |A| + f each full row f (its code) whose projection to the header
+    is one of its rows. One numpy pass per header over its row sets and
+    the full rows, whose projections are read once per header."""
+    n_attrs, full = len(schema.attrs), schema.full_header
+    rows = np.arange(len(schema.dom) ** n_attrs, dtype=np.int64)
+    out = []
+    for mask in range(full + 1):
+        code = np.array([schema.restrict_code(full, f, mask) for f in rows.tolist()])
+        rowsets = np.arange(1 << schema.n_rows(mask), dtype=np.int64)
+        inside = rowsets[:, None] >> code & 1
+        out.append((inside << rows + n_attrs).sum(axis=1) | full & ~mask)
+    return np.concatenate(out)
 
 
 # -- ultrametric spaces ----------------------------------------------------------
@@ -592,26 +594,20 @@ def semidirect_core(
     The pair (X, T) is the set X | T << attrs of attributes and points,
     and componentwise order is inclusion of these sets. Under the contract
     they are closed under intersection and hold the full pair, so
-    `lattice._closure_lattice` builds the lattice from the fixed-point
-    flags. A table that breaks the contract so that they are not is built
-    from the inclusion order by `build_from_leq`, which either finds a
-    lattice or raises NotALattice.
+    `lattice._closure_lattice` builds the lattice from them; a table off
+    the contract so that they are not raises NotIntersectionClosed, as a
+    closed family does.
     """
     n_attrs = len(attr_names)
-    fixed = table == np.arange(table.shape[1])
-    xs, ts = np.nonzero(fixed)
+    xs, ts = np.nonzero(table == np.arange(table.shape[1]))
     if len(xs) > caps.max_lattice:
         raise SizeCapExceeded(len(xs), caps.max_lattice)
     elems = list(zip(xs.tolist(), ts.tolist()))
-    masks = xs | ts << n_attrs
     x_label = {x: set_label(attr_names, x) for x in set(xs.tolist())}
     t_label = {t: set_label(point_names, t) for t in set(ts.tolist())}
     labels = [f"({x_label[x]}|{t_label[t]})" for x, t in elems]
-    lattice = _closure_lattice(n_attrs + len(point_names), fixed.T.ravel(),
-                               masks, labels)
-    if lattice is None:
-        lattice = build_from_leq(len(elems), _containment(masks.tolist()),
-                                 labels=labels, caps=caps)
+    lattice = _closure_lattice(n_attrs + len(point_names),
+                               xs | ts << n_attrs, labels)
     return SdLattice(lattice, tuple(elems))
 
 
@@ -629,18 +625,12 @@ def typed_R(tm: TypedMap, caps: Caps = DEFAULT_CAPS) -> SdLattice:
 def rel_to_semidirect_map(rl: RLattice, sd: SdLattice) -> list[int]:
     """Position map realizing (X, T) -> (A minus X, all rows projecting into T);
     sd must be the semidirect product of the schema's full Hamming space, whose
-    points are the full-header rows in code order."""
-    s = rl.schema
-    full = s.full_header
-    phi = []
-    for t in rl.elems:
-        x_img = full & ~t.header
-        cyl = cylindrify(t, full)
-        t_img = 0
-        for code in cyl.rows:
-            t_img |= 1 << code
-        phi.append(sd.index_of((x_img, t_img)))
-    return phi
+    points are the full-header rows in code order. Each table's pair is its
+    closed set (`_closed_sets`) split at bit |A|."""
+    n_attrs = len(rl.schema.attrs)
+    full = rl.schema.full_header
+    return [sd.index_of((m & full, m >> n_attrs))
+            for m in _closed_sets(rl.schema).tolist()]
 
 
 # -- the closure-system construction ---------------------------------------------

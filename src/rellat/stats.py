@@ -38,13 +38,13 @@ Counters written by the duality and the action tables:
 Counters written by lattice construction, one per build:
 
     closure_builds      lattices of closed sets built from their closure
-                        operator by `lattice._closure_lattice` (typed,
-                        semidirect and frame lattices, closed families,
-                        reconstructions, random lattices)
+                        operator by `lattice._closure_lattice` (relational,
+                        typed, semidirect and frame lattices, closed
+                        families, reconstructions, random lattices)
     order_builds        calls of `lattice.build_from_leq`, which validates
-                        an order matrix (reloads, `build_R`, `lattgen`
-                        enumeration, and the wide or failing families and
-                        tables that fall back to it), those that raise too
+                        an order matrix (reloads, `lattgen` enumeration,
+                        and closed families too wide for 2^u flags), those
+                        that raise too
 
 Counters written by the command line when it reads a lattice file, one per
 file:

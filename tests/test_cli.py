@@ -880,6 +880,24 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
         assert counters.keys() == keys and all(v > 0 for v in counters.values())
 
 
+@pytest.mark.parametrize("attrs, dom, digest", [
+    (1, 2, "691b141fd58c7b3e5df1747db606cb28d1bdca8d3798a406c69b684786006139"),
+    (2, 2, "ec07dcb528010680c63dcc0f3ecd1f728fe7e4c5d6dcf223b81f4451de5376a5"),
+    (2, 3, "2facf95387cf9a055630c8c39d808f60dfbf31372d045b74c72162544cd6b32b"),
+    (3, 2, "d472e333b0c73ba0e3a0d0c62fc36c787c5f5f1da1f102ed9ecd6b6b41a660a3"),
+])
+def test_build_rel_files_are_pinned(tmp_path, capsys, attrs, dom, digest):
+    """build rel writes the bytes it wrote when it validated its order
+    matrix, from one closure build and no order build."""
+    out, stats_path = tmp_path / "r.json", tmp_path / "stats.json"
+    assert main(["--stats", str(stats_path), "build", "rel", "--attrs",
+                 str(attrs), "--dom", str(dom), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    counters = json.loads(stats_path.read_text())
+    assert counters["closure_builds"] == 1 and "order_builds" not in counters
+
+
 def test_stats_count_closure_and_order_builds(tmp_path, capsys):
     """A typed build is one closure build and no order build; check nation
     reloads the file (an order build) and builds the reconstruction from

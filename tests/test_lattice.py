@@ -6,6 +6,7 @@ import collections
 import hashlib
 import inspect
 import itertools
+import pathlib
 import random
 import time
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from rellat import (
     Caps,
+    ClosedFamily,
     EnumerationCapExceeded,
     NotALattice,
     NotAPartialOrder,
@@ -332,6 +334,21 @@ def test_lattice_module_holds_no_matrix_product():
                 "dot", "matmul", "einsum", "tensordot", "inner")
 
 
+def test_only_the_lattice_module_and_the_enumeration_build_from_orders():
+    """Every other module builds its lattices from closed sets: under
+    src/rellat only lattice.py, lattgen.py and __init__.py name
+    build_from_leq."""
+    package = pathlib.Path(lattice.__file__).parent
+    naming = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "build_from_leq" in (getattr(node, "id", None),
+                                    getattr(node, "attr", None),
+                                    getattr(node, "name", None)):
+                naming.add(path.name)
+    assert naming == {"lattice.py", "lattgen.py", "__init__.py"}
+
+
 def _families():
     """Intersection-closed families: R(2,2)'s closure system, lattices as
     the sets of join-irreducibles below each element, and seeded families
@@ -419,17 +436,13 @@ def _family_by_order(fam):
 
 def _semidirect_by_order(attr_names, point_names, table):
     """semidirect_core's lattice as build_from_leq builds it from the
-    inclusion order of the fixed pairs' sets X | T << attrs, or the
-    NotALattice it raises."""
+    inclusion order of the fixed pairs' sets X | T << attrs."""
     xs, ts = np.nonzero(table == np.arange(table.shape[1]))
     labels = [f"({set_label(attr_names, x)}|{set_label(point_names, t)})"
               for x, t in zip(xs.tolist(), ts.tolist())]
     masks = (xs | ts << len(attr_names)).tolist()
-    try:
-        return build_from_leq(len(masks), lattice._containment(masks),
-                              labels=labels)
-    except NotALattice as e:
-        return e
+    return build_from_leq(len(masks), lattice._containment(masks),
+                          labels=labels)
 
 
 @small_blocks
@@ -485,6 +498,21 @@ def test_family_closure_builds_match_order_builds(block, monkeypatch, r22,
         _assert_same_lattice(L, _family_by_order(built[-1]))
 
 
+@small_blocks
+@pytest.mark.parametrize("attrs, dom", [(1, 1), (1, 2), (1, 3), (1, 4),
+                                        (2, 2), (2, 3), (3, 2)])
+def test_relational_closure_builds_match_order_builds(attrs, dom, block,
+                                                      monkeypatch):
+    """build_R builds from its tables' closed sets the lattice that
+    build_from_leq builds from its order; the table_leq tests pin the
+    order itself."""
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    R = _closure_built(lambda: build_R(
+        Schema(tuple("abc"[:attrs]), tuple("0123"[:dom]))))
+    L = R.lattice
+    _assert_same_lattice(L, build_from_leq(L.n, L.leq, labels=L.labels))
+
+
 def _broken_tables(rng):
     """Path-closure tables of frames with one X row made the identity (no
     longer monotone in X) or one entry grown by a point (no longer
@@ -507,27 +535,27 @@ def _broken_tables(rng):
         yield n_attrs, tuple(f"p{i}" for i in range(n_points)), ts | grow
 
 
-def test_semidirect_tables_off_contract_give_the_order_build():
-    """A table that is not monotone in X or not idempotent gives the
-    lattice (or the NotALattice) of the inclusion order of its fixed
-    pairs, whichever route builds it."""
+def test_semidirect_tables_off_contract_build_or_raise():
+    """A table that is not monotone in X or not idempotent either has fixed
+    pairs closed under intersection, and then its closure build is the
+    lattice of their inclusion order, or raises NotIntersectionClosed with
+    the first pair whose intersection is not a fixed pair."""
     rng = random.Random(19)
-    routes = collections.Counter()
+    outcomes = collections.Counter()
     for n_attrs, points, table in _broken_tables(rng):
         attrs = [str(i + 1) for i in range(n_attrs)]
-        want = _semidirect_by_order(attrs, points, table)
-        with stats.collect() as counters:
-            try:
-                got = semidirect_core(attrs, points, table).lattice
-            except NotALattice as e:
-                got = e
-        if isinstance(want, NotALattice):
-            assert type(got) is NotALattice and got.args == want.args
+        xs, ts = np.nonzero(table == np.arange(table.shape[1]))
+        pair = oracles.intersection_witness((xs | ts << n_attrs).tolist())
+        if pair is None:
+            got = _closure_built(lambda: semidirect_core(attrs, points, table))
+            _assert_same_lattice(got.lattice,
+                                 _semidirect_by_order(attrs, points, table))
         else:
-            _assert_same_lattice(got, want)
-        routes["closure" if "closure_builds" in counters else "order"] += 1
-        routes[type(want).__name__] += 1
-    assert min(routes.values()) >= 20, routes
+            with pytest.raises(NotIntersectionClosed) as got:
+                semidirect_core(attrs, points, table)
+            assert got.value.pair == pair
+        outcomes["raised" if pair else "built"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_closure_family_failures_raise_the_open_pair():
@@ -632,6 +660,20 @@ def test_closed_family_requires_intersections():
         build_from_closed_family(fam)
     a, b = exc.value.pair
     assert a & b not in {0b000, 0b011, 0b110, 0b111}
+
+
+@pytest.mark.parametrize("universe, members", [
+    (("x",), (0, 1, 1)),                # a repeated member
+    (("x",), (1, 3)),                   # a mask past the universe
+    (("x",), (-1, 1)),                  # a negative mask
+    (tuple(f"u{i}" for i in range(70)), (0, 0, (1 << 70) - 1)),
+    (tuple(f"u{i}" for i in range(70)), (1 << 70, (1 << 70) - 1)),
+])
+def test_closed_family_rejects_malformed_members(universe, members):
+    """A hand-built family whose members repeat or are not masks of its
+    universe is refused, on the narrow and the wide route alike."""
+    with pytest.raises(ValueError, match="distinct masks"):
+        build_from_closed_family(ClosedFamily(universe, members))
 
 
 def test_set_label():

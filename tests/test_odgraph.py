@@ -203,6 +203,19 @@ def test_order_witness_is_least(pairs, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("bad", [-1, 5, 10 ** 30])
+def test_order_pair_out_of_range_is_named(bad):
+    """A document's first pair with an index outside 0..n-1 is named, also
+    when the index is too large for an integer array."""
+    elems, pairs, jp, mjc = chain_graph(5)
+    doc = {"elems": elems,
+           "leq_pairs": [list(p) for p in pairs[:3]] + [[1, bad], [bad, 0]],
+           "jp": jp, "mjc": [[k, c] for k, c in mjc]}
+    with pytest.raises(BadODGraph) as err:
+        od_graph_from_json(doc)
+    assert str(err.value) == f"order pair (1,{bad}) out of range"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=16))
 def test_order_witness_matches_pair_loops(pairs):
