@@ -103,68 +103,58 @@ def _load(path: str) -> dict:
             raise BadDocument(f"{path} is not a JSON document: {e}") from None
 
 
-# Every report and saved document is laid out as the json module lays it
-# out with a two-space indent and sorted keys. Asked to indent, the json
-# module runs its pure-Python encoder, one call per value, so
-# `_json_chunks` composes the same text itself: containers here, keys and
-# scalars through json.dumps (its escaping and ensure_ascii unchanged), an
-# order matrix row by row.
+# Every report and saved document is json.dumps(doc, indent=2,
+# sort_keys=True). The order matrix of a lattice document is the one value
+# laid out here instead: the document is dumped with "leq": null and split
+# at its one top-level line `\n  "leq": null` (a JSON string cannot hold a
+# raw newline, so no label can make another), and `_order_chunks` fills
+# the gap a block of rows at a time. `_dump` streams those blocks into the
+# file and its sha256 without building the matrix's text whole.
 
 
-def _json_chunks(obj, pad: str = "") -> Iterator[str]:
-    """obj (string keys) as the json module writes it with indent=2 and
-    sort_keys, in pieces; `pad` indents the line obj starts on. A boolean
-    numpy array is an order matrix, written as its rows of 0/1."""
-    if isinstance(obj, np.ndarray) and obj.dtype == bool:
-        yield from _order_chunks(obj, pad)
-    elif isinstance(obj, (dict, list, tuple)) and obj:
-        inner = pad + "  "
-        if isinstance(obj, dict):
-            brackets = "{}"
-            items = [(json.dumps(k) + ": ", v) for k, v in sorted(obj.items())]
-        else:
-            brackets = "[]"
-            items = [("", v) for v in obj]
-        sep = brackets[0] + "\n" + inner
-        for head, value in items:
-            yield sep + head
-            yield from _json_chunks(value, inner)
-            sep = ",\n" + inner
-        yield "\n" + pad + brackets[1]
-    else:
-        yield json.dumps(obj)
+def _json_chunks(doc) -> Iterator[str]:
+    """doc as the json module writes it with indent=2 and sort_keys, in
+    pieces. A boolean numpy array as the top-level "leq" of a dict is an
+    order matrix, written as its rows of 0/1."""
+    leq = doc.get("leq") if isinstance(doc, dict) else None
+    if not isinstance(leq, np.ndarray):
+        yield json.dumps(doc, indent=2, sort_keys=True)
+        return
+    text = json.dumps({**doc, "leq": None}, indent=2, sort_keys=True)
+    head, tail = text.split('\n  "leq": null')
+    yield head + '\n  "leq": '
+    yield from _order_chunks(leq)
+    yield tail
 
 
-def _row_layout(n: int, pad: str) -> tuple[np.ndarray, slice]:
-    """One row of an n-by-n order matrix as the json module writes it in a
-    value that starts on a line indented by `pad`: the bytes of the row's
-    record, led by its "," separator (the first row's is "["), with every
-    cell 0, and the positions of the cells in it. A record of 9n + 12
-    bytes at the top level: separator, newline, four spaces, "[", then n
-    cells each on its own line six spaces in, newline, four spaces, "]"."""
-    row_pad, cell_pad = pad + "  ", pad + "    "
-    head = ",\n" + row_pad + "[\n" + cell_pad
-    text = head + (",\n" + cell_pad).join("0" * n) + "\n" + row_pad + "]"
-    step = len(cell_pad) + 3
+def _row_layout(n: int) -> tuple[np.ndarray, slice]:
+    """One row of an n-by-n order matrix as the json module writes it as
+    the value of a top-level key: the bytes of the row's record, led by its
+    "," separator (the first row's is "["), with every cell 0, and the
+    positions of the cells in it. A record is 9n + 12 bytes: separator,
+    newline, four spaces, "[", then n cells each on its own line six spaces
+    in, newline, four spaces, "]"."""
+    head = ",\n    [\n      "
+    text = head + ",\n      ".join("0" * n) + "\n    ]"
     return (np.frombuffer(text.encode("ascii"), dtype=np.uint8),
-            slice(len(head), len(head) + step * n, step))
+            slice(len(head), len(head) + 9 * n, 9))
 
 
-def _order_chunks(leq: np.ndarray, pad: str) -> Iterator[str]:
+def _order_chunks(leq: np.ndarray) -> Iterator[str]:
     """An n-by-n boolean matrix as n rows of 0/1, a block of rows per chunk,
     each block the row record repeated with its cells filled in."""
     n = len(leq)
     if not n:
         yield "[]"
         return
-    template, cells = _row_layout(n, pad)
+    template, cells = _row_layout(n)
     for r0, r1 in _row_blocks(n, len(template)):
         block = np.tile(template, (r1 - r0, 1))
         block[:, cells] += leq[r0:r1].view(np.uint8)
         if r0 == 0:
             block[0, 0] = ord("[")
         yield block.tobytes().decode("ascii")
-    yield "\n" + pad + "]"
+    yield "\n  ]"
 
 
 # A saved lattice is read back through `_lattice_document`. When its
@@ -215,7 +205,7 @@ def _direct_lattice_document(data: bytes) -> dict | None:
     end = start + n * width
     if data[end:end + 4] != b"\n  ]":
         return None
-    template, cells = _row_layout(n, "  ")
+    template, cells = _row_layout(n)
     rows = np.frombuffer(data, dtype=np.uint8, count=end - start,
                          offset=start).reshape(n, width)
     leq = np.empty((n, n), dtype=bool)
@@ -441,12 +431,11 @@ def _witness_doc(g, w) -> dict | None:
 
 
 def _cmd_od_props(args) -> int:
-    caps = _caps(args)
     g = od_graph_from_json(_load(args.odgraph))
     results = {}
     all_hold = True
     for name in PROPERTY_IDS:
-        w = check_property(g, name, caps=caps)
+        w = check_property(g, name)
         results[name] = {"holds": w is None, "witness": _witness_doc(g, w)}
         all_hold = all_hold and w is None
     rep = _report(args, "odgraph props", {"odgraph": args.odgraph},
@@ -509,9 +498,8 @@ def _cmd_check_eq(args) -> int:
 
 
 def _cmd_check_prop(args) -> int:
-    caps = _caps(args)
     g = od_graph_from_json(_load(args.odgraph))
-    w = check_property(g, args.prop, caps=caps)
+    w = check_property(g, args.prop)
     rep = _report(args, "check prop", {"odgraph": args.odgraph}, {
         "property": args.prop,
         "holds": w is None,
@@ -520,19 +508,18 @@ def _cmd_check_prop(args) -> int:
     return _emit(rep, f"{args.prop}: {verdict}", 0 if w is None else 1)
 
 
-def _space_from_args(args, caps):
+def _space_from_args(args):
     if args.space:
         return space_from_json(_load(args.space)), {"space": args.space}
     if args.attrs is None or args.dom is None:
         raise RellatError("need --space FILE or --attrs N --dom N")
     points = args.points.split(",") if args.points else None
-    return hamming_space(_schema(args.attrs, args.dom), caps, points), {}
+    return hamming_space(_schema(args.attrs, args.dom), points=points), {}
 
 
 def _cmd_check_bc(args) -> int:
-    caps = _caps(args)
-    space, inputs = _space_from_args(args, caps)
-    w = bc_identity_check(space, caps)
+    space, inputs = _space_from_args(args)
+    w = bc_identity_check(space)
     names = space.attrs
     result = {"holds": w is None}
     if w is not None:
@@ -543,15 +530,14 @@ def _cmd_check_bc(args) -> int:
                   if w.t >> i & 1],
         }
     rep = _report(args, "check bc", inputs, result,
-                  budget=caps.max_enum)
+                  budget=DEFAULT_CAPS.max_enum)
     return _emit(rep, "composition identity " +
                  ("holds" if w is None else "fails"), 0 if w is None else 1)
 
 
 def _cmd_check_pc(args) -> int:
-    caps = _caps(args)
-    space, inputs = _space_from_args(args, caps)
-    w = is_pairwise_complete(space, caps)
+    space, inputs = _space_from_args(args)
+    w = is_pairwise_complete(space)
     names = space.attrs
     result = {"holds": w is None}
     if w is not None:
@@ -683,9 +669,16 @@ def _cmd_search_embedding(args) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
-def _add_caps_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, help="max lattice size")
-    p.add_argument("--budget", type=int, help="evaluation / search budget")
+_CAPS_FLAGS = {"--cap": "max lattice size",
+               "--budget": "evaluation / search budget"}
+
+
+def _add_caps_flags(p: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the caps flags of `flags`: only those the verb's code reads,
+    so that any other is a usage error rather than a bound that binds
+    nothing."""
+    for flag in flags:
+        p.add_argument(flag, type=int, help=_CAPS_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -703,20 +696,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attrs", type=int, required=True)
     p.add_argument("--dom", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap")
     p.set_defaults(func=_cmd_build_rel)
 
     p = bsub.add_parser("typed", help="typed relational lattice from fiber sizes")
     p.add_argument("--fibers", required=True, help="comma list, e.g. 2,1")
     p.add_argument("--out", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap")
     p.set_defaults(func=_cmd_build_typed)
 
     p = bsub.add_parser("closure", help="closure-system lattice over a schema")
     p.add_argument("--attrs", type=int, required=True)
     p.add_argument("--dom", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap")
     p.set_defaults(func=_cmd_build_closure)
 
     p = bsub.add_parser("frame", help="frame from partition block lists")
@@ -724,14 +717,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated block lists, e.g. 0,0,1;0,1,0")
     p.add_argument("--worlds", help="comma list of world names")
     p.add_argument("--out", required=True)
-    _add_caps_flags(p)
     p.set_defaults(func=_cmd_build_frame)
 
     p = bsub.add_parser("product", help="universal product frame")
     p.add_argument("--components", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap")
     p.set_defaults(func=_cmd_build_product)
 
     p = bsub.add_parser("countermodel",
@@ -739,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--graph", action="store_true",
                    help="write the cover graph instead of the lattice")
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap")
     p.set_defaults(func=_cmd_build_countermodel)
 
     od = verbs.add_parser("odgraph", help="duality data of a lattice")
@@ -748,18 +740,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = osub.add_parser("extract", help="irreducibles, order, primes, covers")
     p.add_argument("--lattice", required=True)
     p.add_argument("--out", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap")
     p.set_defaults(func=_cmd_od_extract)
 
     p = osub.add_parser("reconstruct", help="lattice of closed downsets")
     p.add_argument("--odgraph", required=True)
     p.add_argument("--out", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap")
     p.set_defaults(func=_cmd_od_reconstruct)
 
     p = osub.add_parser("props", help="run every property checker")
     p.add_argument("--odgraph", required=True)
-    _add_caps_flags(p)
     p.set_defaults(func=_cmd_od_props)
 
     check = verbs.add_parser("check", help="verdicts with witnesses")
@@ -774,13 +765,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness", help="replay a valuation, e.g. x=3,y=0")
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap", "--budget")
     p.set_defaults(func=_cmd_check_eq)
 
     p = csub.add_parser("prop", help="one cover-combinatorial property")
     p.add_argument("--prop", required=True, choices=list(PROPERTY_IDS))
     p.add_argument("--odgraph", required=True)
-    _add_caps_flags(p)
     p.set_defaults(func=_cmd_check_prop)
 
     for what, helptext, func in (
@@ -792,18 +782,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--attrs", type=int, help="build a full function space")
         p.add_argument("--dom", type=int)
         p.add_argument("--points", help="restrict to these point labels")
-        _add_caps_flags(p)
         p.set_defaults(func=func)
 
     p = csub.add_parser("iso", help="isomorphism between two lattices")
     p.add_argument("--lattice", required=True)
     p.add_argument("--other", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap", "--budget")
     p.set_defaults(func=_cmd_check_iso)
 
     p = csub.add_parser("nation", help="extract-then-reconstruct round trip")
     p.add_argument("--lattice", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap", "--budget")
     p.set_defaults(func=_cmd_check_nation)
 
     search = verbs.add_parser("search", help="bounded backtracking searches")
@@ -815,19 +804,19 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all-prime-cover", "illdefined"])
     p.add_argument("--max-seed", type=int, default=3)
     p.add_argument("--out")
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap", "--budget")
     p.set_defaults(func=_cmd_search_sublattice)
 
     p = ssub.add_parser("pmorphism", help="surjective p-morphism between frames")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--budget")
     p.set_defaults(func=_cmd_search_pmorphism)
 
     p = ssub.add_parser("embedding", help="lattice embedding")
     p.add_argument("--lattice", required=True)
     p.add_argument("--into", required=True)
-    _add_caps_flags(p)
+    _add_caps_flags(p, "--cap", "--budget")
     p.set_defaults(func=_cmd_search_embedding)
 
     return top

@@ -115,10 +115,17 @@ def minimal_join_covers(L: FiniteLattice, j: int,
 
 @dataclass(frozen=True)
 class ODGraph:
-    """Join-irreducibles with their order, primeness flags, and cover lists."""
+    """Join-irreducibles with their order, primeness flags, and cover lists.
+
+    The order is stored once, as `down_masks`: bit a of down_masks[b] is set
+    iff a <= b (so bit b too). `leq_pairs`, the strict order as (a, b) pairs
+    in row-major order, is derived from it. Equality and hashing compare
+    elems, down_masks, jp and mjc; two graphs on the same elements have the
+    same down_masks iff they have the same leq_pairs.
+    """
 
     elems: tuple[str, ...]
-    leq_pairs: tuple[tuple[int, int], ...]
+    down_masks: tuple[int, ...]
     jp: tuple[bool, ...]
     mjc: tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -131,12 +138,14 @@ class ODGraph:
         return frozenset(self.mjc)
 
     @cached_property
-    def down_masks(self) -> tuple[int, ...]:
-        """Bitmask of each element's downset."""
-        down = [1 << i for i in range(self.n)]
-        for a, b in self.leq_pairs:
-            down[b] |= 1 << a
-        return tuple(down)
+    def leq_pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every (a, b) with a < b, ordered by a, then b."""
+        n, width = self.n, (self.n + 7) // 8
+        raw = b"".join(m.to_bytes(width, "little") for m in self.down_masks)
+        down = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(n, width),
+                             axis=1, count=n, bitorder="little")
+        lt = down.T.astype(bool) & ~np.eye(n, dtype=bool)
+        return tuple(zip(*(x.tolist() for x in np.nonzero(lt))))
 
     @cached_property
     def cover_rules(self) -> tuple[tuple[int, int], ...]:
@@ -184,11 +193,13 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
     if both.any():
         a, b = map(int, np.argwhere(both)[0])
         raise BadODGraph(f"order not antisymmetric at ({a},{b})")
-    # a < b < c without a < c, least a, then b, then c: in the reversed
-    # order, whose down-sets are the up-sets here, the transitivity witness
-    # (c, b, a) of the covers is that triple reversed
+    # row b of `down` is the down-set of b. As an order it is the reverse,
+    # whose down-sets are the up-sets here, so for the least a < b < c
+    # without a < c (least a, then b, then c) the covers' transitivity
+    # witness is (c, b, a)
+    down = np.ascontiguousarray((lt | np.eye(n, dtype=bool)).T)
     try:
-        _cover_edges(np.ascontiguousarray((lt | np.eye(n, dtype=bool)).T))
+        _cover_edges(down)
     except NotAPartialOrder as e:
         c, b, a = e.witness
         raise BadODGraph(f"order not transitive at ({a},{b},{c})") from None
@@ -215,9 +226,12 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
         if not jp[j] and len(own) == 1:
             raise BadODGraph(f"element {j} is flagged non-prime but has only "
                              "the trivial cover")
+    packed = np.packbits(down, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
     return ODGraph(
         elems=tuple(str(e) for e in elems),
-        leq_pairs=tuple(zip(*(x.tolist() for x in np.nonzero(lt)))),
+        down_masks=tuple(int.from_bytes(raw[b * width:(b + 1) * width], "little")
+                         for b in range(n)),
         jp=tuple(bool(x) for x in jp),
         mjc=tuple(sorted(entries)),
     )

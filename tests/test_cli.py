@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, report shape, reproducibility."""
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -36,6 +37,7 @@ from rellat.cli import (
     _lattice_document,
     _load_lattice,
     _order_chunks,
+    build_parser,
     main,
 )
 from rellat.lattice import lattice_document
@@ -493,6 +495,90 @@ def test_jobs_flag_is_gone(capsys, r22_file):
     assert exc.value.code == 2
 
 
+# The caps flags each verb's code reads; every other (verb, flag) pair is
+# a usage error.
+CAPS_FLAGS = {
+    "build rel": {"--cap"},
+    "build typed": {"--cap"},
+    "build closure": {"--cap"},
+    "build frame": set(),
+    "build product": {"--cap"},
+    "build countermodel": {"--cap"},
+    "odgraph extract": {"--cap"},
+    "odgraph reconstruct": {"--cap"},
+    "odgraph props": set(),
+    "check eq": {"--cap", "--budget"},
+    "check prop": set(),
+    "check bc": set(),
+    "check pc": set(),
+    "check iso": {"--cap", "--budget"},
+    "check nation": {"--cap", "--budget"},
+    "search sublattice": {"--cap", "--budget"},
+    "search pmorphism": {"--budget"},
+    "search embedding": {"--cap", "--budget"},
+}
+
+# A command line each verb accepts; the files need not exist, since a
+# usage error comes before any file is read.
+VERB_ARGV = {
+    "build rel": "--attrs 1 --dom 1 --out x.json",
+    "build typed": "--fibers 2,1 --out x.json",
+    "build closure": "--attrs 1 --dom 1 --out x.json",
+    "build frame": "--rels 0,0,1;0,1,1 --out x.json",
+    "build product": "--components 2 --n 2 --out x.json",
+    "build countermodel": "--out x.json",
+    "odgraph extract": "--lattice x.json --out y.json",
+    "odgraph reconstruct": "--odgraph x.json --out y.json",
+    "odgraph props": "--odgraph x.json",
+    "check eq": "--lattice x.json --eq RL1",
+    "check prop": "--odgraph x.json --prop unjp",
+    "check bc": "--space x.json",
+    "check pc": "--space x.json",
+    "check iso": "--lattice x.json --other y.json",
+    "check nation": "--lattice x.json",
+    "search sublattice": "--lattice x.json --goal illdefined",
+    "search pmorphism": "--src x.json --dst y.json",
+    "search embedding": "--lattice x.json --into y.json",
+}
+
+
+def _verb_parsers(parser):
+    """(verb, parser) for every two-word verb under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for word, sub in action.choices.items():
+                inner = list(_verb_parsers(sub))
+                yield from ([(f"{word} {v}", p) for v, p in inner]
+                            if inner else [(word, sub)])
+
+
+def test_each_verb_registers_the_caps_flags_it_reads():
+    got = {verb: {opt for a in p._actions for opt in a.option_strings
+                  if opt in ("--cap", "--budget")}
+           for verb, p in _verb_parsers(build_parser())}
+    assert got == CAPS_FLAGS
+    assert sum(map(len, got.values())) == 18
+
+
+@pytest.mark.parametrize("verb, flag", [
+    (verb, flag) for verb, flags in CAPS_FLAGS.items()
+    for flag in ("--cap", "--budget") if flag not in flags])
+def test_caps_flag_a_verb_does_not_read_is_a_usage_error(tmp_path, capsys,
+                                                         monkeypatch, verb,
+                                                         flag):
+    monkeypatch.chdir(tmp_path)
+    argv = verb.split() + VERB_ARGV[verb].split() + [flag, "5"]
+    # without the flag the line parses: main returns rather than exits
+    assert main(argv[:-2]) in (0, 1, 2)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag} 5" in err
+
+
 # -- search -------------------------------------------------------------------------
 
 
@@ -613,9 +699,10 @@ def assert_lattice_written_as_encoder(L, path):
 def test_writer_matches_encoder_on_census(tmp_path, small_lattices):
     for L in small_lattices:
         assert_lattice_written_as_encoder(L, tmp_path / "l.json")
-        # an order matrix below the top level is laid out alike
-        assert written_text({"a": [lattice_document(L)]}) == \
-            encoder_text({"a": [lattice_to_json(L)]})
+        # only a top-level "leq" is an order matrix the writer lays out;
+        # below the top level the json module refuses the array
+        with pytest.raises(TypeError):
+            written_text({"a": [lattice_document(L)]})
         doc = od_graph_to_json(extract_od_graph(L))
         assert written_text(doc) == encoder_text(doc)
 
@@ -679,6 +766,49 @@ def test_reports_read_as_encoder_output(tmp_path, capsys, r22_file):
         main(argv)
         out = capsys.readouterr().out
         assert out == encoder_text(json.loads(out)) + "\n"
+
+
+def test_lattices_with_and_without_labels_are_encoder_text(tmp_path):
+    L = chain(5)
+    assert_lattice_written_as_encoder(L, tmp_path / "l.json")
+    assert_lattice_written_as_encoder(
+        build_from_leq(L.n, L.leq, labels=None), tmp_path / "u.json")
+
+
+def test_labels_cannot_fake_the_order_line(tmp_path):
+    """Labels holding the line the writer splits at, a quote, a newline
+    and a non-ASCII letter are escaped by the json module, so the order
+    matrix still goes where the top-level "leq" is, and the file reads
+    back to the same lattice."""
+    labels = ['"leq": null', '\n  "leq": null', 'a"b', "new\nline", "é"]
+    L = build_from_leq(5, chain(5).leq, labels=labels)
+    path = tmp_path / "l.json"
+    assert_lattice_written_as_encoder(L, path)
+    _same_lattice(_load_lattice(str(path), DEFAULT_CAPS), L)
+
+
+def test_cli_documents_are_encoder_text(tmp_path, capsys):
+    """Every kind of file the command line writes, and its reports (an
+    exit-3 report among them), are the encoder's bytes of themselves."""
+    out = {name: str(tmp_path / f"{name}.json")
+           for name in ("lattice", "graph", "frame", "stats", "extracted")}
+    for argv in (["build", "rel", "--attrs", "2", "--dom", "2",
+                  "--out", out["lattice"]],
+                 ["build", "countermodel", "--graph", "--out", out["graph"]],
+                 ["build", "frame", "--rels", "0,0,1;0,1,0", "--worlds",
+                  'a,b"q,é', "--out", out["frame"]],
+                 ["--stats", out["stats"], "odgraph", "extract", "--lattice",
+                  out["lattice"], "--out", out["extracted"]],
+                 ["check", "eq", "--lattice", out["lattice"], "--eq", "RL1",
+                  "--budget", "5"]):
+        main(argv)
+        text = capsys.readouterr().out
+        assert text == encoder_text(json.loads(text)) + "\n"
+    assert json.loads(text)["error"]["type"] == "BudgetExceeded"
+    for path in out.values():
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text == encoder_text(json.loads(text)) + "\n"
 
 
 # -- the lattice reader ------------------------------------------------------------
@@ -770,7 +900,7 @@ def _other_rows(text: str) -> str:
     """The rows of the dual of the document's order, laid out as the writer
     lays out a top-level matrix."""
     leq = np.array(json.loads(text)["leq"], dtype=bool).T
-    return "".join(_order_chunks(leq, "  "))
+    return "".join(_order_chunks(leq))
 
 
 def _row_start(text: str, row: int) -> int:

@@ -252,6 +252,34 @@ def test_graph_order_is_the_lattice_order(small_lattices, cm_lattice):
                 assert g.le(a, b) == bool(L.leq[ji[a], ji[b]]), (L.n, a, b)
 
 
+
+def test_leq_pairs_are_the_strict_order_row_major(small_lattices, cm_lattice):
+    """The pairs read off the stored down-sets are those a graph stored as
+    its order before: every (a, b) with ji[a] < ji[b], by a, then b."""
+    for L in [*small_lattices, cm_lattice]:
+        g = extract_od_graph(L)
+        ji = L.join_irreducibles()
+        assert g.leq_pairs == tuple(
+            (a, b) for a in range(g.n) for b in range(g.n)
+            if a != b and L.leq[ji[a], ji[b]]), L.n
+        assert g.down_masks == tuple(
+            sum(1 << a for a in range(g.n) if L.leq[ji[a], ji[b]])
+            for b in range(g.n))
+
+
+def test_graphs_equal_when_their_orders_are():
+    """Pairs given in another order, repeated or reflexive make the same
+    graph, with the same hash; another order makes another graph."""
+    elems, pairs, jp, mjc = chain_graph(5)
+    g = make_od_graph(elems, pairs, jp, mjc)
+    again = make_od_graph(elems, pairs[::-1] + pairs[:3] + [(2, 2)], jp, mjc)
+    assert again == g and hash(again) == hash(g)
+    assert again.leq_pairs == g.leq_pairs
+    assert make_od_graph(elems, pairs[1:], jp, mjc) != g
+    with pytest.raises(AttributeError):
+        g.leq_pairs = ()
+
+
 # -- reconstruction ------------------------------------------------------------------
 
 
