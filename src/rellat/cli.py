@@ -7,10 +7,16 @@ search sublattice|pmorphism|embedding.
 Cover properties (`odgraph props`, `check prop`) are decided from the
 od-graph alone; they take no lattice file.
 
-Every run prints a JSON report to stdout (sorted keys, so the same
+Every run prints one JSON report to stdout (sorted keys, so the same
 invocation line yields byte-identical output) and a one-line summary to
-stderr. Exit codes: 0 holds/success/found, 1 counterexample/witness/not
-found, 2 usage error or malformed input document, 3 budget or cap exceeded.
+stderr. A verb returns its result, summary and exit code; `_run` writes the
+report around them: `command` ("<verb> <what>"), `params` (every argument
+that has a value), `inputs` (each input file given, with its path and
+sha256), `seed`, `budget` and `evaluations` (null unless the verb sets
+them) and `result`. A run stopped by a budget or cap reports only
+`command` and `error`. Exit codes: 0 holds/success/found, 1
+counterexample/witness/not found, 2 usage error or malformed input
+document, 3 budget or cap exceeded.
 
 `rellat --stats PATH <verb> ...` also writes the run's work counters (see
 rellat.stats) to PATH as JSON; stdout and the files a verb writes stay
@@ -21,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import string
 import sys
@@ -249,6 +256,11 @@ def _dump(doc: dict, path: str) -> str:
     return digest.hexdigest()
 
 
+def _save(doc: dict, path: str) -> dict:
+    """Write doc to path; the report's record of the file written."""
+    return {"path": path, "sha256": _dump(doc, path)}
+
+
 def _caps(args) -> Caps:
     caps = DEFAULT_CAPS
     cap = getattr(args, "cap", None)
@@ -278,34 +290,6 @@ def _schema(n_attrs: int, n_dom: int) -> Schema:
     return Schema(attrs, dom)
 
 
-def _report(args, command: str, inputs: dict[str, str], result: dict,
-            seed=None, budget=None, evaluations=None) -> dict:
-    params = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("func", "stats") and v is not None
-    }
-    return {
-        "command": command,
-        "params": params,
-        "inputs": {name: {"path": path, "sha256": _sha256(path)}
-                   for name, path in inputs.items()},
-        "seed": seed,
-        "budget": budget,
-        "evaluations": evaluations,
-        "result": result,
-    }
-
-
-def _emit(report: dict, summary: str, code: int) -> int:
-    _print_json(report)
-    print(summary, file=sys.stderr)
-    return code
-
-
-def _written(path: str, sha: str) -> dict:
-    return {"path": path, "sha256": sha}
-
-
 def _valuation_doc(L, witness: dict[str, int] | None) -> dict | None:
     if witness is None:
         return None
@@ -313,109 +297,89 @@ def _valuation_doc(L, witness: dict[str, int] | None) -> dict | None:
             for name, i in witness.items()}
 
 
+# Each `_cmd_*` verb takes the parsed arguments and their caps and returns
+# (result, summary, exit code), then a dict of the report fields only it
+# sets (seed, budget, evaluations), if any; `_run` writes the report.
+
+
 # -- build ----------------------------------------------------------------------
 
 
-def _cmd_build_rel(args) -> int:
-    caps = _caps(args)
+def _cmd_build_rel(args, caps: Caps):
     rl = build_R(_schema(args.attrs, args.dom), caps)
-    sha = _dump(lattice_document(rl.lattice), args.out)
-    rep = _report(args, "build rel", {}, {
-        "n": rl.lattice.n, "out": _written(args.out, sha)})
-    return _emit(rep, f"relational lattice: {rl.lattice.n} elements -> {args.out}", 0)
+    out = _save(lattice_document(rl.lattice), args.out)
+    return ({"n": rl.lattice.n, "out": out},
+            f"relational lattice: {rl.lattice.n} elements -> {args.out}", 0)
 
 
-def _cmd_build_typed(args) -> int:
-    caps = _caps(args)
+def _cmd_build_typed(args, caps: Caps):
     sizes = _ints([x for x in args.fibers.split(",") if x], "--fibers")
     if not sizes or min(sizes) < 1:
         raise RellatError("--fibers needs at least one fiber, each of size "
                           f"at least 1, not {args.fibers!r}")
     sd = typed_R(typed_map_from_fibers(sizes), caps)
-    sha = _dump(lattice_document(sd.lattice), args.out)
-    rep = _report(args, "build typed", {}, {
-        "n": sd.lattice.n, "fibers": sizes, "out": _written(args.out, sha)})
-    return _emit(rep, f"typed relational lattice: {sd.lattice.n} elements", 0)
+    out = _save(lattice_document(sd.lattice), args.out)
+    return ({"n": sd.lattice.n, "fibers": sizes, "out": out},
+            f"typed relational lattice: {sd.lattice.n} elements", 0)
 
 
-def _cmd_build_closure(args) -> int:
-    caps = _caps(args)
+def _cmd_build_closure(args, caps: Caps):
     fam = closure_system_R(_schema(args.attrs, args.dom), caps)
     L = build_from_closed_family(fam, caps)
-    sha = _dump(lattice_document(L), args.out)
-    rep = _report(args, "build closure", {}, {
-        "n": L.n, "out": _written(args.out, sha)})
-    return _emit(rep, f"closure-system lattice: {L.n} closed sets", 0)
+    return ({"n": L.n, "out": _save(lattice_document(L), args.out)},
+            f"closure-system lattice: {L.n} closed sets", 0)
 
 
-def _cmd_build_frame(args) -> int:
+def _cmd_build_frame(args, caps: Caps):
     rels = [_ints(part.split(","), "--rels") for part in args.rels.split(";")]
     n = len(rels[0]) if rels else 0
     worlds = args.worlds.split(",") if args.worlds else [f"w{i}" for i in range(n)]
     f = make_frame(worlds, rels)
     wit = is_s5n_frame(f)
-    sha = _dump(frame_to_json(f), args.out)
-    rep = _report(args, "build frame", {}, {
-        "worlds": f.n_worlds, "relations": f.n_rels,
-        "s5": wit is None,
-        "s5_witness": dataclasses.asdict(wit) if wit else None,
-        "out": _written(args.out, sha)})
+    result = {"worlds": f.n_worlds, "relations": f.n_rels,
+              "s5": wit is None,
+              "s5_witness": dataclasses.asdict(wit) if wit else None,
+              "out": _save(frame_to_json(f), args.out)}
     verdict = "confluent" if wit is None else "not confluent"
-    return _emit(rep, f"frame with {f.n_worlds} worlds ({verdict})", 0)
+    return result, f"frame with {f.n_worlds} worlds ({verdict})", 0
 
 
-def _cmd_build_product(args) -> int:
-    caps = _caps(args)
+def _cmd_build_product(args, caps: Caps):
     if args.n < 0:
         raise RellatError(f"--n must be at least 0, not {args.n}")
     f = universal_product([str(i) for i in range(args.components)], args.n, caps)
-    sha = _dump(frame_to_json(f), args.out)
-    rep = _report(args, "build product", {}, {
-        "worlds": f.n_worlds, "relations": f.n_rels,
-        "out": _written(args.out, sha)})
-    return _emit(rep, f"universal product frame: {f.n_worlds} worlds", 0)
+    return ({"worlds": f.n_worlds, "relations": f.n_rels,
+             "out": _save(frame_to_json(f), args.out)},
+            f"universal product frame: {f.n_worlds} worlds", 0)
 
 
-def _cmd_build_countermodel(args) -> int:
-    caps = _caps(args)
+def _cmd_build_countermodel(args, caps: Caps):
     g = build_countermodel()
     if args.graph:
-        sha = _dump(od_graph_to_json(g), args.out)
-        result = {"elements": g.n, "covers": len(g.mjc),
-                  "out": _written(args.out, sha)}
-        summary = f"countermodel cover graph: {g.n} elements -> {args.out}"
-    else:
-        L = reconstruct(g, caps)
-        sha = _dump(lattice_document(L), args.out)
-        result = {"n": L.n, "out": _written(args.out, sha)}
-        summary = f"countermodel lattice: {L.n} elements -> {args.out}"
-    return _emit(_report(args, "build countermodel", {}, result), summary, 0)
+        return ({"elements": g.n, "covers": len(g.mjc),
+                 "out": _save(od_graph_to_json(g), args.out)},
+                f"countermodel cover graph: {g.n} elements -> {args.out}", 0)
+    L = reconstruct(g, caps)
+    return ({"n": L.n, "out": _save(lattice_document(L), args.out)},
+            f"countermodel lattice: {L.n} elements -> {args.out}", 0)
 
 
 # -- odgraph --------------------------------------------------------------------
 
 
-def _cmd_od_extract(args) -> int:
-    caps = _caps(args)
+def _cmd_od_extract(args, caps: Caps):
     L = _load_lattice(args.lattice, caps)
     g = extract_od_graph(L, caps)
-    sha = _dump(od_graph_to_json(g), args.out)
-    rep = _report(args, "odgraph extract", {"lattice": args.lattice}, {
-        "elements": g.n,
-        "join_primes": sum(g.jp),
-        "covers": len(g.mjc),
-        "out": _written(args.out, sha)})
-    return _emit(rep, f"extracted {g.n} irreducibles, {len(g.mjc)} covers", 0)
+    return ({"elements": g.n, "join_primes": sum(g.jp), "covers": len(g.mjc),
+             "out": _save(od_graph_to_json(g), args.out)},
+            f"extracted {g.n} irreducibles, {len(g.mjc)} covers", 0)
 
 
-def _cmd_od_reconstruct(args) -> int:
-    caps = _caps(args)
+def _cmd_od_reconstruct(args, caps: Caps):
     g = od_graph_from_json(_load(args.odgraph))
     L = reconstruct(g, caps)
-    sha = _dump(lattice_document(L), args.out)
-    rep = _report(args, "odgraph reconstruct", {"odgraph": args.odgraph}, {
-        "n": L.n, "out": _written(args.out, sha)})
-    return _emit(rep, f"reconstructed lattice with {L.n} elements", 0)
+    return ({"n": L.n, "out": _save(lattice_document(L), args.out)},
+            f"reconstructed lattice with {L.n} elements", 0)
 
 
 def _witness_doc(g, w) -> dict | None:
@@ -430,19 +394,15 @@ def _witness_doc(g, w) -> dict | None:
     }
 
 
-def _cmd_od_props(args) -> int:
+def _cmd_od_props(args, caps: Caps):
     g = od_graph_from_json(_load(args.odgraph))
     results = {}
-    all_hold = True
     for name in PROPERTY_IDS:
         w = check_property(g, name)
         results[name] = {"holds": w is None, "witness": _witness_doc(g, w)}
-        all_hold = all_hold and w is None
-    rep = _report(args, "odgraph props", {"odgraph": args.odgraph},
-                  {"properties": results})
-    held = sum(1 for r in results.values() if r["holds"])
-    return _emit(rep, f"{held}/{len(results)} properties hold",
-                 0 if all_hold else 1)
+    held = sum(r["holds"] for r in results.values())
+    return ({"properties": results}, f"{held}/{len(results)} properties hold",
+            0 if held == len(results) else 1)
 
 
 # -- check ----------------------------------------------------------------------
@@ -458,8 +418,7 @@ def _parse_valuation(text: str) -> dict[str, int]:
     return out
 
 
-def _cmd_check_eq(args) -> int:
-    caps = _caps(args)
+def _cmd_check_eq(args, caps: Caps):
     L = _load_lattice(args.lattice, caps)
     if args.eq:
         inc = catalog_inclusion(args.eq)
@@ -469,113 +428,97 @@ def _cmd_check_eq(args) -> int:
             raise RellatError("the --inclusion text must contain '<='")
     else:
         raise RellatError("check eq needs --eq NAME or --inclusion TEXT")
-    inputs = {"lattice": args.lattice}
     if args.witness:
         v = _parse_valuation(args.witness)
         if any(not 0 <= i < L.n for i in v.values()):
             raise RellatError(f"--witness indices must lie in 0..{L.n - 1}")
         confirmed = verify_witness(L, inc, v)
-        rep = _report(args, "check eq", inputs, {
-            "inclusion": pretty_inclusion(inc),
-            "witness_confirmed": confirmed,
-            "witness": _valuation_doc(L, v)},
-            seed=None, budget=caps.eval_budget, evaluations=1)
         word = "fails" if confirmed else "does not fail"
-        return _emit(rep, f"valuation {word} the inclusion", 1 if confirmed else 0)
+        return ({"inclusion": pretty_inclusion(inc),
+                 "witness_confirmed": confirmed,
+                 "witness": _valuation_doc(L, v)},
+                f"valuation {word} the inclusion", 1 if confirmed else 0,
+                {"budget": caps.eval_budget, "evaluations": 1})
     if args.mode == "sample" and (args.samples < 1 or args.seed < 0):
         raise RellatError("--mode sample needs --samples at least 1 and "
                           f"--seed at least 0, not {args.samples} and {args.seed}")
     res = check_inclusion(L, inc, mode=args.mode, samples=args.samples,
                           seed=args.seed, caps=caps)
-    rep = _report(args, "check eq", inputs, {
-        "inclusion": pretty_inclusion(inc),
-        "verdict": res.verdict,
-        "witness": _valuation_doc(L, res.witness)},
-        seed=res.seed, budget=caps.eval_budget, evaluations=res.evaluations)
     ok = res.verdict in ("holds", "no_counterexample_found")
-    return _emit(rep, f"{args.eq or 'inclusion'}: {res.verdict} "
-                      f"({res.evaluations} evaluations)", 0 if ok else 1)
+    return ({"inclusion": pretty_inclusion(inc),
+             "verdict": res.verdict,
+             "witness": _valuation_doc(L, res.witness)},
+            f"{args.eq or 'inclusion'}: {res.verdict} "
+            f"({res.evaluations} evaluations)", 0 if ok else 1,
+            {"seed": res.seed, "budget": caps.eval_budget,
+             "evaluations": res.evaluations})
 
 
-def _cmd_check_prop(args) -> int:
+def _cmd_check_prop(args, caps: Caps):
     g = od_graph_from_json(_load(args.odgraph))
     w = check_property(g, args.prop)
-    rep = _report(args, "check prop", {"odgraph": args.odgraph}, {
-        "property": args.prop,
-        "holds": w is None,
-        "witness": _witness_doc(g, w)})
     verdict = "holds" if w is None else f"fails at {g.elems[w.j]}"
-    return _emit(rep, f"{args.prop}: {verdict}", 0 if w is None else 1)
+    return ({"property": args.prop, "holds": w is None,
+             "witness": _witness_doc(g, w)},
+            f"{args.prop}: {verdict}", 0 if w is None else 1)
 
 
 def _space_from_args(args):
     if args.space:
-        return space_from_json(_load(args.space)), {"space": args.space}
+        return space_from_json(_load(args.space))
     if args.attrs is None or args.dom is None:
         raise RellatError("need --space FILE or --attrs N --dom N")
     points = args.points.split(",") if args.points else None
-    return hamming_space(_schema(args.attrs, args.dom), points=points), {}
+    return hamming_space(_schema(args.attrs, args.dom), points=points)
 
 
-def _cmd_check_bc(args) -> int:
-    space, inputs = _space_from_args(args)
+def _members(names, mask: int) -> list:
+    """The names whose bits are set in mask."""
+    return [x for i, x in enumerate(names) if mask >> i & 1]
+
+
+def _cmd_check_bc(args, caps: Caps):
+    space = _space_from_args(args)
     w = bc_identity_check(space)
-    names = space.attrs
     result = {"holds": w is None}
     if w is not None:
-        result["witness"] = {
-            "x1": [names[i] for i in range(len(names)) if w.x1 >> i & 1],
-            "x2": [names[i] for i in range(len(names)) if w.x2 >> i & 1],
-            "t": [space.points[i] for i in range(len(space.points))
-                  if w.t >> i & 1],
-        }
-    rep = _report(args, "check bc", inputs, result,
-                  budget=DEFAULT_CAPS.max_enum)
-    return _emit(rep, "composition identity " +
-                 ("holds" if w is None else "fails"), 0 if w is None else 1)
+        result["witness"] = {"x1": _members(space.attrs, w.x1),
+                             "x2": _members(space.attrs, w.x2),
+                             "t": _members(space.points, w.t)}
+    return (result, "composition identity " + ("holds" if w is None else "fails"),
+            0 if w is None else 1, {"budget": caps.max_enum})
 
 
-def _cmd_check_pc(args) -> int:
-    space, inputs = _space_from_args(args)
+def _cmd_check_pc(args, caps: Caps):
+    space = _space_from_args(args)
     w = is_pairwise_complete(space)
-    names = space.attrs
     result = {"holds": w is None}
     if w is not None:
-        result["witness"] = {
-            "f": space.points[w.f],
-            "g": space.points[w.g],
-            "x1": [names[i] for i in range(len(names)) if w.x1 >> i & 1],
-            "x2": [names[i] for i in range(len(names)) if w.x2 >> i & 1],
-        }
-    rep = _report(args, "check pc", inputs, result)
-    return _emit(rep, "pairwise completeness " +
-                 ("holds" if w is None else "fails"), 0 if w is None else 1)
+        result["witness"] = {"f": space.points[w.f], "g": space.points[w.g],
+                             "x1": _members(space.attrs, w.x1),
+                             "x2": _members(space.attrs, w.x2)}
+    return (result, "pairwise completeness " + ("holds" if w is None else "fails"),
+            0 if w is None else 1)
 
 
-def _cmd_check_iso(args) -> int:
-    caps = _caps(args)
+def _cmd_check_iso(args, caps: Caps):
     L1 = _load_lattice(args.lattice, caps)
     L2 = _load_lattice(args.other, caps)
     m = find_isomorphism(L1, L2, caps)
-    rep = _report(args, "check iso",
-                  {"lattice": args.lattice, "other": args.other},
-                  {"isomorphic": m is not None, "mapping": m},
-                  budget=caps.search_nodes)
-    return _emit(rep, "isomorphic" if m is not None else "not isomorphic",
-                 0 if m is not None else 1)
+    return ({"isomorphic": m is not None, "mapping": m},
+            "isomorphic" if m is not None else "not isomorphic",
+            0 if m is not None else 1, {"budget": caps.search_nodes})
 
 
-def _cmd_check_nation(args) -> int:
-    caps = _caps(args)
+def _cmd_check_nation(args, caps: Caps):
     L = _load_lattice(args.lattice, caps)
     g = extract_od_graph(L, caps)
     R = reconstruct(g, caps)
     m = find_isomorphism(L, R, caps) if L.n == R.n else None
-    rep = _report(args, "check nation", {"lattice": args.lattice}, {
-        "n": L.n, "reconstructed_n": R.n,
-        "round_trip_isomorphic": m is not None})
-    return _emit(rep, f"round trip {'succeeded' if m is not None else 'FAILED'}",
-                 0 if m is not None else 1)
+    return ({"n": L.n, "reconstructed_n": R.n,
+             "round_trip_isomorphic": m is not None},
+            f"round trip {'succeeded' if m is not None else 'FAILED'}",
+            0 if m is not None else 1)
 
 
 # -- search ---------------------------------------------------------------------
@@ -599,12 +542,9 @@ def _goal_illdefined(g) -> dict | None:
     return None
 
 
-def _cmd_search_sublattice(args) -> int:
-    import itertools
-
+def _cmd_search_sublattice(args, caps: Caps):
     if args.max_seed < 1:
         raise RellatError(f"--max-seed must be at least 1, not {args.max_seed}")
-    caps = _caps(args)
     L = _load_lattice(args.lattice, caps)
     goal = {"all-prime-cover": _goal_all_prime_cover,
             "illdefined": _goal_illdefined}[args.goal]
@@ -627,46 +567,34 @@ def _cmd_search_sublattice(args) -> int:
                     "witness": hit,
                 }
                 if args.out:
-                    sha = _dump(lattice_document(sub), args.out)
-                    result["out"] = _written(args.out, sha)
-                rep = _report(args, "search sublattice",
-                              {"lattice": args.lattice}, result,
-                              budget=caps.search_nodes, evaluations=tried)
-                return _emit(rep, f"goal {args.goal} met by seed {list(seed)} "
-                                  f"({sub.n} elements)", 0)
-    rep = _report(args, "search sublattice", {"lattice": args.lattice},
-                  {"found": False}, budget=caps.search_nodes,
-                  evaluations=tried)
-    return _emit(rep, f"no sublattice met goal {args.goal}", 1)
+                    result["out"] = _save(lattice_document(sub), args.out)
+                return (result, f"goal {args.goal} met by seed {list(seed)} "
+                                f"({sub.n} elements)", 0,
+                        {"budget": caps.search_nodes, "evaluations": tried})
+    return ({"found": False}, f"no sublattice met goal {args.goal}", 1,
+            {"budget": caps.search_nodes, "evaluations": tried})
 
 
-def _cmd_search_pmorphism(args) -> int:
-    caps = _caps(args)
+def _cmd_search_pmorphism(args, caps: Caps):
     src = frame_from_json(_load(args.src))
     dst = frame_from_json(_load(args.dst))
     m = p_morphism_search(src, dst, caps)
-    rep = _report(args, "search pmorphism",
-                  {"src": args.src, "dst": args.dst},
-                  {"found": m is not None, "mapping": m},
-                  budget=caps.search_nodes)
-    return _emit(rep, "p-morphism found" if m is not None else
-                 "no p-morphism", 0 if m is not None else 1)
+    return ({"found": m is not None, "mapping": m},
+            "p-morphism found" if m is not None else "no p-morphism",
+            0 if m is not None else 1, {"budget": caps.search_nodes})
 
 
-def _cmd_search_embedding(args) -> int:
-    caps = _caps(args)
+def _cmd_search_embedding(args, caps: Caps):
     L1 = _load_lattice(args.lattice, caps)
     L2 = _load_lattice(args.into, caps)
     m = find_embedding(L1, L2, caps)
-    rep = _report(args, "search embedding",
-                  {"lattice": args.lattice, "into": args.into},
-                  {"found": m is not None, "mapping": m},
-                  budget=caps.search_nodes)
-    return _emit(rep, "embedding found" if m is not None else "no embedding",
-                 0 if m is not None else 1)
+    return ({"found": m is not None, "mapping": m},
+            "embedding found" if m is not None else "no embedding",
+            0 if m is not None else 1, {"budget": caps.search_nodes})
 
 
 # -- wiring ---------------------------------------------------------------------
+
 
 
 _CAPS_FLAGS = {"--cap": "max lattice size",
@@ -837,13 +765,37 @@ def main(argv=None) -> int:
     return code
 
 
+# The input files a verb may read: a report lists each one given, with its
+# sha256.
+_INPUT_FLAGS = ("lattice", "other", "into", "odgraph", "src", "dst", "space")
+
+
 def _run(args) -> int:
+    """Run the verb and write its one report, or the error report of a run
+    stopped by a budget or cap (exit 3). Hashing the inputs stays inside
+    the error handling, so an unreadable input exits 2."""
+    command = f"{args.verb} {args.what}"
     try:
-        return args.func(args)
-    except (BudgetExceeded, SizeCapExceeded, EnumerationCapExceeded) as e:
-        report = {"command": f"{args.verb} {getattr(args, 'what', '')}".strip(),
-                  "error": {"type": e.__class__.__name__, "detail": str(e)}}
+        result, summary, code, *fields = args.func(args, _caps(args))
+        report = {
+            "command": command,
+            "params": {k: v for k, v in sorted(vars(args).items())
+                       if k not in ("func", "stats") and v is not None},
+            "inputs": {flag: {"path": path, "sha256": _sha256(path)}
+                       for flag in _INPUT_FLAGS
+                       if (path := getattr(args, flag, None))},
+            "seed": None,
+            "budget": None,
+            "evaluations": None,
+            "result": result,
+        }
+        report.update(*fields)
         _print_json(report)
+        print(summary, file=sys.stderr)
+        return code
+    except (BudgetExceeded, SizeCapExceeded, EnumerationCapExceeded) as e:
+        _print_json({"command": command,
+                     "error": {"type": e.__class__.__name__, "detail": str(e)}})
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 3
     except (RellatError, OSError) as e:

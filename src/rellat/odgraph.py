@@ -1,6 +1,15 @@
 """Join-irreducible duality data: minimal join-covers, graph extraction,
 reconstruction as a closure system, cover-step tests, and the combinatorial
-property checkers that correspond to the equation catalog.
+property checkers.
+
+What the checkers are known to say about the equation catalog, over the 78
+lattices of at most 7 elements and `random_lattice(s, max_size=12)` for
+s = 0..299: Unjp holds iff `unjp` does, and Sym iff `pi-Sym`; VarRL1
+implies `pi-VarRL1` and RMod implies `pi-RMod`, but neither converse holds
+(VarRL1 fails under `pi-VarRL1` on seeds 0 and 114, RMod under `pi-RMod`
+on seeds 71, 114 and 235 and on lattice 73 of `all_lattices_upto(7)`).
+SymPC and `pi-SymPC` disagree both ways (SymPC without `pi-SymPC` on 3
+lattices, the reverse on 20), so nothing is claimed for them.
 
 Conventions: a graph on n elements indexes them 0..n-1; covers are sorted
 tuples of indices; the cover list always carries the trivial cover (j, (j,))
@@ -348,21 +357,6 @@ class CoverWitness:
     context: str
 
 
-PROPERTY_IDS = (
-    "unjp",
-    "exactly-one-nonjp",
-    "pi-VarRL1",
-    "pi-RMod",
-    "pi-Sym",
-    "pi-SymPC",
-    "pi-StrongSymPC",
-    "pi-JP",
-    "atomistic-ii",
-    "atomistic-iii",
-    "prop-last",
-)
-
-
 def _join_le(g: ODGraph, k: int, parts: Iterable[int]) -> bool:
     """k is below the join of parts: k lies in the closure `closed_mask`
     computes, since by the duality the graph determines its lattice."""
@@ -554,6 +548,8 @@ _PROPERTY_FUNCS: dict[str, Callable[[ODGraph, Caps], CoverWitness | None]] = {
     "atomistic-iii": _check_atomistic_iii,
     "prop-last": _check_prop_last,
 }
+
+PROPERTY_IDS = tuple(_PROPERTY_FUNCS)
 
 
 # -- ultrametric representability ---------------------------------------------

@@ -417,7 +417,7 @@ def test_internal_errors_are_not_bad_input(monkeypatch, tmp_path):
     from rellat import cli
 
     for exc in (ValueError("internal"), KeyError("internal")):
-        def fail(args):
+        def fail(*args):
             raise exc
         monkeypatch.setattr(cli, "_cmd_build_rel", fail)
         with pytest.raises(type(exc)):
@@ -577,6 +577,67 @@ def test_caps_flag_a_verb_does_not_read_is_a_usage_error(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert f"unrecognized arguments: {flag} 5" in err
+
+
+# A command line each verb answers (exit 0 or 1); the capitalised words
+# stand for the files `report_inputs` writes, and OUT for a new file.
+REPORT_ARGV = {
+    "build rel": "--attrs 1 --dom 2 --out OUT",
+    "build typed": "--fibers 2,1 --out OUT",
+    "build closure": "--attrs 1 --dom 2 --out OUT",
+    "build frame": "--rels 0,0,1;0,1,1 --out OUT",
+    "build product": "--components 2 --n 2 --out OUT",
+    "build countermodel": "--graph --out OUT",
+    "odgraph extract": "--lattice R22 --out OUT",
+    "odgraph reconstruct": "--odgraph G22 --out OUT",
+    "odgraph props": "--odgraph G22",
+    "check eq": "--lattice R22 --eq RL1",
+    "check prop": "--odgraph G22 --prop unjp",
+    "check bc": "--space SPACE",
+    "check pc": "--space SPACE",
+    "check iso": "--lattice R22 --other SMALL",
+    "check nation": "--lattice R22",
+    "search sublattice": "--lattice R22 --goal all-prime-cover --max-seed 2",
+    "search pmorphism": "--src PROD --dst FRAME",
+    "search embedding": "--lattice SMALL --into R22",
+}
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("inputs")
+    files = {name: str(d / f"{name.lower()}.json")
+             for name in ("R22", "SMALL", "G22", "PROD", "FRAME", "SPACE")}
+    for argv in ("build rel --attrs 2 --dom 2 --out R22",
+                 "build rel --attrs 1 --dom 2 --out SMALL",
+                 "odgraph extract --lattice R22 --out G22",
+                 "build product --components 2 --n 2 --out PROD",
+                 "build frame --rels 0,0,1;0,1,1 --out FRAME"):
+        assert main([files.get(a, a) for a in argv.split()]) == 0
+    with open(files["SPACE"], "w") as fh:
+        json.dump({"attrs": ["a", "b"], "points": ["p", "q", "r"],
+                   "dist": [[[], ["a"], ["a", "b"]], [["a"], [], ["b"]],
+                            [["a", "b"], ["b"], []]]}, fh)
+    return files
+
+
+@pytest.mark.parametrize("verb", [v for v, _ in _verb_parsers(build_parser())])
+def test_report_names_its_command_and_input_files(tmp_path, capsys,
+                                                  report_inputs, verb):
+    files = {**report_inputs, "OUT": str(tmp_path / "out.json")}
+    argv = [files.get(a, a) for a in REPORT_ARGV[verb].split()]
+    code, doc, _ = run(capsys, *verb.split(), *argv)
+    assert code in (0, 1)
+    assert doc["command"] == verb
+    given = {flag[2:]: path for flag, path in zip(argv, argv[1:])
+             if path in report_inputs.values()}
+    assert given or verb.startswith("build ")
+    with_sha = {}
+    for name, path in given.items():
+        with open(path, "rb") as fh:
+            with_sha[name] = {"path": path,
+                              "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    assert doc["inputs"] == with_sha
 
 
 # -- search -------------------------------------------------------------------------

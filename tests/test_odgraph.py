@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rellat import (
+    CATALOG,
     BadODGraph,
     Caps,
     CoverEnumerationCapExceeded,
@@ -22,6 +23,7 @@ from rellat import (
     all_lattices_upto,
     build_countermodel,
     build_from_leq,
+    check_inclusion,
     check_property,
     closed_mask,
     dstep,
@@ -381,6 +383,25 @@ def test_countermodel_verdicts(cm_graph):
     assert w is not None and cm_graph.elems[w.j] == "k0"
     assert check_property(cm_graph, "unjp") is not None
     assert check_property(cm_graph, "pi-VarRL1") is None
+
+
+def test_cover_properties_against_their_laws(small_lattices):
+    # what the census and 300 seeded random lattices show; the converses of
+    # the two implications fail there (VarRL1 on seeds 0 and 114, RMod on
+    # census lattice 73 and seeds 71, 114 and 235), and SymPC and pi-SymPC
+    # disagree both ways, so no claim is made for them
+    lattices = [*small_lattices,
+                *(random_lattice(s, max_size=12) for s in range(300))]
+    for i, L in enumerate(lattices):
+        law = {name: check_inclusion(L, CATALOG[name]).verdict == "holds"
+               for name in ("Unjp", "Sym", "VarRL1", "RMod")}
+        g = extract_od_graph(L)
+        prop = {name: check_property(g, name) is None
+                for name in ("unjp", "pi-Sym", "pi-VarRL1", "pi-RMod")}
+        assert law["Unjp"] == prop["unjp"], i
+        assert law["Sym"] == prop["pi-Sym"], i
+        assert prop["pi-VarRL1"] or not law["VarRL1"], i
+        assert prop["pi-RMod"] or not law["RMod"], i
 
 
 def test_closed_mask_decides_joins(small_lattices, r22, cm_lattice):
