@@ -28,13 +28,22 @@ tabulates, over subsets of the graph's elements, the union of the members'
 downsets: a subset is a downset iff the table maps it to itself, and each
 cover rule is then tested over all subsets at once. `Caps.max_ji` bounds m
 for both.
+
+The cover properties quantify over cover steps: dstep(g, k0, c, k1) holds
+when the non-prime k1 completes c to a minimal cover of k0. Each graph
+indexes its cover list once (`ODGraph.completions`: (k, C - {x}) -> every
+such x, ascending), so a step test is one lookup, and the midpoint searches
+(pi-SymPC, atomistic-iii, prop-last) and the pivot search (pi-StrongSymPC)
+walk the completions of the smaller cover instead of every element. Each
+checker yields its failing instances in (element, cover, split) order, and
+`check_property` returns the first.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,7 +74,8 @@ from .relational import UltraSpace, make_space
 # -- minimal join-covers -----------------------------------------------------
 
 
-def _all_minimal_covers(L: FiniteLattice, caps: Caps) -> dict[int, list[tuple[int, ...]]]:
+def _all_minimal_covers(L: FiniteLattice,
+                        caps: Caps) -> dict[int, list[tuple[int, ...]]]:
     """Minimal join-covers of every join-irreducible, as sorted tuples of
     lattice elements, in order of size, then subset mask.
 
@@ -162,6 +172,22 @@ class ODGraph:
         return tuple((k, sum(1 << c for c in cov)) for k, cov in self.nontrivial())
 
     @cached_property
+    def completions(self) -> dict[tuple[int, tuple[int, ...]], tuple[int, ...]]:
+        """(k, C - {x}) -> every such x, ascending, over the covers C of k."""
+        index: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+        for k, cov in self.mjc:
+            for i, x in enumerate(cov):
+                index.setdefault((k, cov[:i] + cov[i + 1:]), []).append(x)
+        return {key: tuple(sorted(xs)) for key, xs in index.items()}
+
+    @cached_property
+    def dsteps(self) -> tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]:
+        """Every (k0, rest, k1, cover) in cover-list order where the cover of
+        k0 is rest plus its non-prime member k1."""
+        return tuple((k0, tuple(x for x in cov if x != k1), k1, cov)
+                     for k0, cov in self.mjc for k1 in cov if not self.jp[k1])
+
+    @cached_property
     def closed_masks(self) -> dict[int, int]:
         """closed_mask's results on this graph so far, keyed by mask."""
         return {}
@@ -177,7 +203,8 @@ class ODGraph:
 
 
 def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
-                  jp: Sequence[bool], mjc: Iterable[tuple[int, Sequence[int]]]) -> ODGraph:
+                  jp: Sequence[bool],
+                  mjc: Iterable[tuple[int, Sequence[int]]]) -> ODGraph:
     """Normalize, then validate the graph invariants; raise BadODGraph."""
     n = len(elems)
     if len(set(elems)) != n:
@@ -341,11 +368,7 @@ def reconstruct(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
 
 def dstep(g: ODGraph, k0: int, c: Iterable[int], k1: int) -> bool:
     """k1 is non-prime, sits outside c, and c plus k1 minimally covers k0."""
-    cset = tuple(sorted(set(c)))
-    if g.jp[k1] or k1 in cset:
-        return False
-    merged = tuple(sorted(set(cset) | {k1}))
-    return (k0, merged) in g.mjc_set
+    return not g.jp[k1] and k1 in g.completions.get((k0, tuple(sorted(set(c)))), ())
 
 
 @dataclass(frozen=True)
@@ -363,13 +386,14 @@ def _join_le(g: ODGraph, k: int, parts: Iterable[int]) -> bool:
     return bool(closed_mask(g, sum(1 << p for p in parts)) >> k & 1)
 
 
-def _dstep_instances(g: ODGraph):
-    """All (k0, rest, k1, cover) with rest plus the non-prime k1 a minimal
-    cover of k0."""
-    for k0, cov in g.mjc:
-        for k1 in cov:
-            if not g.jp[k1]:
-                yield k0, tuple(x for x in cov if x != k1), k1, cov
+def _midpoints(g: ODGraph, k0: int, c0: tuple[int, ...], c1: tuple[int, ...],
+               k2: int) -> list[int]:
+    """Every k1, ascending, with dstep(g, k0, c0, k1) and c1 plus k2 a cover
+    of k1; c0 and c1 are sorted, c1 is nonempty and k2 is outside c1. A
+    prime k1 has only its trivial cover, so no cover holding c1 and k2."""
+    comp = g.completions
+    return [k1 for k1 in comp.get((k0, c0), ())
+            if k2 in comp.get((k1, c1), ())]
 
 
 def _splits(c: tuple[int, ...], caps: Caps):
@@ -389,153 +413,109 @@ def check_property(g: ODGraph, name: str,
     in (element, cover, split) order. Joins are decided on the graph."""
     if name not in PROPERTY_IDS:
         raise UnknownProperty(name)
-    return _PROPERTY_FUNCS[name](g, caps)
+    return next(_PROPERTY_FUNCS[name](g, caps), None)
 
 
 def _nonjp_count(g: ODGraph, cov: tuple[int, ...]) -> int:
     return sum(1 for c in cov if not g.jp[c])
 
 
-def _check_unjp(g: ODGraph, caps: Caps) -> CoverWitness | None:
+def _check_unjp(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
     for k, cov in g.mjc:
         if _nonjp_count(g, cov) > 1:
-            return CoverWitness(k, cov, "cover has two non-prime members")
-    return None
+            yield CoverWitness(k, cov, "cover has two non-prime members")
 
 
-def _check_exactly_one(g: ODGraph, caps: Caps) -> CoverWitness | None:
+def _check_exactly_one(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
     for k, cov in g.mjc:
-        if cov == (k,):
-            continue
-        if _nonjp_count(g, cov) != 1:
-            return CoverWitness(
+        if cov != (k,) and _nonjp_count(g, cov) != 1:
+            yield CoverWitness(
                 k, cov, "non-trivial cover without exactly one non-prime member")
-    return None
 
 
-def _check_varrl1(g: ODGraph, caps: Caps) -> CoverWitness | None:
+def _check_varrl1(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
     for k, cov in g.mjc:
-        low = [c for c in cov if g.le(c, k)]
-        if len(low) > 1:
-            return CoverWitness(k, cov, f"two cover members below {k}")
-    return None
+        if sum(1 for c in cov if g.le(c, k)) > 1:
+            yield CoverWitness(k, cov, f"two cover members below {k}")
 
 
-def _check_rmod(g: ODGraph, caps: Caps) -> CoverWitness | None:
-    for k0, rest, k1, cov in _dstep_instances(g):
+def _check_rmod(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
+    for k0, rest, k1, cov in g.dsteps:
         low = [c for c in rest if g.le(c, k0)]
         if low:
-            return CoverWitness(
+            yield CoverWitness(
                 k0, cov, f"step to {k1} leaves member {low[0]} below {k0}")
-    return None
 
 
-def _check_sym(g: ODGraph, caps: Caps) -> CoverWitness | None:
-    for k0, rest, k1, cov in _dstep_instances(g):
+def _check_sym(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
+    for k0, rest, k1, cov in g.dsteps:
         if not _join_le(g, k1, rest + (k0,)):
-            return CoverWitness(
+            yield CoverWitness(
                 k0, cov, f"step target {k1} not below join of rest and {k0}")
-    return None
 
 
-def _check_sympc(g: ODGraph, caps: Caps) -> CoverWitness | None:
-    for k0, rest, k2, cov in _dstep_instances(g):
+def _check_sympc(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
+    for k0, rest, k2, cov in g.dsteps:
         for c0, c1 in _splits(rest, caps):
-            found = False
-            for k1 in range(g.n):
-                if dstep(g, k0, c0, k1) and dstep(g, k1, c1, k2) \
-                        and _join_le(g, k1, c0 + (k0,)):
-                    found = True
-                    break
-            if not found:
-                return CoverWitness(
+            if not any(_join_le(g, k1, c0 + (k0,))
+                       for k1 in _midpoints(g, k0, c0, c1, k2)):
+                yield CoverWitness(
                     k0, cov,
-                    f"no midpoint from {k0} to {k2} through split "
-                    f"{c0} / {c1}")
-    return None
+                    f"no midpoint from {k0} to {k2} through split {c0} / {c1}")
 
 
-def _check_strong_sympc(g: ODGraph, caps: Caps) -> CoverWitness | None:
-    mjc_set = g.mjc_set
+def _check_strong_sympc(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
+    comp, mjc_set = g.completions, g.mjc_set
     for k, cov in g.mjc:
         for c0, c1 in _splits(cov, caps):
-            found = False
-            for kp in range(g.n):
-                first = (
-                    kp not in c1
-                    and (k, tuple(sorted(set(c1) | {kp}))) in mjc_set
-                    and (kp, c0) in mjc_set
+            via1, via0 = comp.get((k, c1), ()), comp.get((k, c0), ())
+            # each pivot once, ascending, "first" before "second": the joins
+            # are then closed in the order of a scan over every element
+            if not any(
+                    kp in via1 and (kp, c0) in mjc_set
                     and _join_le(g, kp, c1 + (k,))
-                )
-                second = (
-                    kp not in c0
-                    and (k, tuple(sorted(set(c0) | {kp}))) in mjc_set
-                    and (kp, c1) in mjc_set
+                    or kp in via0 and (kp, c1) in mjc_set
                     and _join_le(g, kp, c0 + (k,))
-                )
-                if first or second:
-                    found = True
-                    break
-            if not found:
-                return CoverWitness(
-                    k, cov, f"no pivot for split {c0} / {c1}")
-    return None
+                    for kp in sorted({*via1, *via0})):
+                yield CoverWitness(k, cov, f"no pivot for split {c0} / {c1}")
 
 
-def _check_pjp(g: ODGraph, caps: Caps) -> CoverWitness | None:
+def _check_pjp(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
     for k, cov in g.mjc:
-        if all(g.jp[c] for c in cov):
-            if not any(g.le(c, k) for c in cov):
-                return CoverWitness(k, cov, "all-prime cover with no member "
-                                            f"below {k}")
-    return None
+        if all(g.jp[c] for c in cov) and not any(g.le(c, k) for c in cov):
+            yield CoverWitness(k, cov, f"all-prime cover with no member below {k}")
 
 
-def _check_atomistic_ii(g: ODGraph, caps: Caps) -> CoverWitness | None:
-    for k0, rest, k1, cov in _dstep_instances(g):
+def _check_atomistic_ii(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
+    for k0, rest, k1, cov in g.dsteps:
         if not dstep(g, k1, rest, k0):
-            return CoverWitness(k0, cov, f"step to {k1} does not reverse")
-    return None
+            yield CoverWitness(k0, cov, f"step to {k1} does not reverse")
 
 
-def _check_atomistic_iii(g: ODGraph, caps: Caps) -> CoverWitness | None:
-    for k0, rest, k2, cov in _dstep_instances(g):
+def _check_atomistic_iii(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
+    for k0, rest, k2, cov in g.dsteps:
         for c0, c1 in _splits(rest, caps):
-            found = any(
-                dstep(g, k0, c0, k1) and dstep(g, k1, c1, k2)
-                for k1 in range(g.n)
-            )
-            if not found:
-                return CoverWitness(
+            if not _midpoints(g, k0, c0, c1, k2):
+                yield CoverWitness(
                     k0, cov,
                     f"no midpoint from {k0} to {k2} through split "
                     f"{c0} / {c1} (join-free)")
-    return None
 
 
-def _check_prop_last(g: ODGraph, caps: Caps) -> CoverWitness | None:
-    mjc_set = g.mjc_set
+def _check_prop_last(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
     for k0, cov in g.mjc:
         for k2 in cov:
             if not g.le(k2, k0):
                 continue
             rest = tuple(x for x in cov if x != k2)
             for c0, c1 in _splits(rest, caps):
-                found = False
-                for k1 in range(g.n):
-                    if dstep(g, k0, c0, k1) \
-                            and (k1, tuple(sorted(set(c1) | {k2}))) in mjc_set \
-                            and _join_le(g, k1, c0 + (k0,)):
-                        found = True
-                        break
-                if not found:
-                    return CoverWitness(
-                        k0, cov,
-                        f"no pivot past {k2} through split {c0} / {c1}")
-    return None
+                if not any(_join_le(g, k1, c0 + (k0,))
+                           for k1 in _midpoints(g, k0, c0, c1, k2)):
+                    yield CoverWitness(
+                        k0, cov, f"no pivot past {k2} through split {c0} / {c1}")
 
 
-_PROPERTY_FUNCS: dict[str, Callable[[ODGraph, Caps], CoverWitness | None]] = {
+_PROPERTY_FUNCS: dict[str, Callable[[ODGraph, Caps], Iterator[CoverWitness]]] = {
     "unjp": _check_unjp,
     "exactly-one-nonjp": _check_exactly_one,
     "pi-VarRL1": _check_varrl1,
@@ -587,7 +567,7 @@ def ultrametric_representability(g: ODGraph):
     apos = {a: t for t, a in enumerate(attrs)}
     ppos = {p: t for t, p in enumerate(points)}
     dists: dict[tuple[int, int], tuple[int, ...]] = {}
-    for k0, rest, k1, _cov in _dstep_instances(g):
+    for k0, rest, k1, _cov in g.dsteps:
         if k0 == k1:
             continue
         prev = dists.get((k0, k1))

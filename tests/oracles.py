@@ -399,6 +399,100 @@ def minimal_join_covers(n, leq, j):
     return set(out)
 
 
+# -- cover-graph oracles (input: an ODGraph's cover list, flags and order) -------
+
+
+def cover_step(covers, jp, k0, c, k1):
+    """k1 is non-prime, outside c, and c plus k1 is a listed cover of k0;
+    covers is the set of (element, sorted cover) entries."""
+    return (not jp[k1] and k1 not in c
+            and (k0, tuple(sorted({*c, k1}))) in covers)
+
+
+def cover_completions(g):
+    """(k, C - {x}) -> every y, ascending, that completes C - {x} to a
+    listed cover of k, for each listed cover C of k and member x, found by
+    trying every element as y."""
+    covers = set(g.mjc)
+    out = {}
+    for k, cov in g.mjc:
+        for x in cov:
+            rest = tuple(y for y in cov if y != x)
+            out[(k, rest)] = tuple(
+                y for y in range(g.n)
+                if y not in rest and (k, tuple(sorted((*rest, y)))) in covers)
+    return out
+
+
+def graph_join_le(g, k, parts):
+    """k lies in the least down-set that holds parts and is closed under
+    every cover rule, that is, below the join of parts in the lattice the
+    graph determines."""
+    s = {a for p in parts for a in range(g.n) if g.le(a, p)}
+    grown = True
+    while grown:
+        grown = False
+        for j, cov in g.mjc:
+            if j not in s and set(cov) <= s:
+                s |= {a for a in range(g.n) if g.le(a, j)}
+                grown = True
+    return k in s
+
+
+def cover_search_witness(g, name):
+    """The first failing instance of pi-SymPC, pi-StrongSymPC,
+    atomistic-iii or prop-last as (element, cover, context), in (element,
+    cover, split) order, trying every element of the graph as the midpoint
+    or pivot; None when the property holds."""
+    covers, n = set(g.mjc), g.n
+
+    def step(k0, c, k1):
+        return cover_step(covers, g.jp, k0, c, k1)
+
+    def covered(k, c, x):
+        return (k, tuple(sorted({*c, x}))) in covers
+
+    def splits(c):
+        for mask in range(1, (1 << len(c)) - 1):
+            yield (tuple(x for i, x in enumerate(c) if mask >> i & 1),
+                   tuple(x for i, x in enumerate(c) if not mask >> i & 1))
+
+    steps = [(k0, tuple(x for x in cov if x != k1), k1, cov)
+             for k0, cov in g.mjc for k1 in cov if not g.jp[k1]]
+    if name in ("pi-SymPC", "atomistic-iii"):
+        joins = name == "pi-SymPC"
+        for k0, rest, k2, cov in steps:
+            for c0, c1 in splits(rest):
+                if not any(step(k0, c0, k1) and step(k1, c1, k2)
+                           and (not joins or graph_join_le(g, k1, c0 + (k0,)))
+                           for k1 in range(n)):
+                    tail = "" if joins else " (join-free)"
+                    return k0, cov, (f"no midpoint from {k0} to {k2} through "
+                                     f"split {c0} / {c1}{tail}")
+    elif name == "pi-StrongSymPC":
+        for k, cov in g.mjc:
+            for c0, c1 in splits(cov):
+                if not any(kp not in b and covered(k, b, kp) and (kp, a) in covers
+                           and graph_join_le(g, kp, b + (k,))
+                           for kp in range(n) for a, b in ((c0, c1), (c1, c0))):
+                    return k, cov, f"no pivot for split {c0} / {c1}"
+    elif name == "prop-last":
+        for k0, cov in g.mjc:
+            for k2 in cov:
+                if not g.le(k2, k0):
+                    continue
+                rest = tuple(x for x in cov if x != k2)
+                for c0, c1 in splits(rest):
+                    if not any(step(k0, c0, k1) and covered(k1, c1, k2)
+                               and graph_join_le(g, k1, c0 + (k0,))
+                               for k1 in range(n)):
+                        return k0, cov, (f"no pivot past {k2} through split "
+                                         f"{c0} / {c1}")
+    else:
+        raise ValueError(name)
+    return None
+
+
 # -- relational oracles (input: tables as lists of attr->value dicts) -----------
 
 

@@ -39,7 +39,7 @@ from rellat import (
     sublattice_closure,
     ultrametric_representability,
 )
-from rellat import lattice
+from rellat import lattice, stats
 from conftest import boolean_cube, chain, diamond_m3, pentagon_n5
 import oracles
 
@@ -383,6 +383,47 @@ def test_countermodel_verdicts(cm_graph):
     assert w is not None and cm_graph.elems[w.j] == "k0"
     assert check_property(cm_graph, "unjp") is not None
     assert check_property(cm_graph, "pi-VarRL1") is None
+
+
+def test_cover_searches_match_the_definitional_scan(small_lattices, r22,
+                                                    cm_graph):
+    # the midpoint and pivot searches read their candidates from the graph's
+    # completions index; the oracle tries every element, as the definitions
+    # do, and must find the same first failing instance
+    graphs = [extract_od_graph(L) for L in small_lattices]
+    graphs += [extract_od_graph(random_lattice(s, max_size=12))
+               for s in range(100)]
+    graphs += [cm_graph, extract_od_graph(r22.lattice)]
+    graphs += [extract_od_graph(diamond(k)) for k in range(3, 12)]
+    for i, g in enumerate(graphs):
+        want = oracles.cover_completions(g)
+        assert g.completions == want, i
+        covers = set(g.mjc)
+        for k0, c in want:
+            for k1 in range(g.n):
+                assert dstep(g, k0, c, k1) == oracles.cover_step(
+                    covers, g.jp, k0, c, k1), (i, k0, c, k1)
+        for name in ("pi-SymPC", "pi-StrongSymPC", "atomistic-iii",
+                     "prop-last"):
+            w = check_property(g, name)
+            got = None if w is None else (w.j, w.cover, w.context)
+            assert got == oracles.cover_search_witness(g, name), (i, name)
+
+
+def test_cover_checks_close_a_fixed_number_of_masks(small_lattices):
+    # closed_mask keeps its results per graph, so on fresh graphs the 11
+    # checks sweep the cover rules a fixed number of times; the census sum
+    # moves if the pivot search tries its candidates in another order
+    def passes(graphs):
+        with stats.collect() as counters:
+            for g in graphs:
+                for name in PROPERTY_IDS:
+                    check_property(g, name)
+        return counters.get("closure_passes", 0)
+
+    assert passes([build_countermodel()]) == 2
+    assert passes([extract_od_graph(diamond(11))]) == 121
+    assert passes([extract_od_graph(L) for L in small_lattices]) == 509
 
 
 def test_cover_properties_against_their_laws(small_lattices):
