@@ -7,28 +7,30 @@ symmetry, and transitivity hold by representation; raw edge input is
 validated on the way in. The same representation makes the p-morphism test
 a block test: a map is a p-morphism iff, for every relation, each source
 block maps onto exactly one target block (forward preservation keeps its
-images inside one block, the back condition makes them fill it).
+images inside one block, the back condition makes them fill it). The
+p-morphism search runs on the backtracking core of the lattice searches,
+`lattice._least_assignment`; its cuts are computed per level from the
+images already assigned, so it keeps no state between levels.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import stats
 from .errors import (
     DEFAULT_CAPS,
     BadFrame,
     Caps,
     EnumerationCapExceeded,
-    SearchBudgetExceeded,
     SizeCapExceeded,
     document_field,
     document_list,
 )
-from .lattice import _subset_table
+from .lattice import _least_assignment, _subset_table
 from .relational import SdLattice, semidirect_core
 
 
@@ -75,12 +77,18 @@ def make_frame(worlds: Sequence[str], rels: Iterable[Sequence[int]]) -> Frame:
 
 def frame_from_edges(worlds: Sequence[str],
                      edges: Iterable[Iterable[tuple[int, int]]]) -> Frame:
-    """Build from explicit edge lists, verifying each is an equivalence."""
+    """Build from explicit edge lists, verifying each is an equivalence on
+    the worlds 0..n-1; an edge naming another world raises BadFrame."""
     w = tuple(str(x) for x in worlds)
     n = len(w)
     rels = []
     for r, edge_list in enumerate(edges):
         adj = {(int(a), int(b)) for a, b in edge_list}
+        stray = next((e for e in sorted(adj) if not 0 <= min(e) <= max(e) < n),
+                     None)
+        if stray is not None:
+            raise BadFrame(f"relation {r} names a world outside 0..{n - 1} "
+                           f"at {stray}")
         wit = _equivalence_violation(n, adj)
         if wit is not None:
             kind, ws = wit
@@ -254,92 +262,71 @@ def p_morphism_search(src: Frame, dst: Frame,
 
     Relations are partitions, so f is a p-morphism iff, for every relation,
     each source block maps onto exactly one target block. Worlds get images
-    in index order, candidates in ascending order, on an explicit stack.
-    Per relation and source block the search keeps the target block the
-    block is bound to, the multiset of its images so far and its count of
-    unassigned worlds, and cuts a partial assignment as soon as
+    in index order, candidates in ascending order, from the backtracking
+    core `lattice._least_assignment`. Each level computes its candidates
+    from the images already assigned, and cuts an image v of world w when
 
-    - forward: an image leaves its block's bound target block,
-    - back: a block's unassigned worlds can no longer cover the rest of its
-      target block,
-    - surjectivity: the missing images exceed the worlds left.
+    - surjectivity: the target worlds still missing with v exceed the
+      worlds left after w;
+    - then, for each relation, forward: v leaves the target block of the
+      images of w's earlier block-mates;
+    - back: w's later block-mates can no longer cover the rest of v's
+      target block.
 
     Each cut removes only partial assignments with no completion, so the
     first full assignment reached is the least map, and it is a surjective
     p-morphism: a block's last world leaves no image of its target block
-    missing, and the last world leaves no target world missing.
+    missing, and the last world leaves no target world missing. Nothing
+    is carried from level to level: per relation, the worlds sorted by
+    source block give each world's earlier block-mates as one slice, so
+    the tables take O(worlds) memory.
     """
     if src.n_rels != dst.n_rels:
         raise BadFrame("frames carry different relation counts")
     ns, nd = src.n_worlds, dst.n_worlds
-    # per relation: source block per world, target block per world, target
-    # block sizes, and per source block its bound target block (-1 when no
-    # world of it is assigned), image counts and unassigned-world count
+    # per relation: the target block of each target world, that block's
+    # size and the largest size, the worlds sorted by source block, and per
+    # world the (start, end) of its earlier block-mates in that order and
+    # its count of later ones
     rels = []
     for s_blk, d_blk in zip(src.rels, dst.rels):
-        n_sblk = max(s_blk) + 1
-        left = [0] * n_sblk
-        for b in s_blk:
-            left[b] += 1
-        size = [0] * (max(d_blk) + 1)
-        for t in d_blk:
-            size[t] += 1
-        rels.append((s_blk, d_blk, size, [-1] * n_sblk,
-                     [{} for _ in range(n_sblk)], left))
-    hits = [0] * nd          # worlds mapped to each target world
-    covered = 0              # target worlds hit so far
-    assign: list[int] = []   # images of worlds 0 .. len(assign) - 1
-    v = 0                    # next candidate for world len(assign)
-    nodes = 0
-    while True:
-        w = len(assign)
-        if w == ns:
-            stats.add("pmorphism_nodes", nodes)
-            return assign
-        for v in range(v, nd):
-            if nd - covered - (hits[v] == 0) > ns - w - 1:
+        count = Counter(d_blk)
+        size = [count[t] for t in d_blk]
+        order = sorted(range(ns), key=s_blk.__getitem__)
+        mates = [(0, 0, 0)] * ns
+        p = 0
+        for _, block in itertools.groupby(order, s_blk.__getitem__):
+            block = list(block)
+            for k, w in enumerate(block):
+                mates[w] = (p, p + k, len(block) - k - 1)
+            p += len(block)
+        rels.append((d_blk, size, max(size), order, mates))
+    img = [0] * ns
+
+    def candidates(w: int) -> Sequence[int]:
+        # a cut that can remove no candidate is skipped: surjectivity while
+        # the worlds left after w can still hit every missing target world,
+        # and back, for a world opening its block, while no target block is
+        # larger than that block
+        pool = range(nd)
+        if nd > ns - w - 1:
+            hit = set(img[:w])
+            need = nd - len(hit) - (ns - w - 1)
+            if need > 0:
+                pool = [v for v in pool if need <= (v not in hit)]
+        for d_blk, size, biggest, order, mates in rels:
+            start, end, later = mates[w]
+            if start == end:        # w opens its block: no forward cut
+                if biggest > later + 1:
+                    pool = [v for v in pool if size[v] <= later + 1]
                 continue
-            for s_blk, d_blk, size, bound, images, left in rels:
-                b, t = s_blk[w], d_blk[v]
-                if bound[b] >= 0 and bound[b] != t:
-                    break
-                seen = len(images[b]) + (v not in images[b])
-                if size[t] - seen > left[b] - 1:
-                    break
-            else:
-                break  # every relation admits v
-        else:
-            # no candidate fits world w: undo world w - 1, try its next image
-            if not assign:
-                stats.add("pmorphism_nodes", nodes)
-                return None
-            w -= 1
-            v = assign.pop()
-            hits[v] -= 1
-            covered -= hits[v] == 0
-            for s_blk, d_blk, size, bound, images, left in rels:
-                b = s_blk[w]
-                left[b] += 1
-                images[b][v] -= 1
-                if not images[b][v]:
-                    del images[b][v]
-                    if not images[b]:
-                        bound[b] = -1
-            v += 1
-            continue
-        nodes += 1
-        if nodes > caps.search_nodes:
-            stats.add("pmorphism_nodes", nodes)
-            raise SearchBudgetExceeded(nodes, caps.search_nodes)
-        covered += hits[v] == 0
-        hits[v] += 1
-        for s_blk, d_blk, size, bound, images, left in rels:
-            b = s_blk[w]
-            bound[b] = d_blk[v]
-            images[b][v] = images[b].get(v, 0) + 1
-            left[b] -= 1
-        assign.append(v)
-        v = 0
+            seen = set(map(img.__getitem__, order[start:end]))
+            bound, room = d_blk[img[order[start]]], later + len(seen)
+            pool = [v for v in pool if d_blk[v] == bound
+                    and size[v] - (v not in seen) <= room]
+        return pool
+
+    return _least_assignment(img, candidates, list, caps, "pmorphism_nodes")[0]
 
 
 def all_partitions(n: int) -> list[tuple[int, ...]]:

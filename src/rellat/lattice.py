@@ -59,6 +59,15 @@ entries is checked by the intersection scan (`_open_pair`) and built by
 A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
 its parent's tables restricted to it, and only its covers are computed.
 
+Every search of the package runs on one backtracking core,
+`_least_assignment`: isomorphism and embedding search (`_search`, behind
+`find_isomorphism`, `find_embedding` and `orbit_minima`) and
+`frames.p_morphism_search`. Positions take values in order, each level's
+candidates are computed from the values already assigned, and the first
+full assignment accepted is the answer. The core alone keeps the stack,
+counts the nodes against caps.search_nodes and adds the count to the
+search's stats counter.
+
 Memory: besides leq and the two int32 tables, a build holds the down-set
 bitsets, n^2/8 bytes, while it finds the covers. Every other n-by-n
 computation, and the order matrix of a wide closed family, runs in
@@ -727,9 +736,9 @@ def _search(
     necessary, and the order test alone rules out reusing an image. A
     complete assignment is extended and verified by `_is_embedding`: a map
     onto L2 by its covers, a map into a larger L2 against the full meet and
-    join tables. One search node is one image given to one generator,
-    counted after the filters. The stack is explicit, so depth costs no
-    recursion.
+    join tables. The filters are the candidates of `_least_assignment`,
+    computed once per level from the images already assigned, so one
+    search node is one image given to one generator, counted after them.
     """
     gens = np.array([L1.bottom, *L1.join_irreducibles()], dtype=np.intp)
     down1, up1, _, _ = _order_sets(L1)
@@ -780,30 +789,50 @@ def _search(
             pool = pool[(got == want[:, None, :]).all(axis=(0, 2))]
         return pool
 
-    stack = [candidates(0)]
-    nodes = 0
-    while stack:
-        i = len(stack) - 1
-        if not stack[i].size:
-            stack.pop()
-            continue
-        img[i], stack[i] = stack[i][0], stack[i][1:]
-        nodes += 1
-        if nodes > caps.search_nodes:
-            stats.add("search_nodes", nodes)
-            raise SearchBudgetExceeded(nodes, caps.search_nodes)
-        if i + 1 < len(gens):
-            stack.append(candidates(i + 1))
-            continue
+    def finish(img: np.ndarray) -> list[int] | None:
         phi = np.full(L1.n, img[0], dtype=np.intp)
         for g, y in zip(gens[1:], img[1:]):
             below = L1.leq[g]
             phi[below] = L2.join[phi[below], y]
-        if _is_embedding(L1, L2, phi):
-            stats.add("search_nodes", nodes)
-            return phi.tolist(), nodes
-    stats.add("search_nodes", nodes)
-    return None, nodes
+        return phi.tolist() if _is_embedding(L1, L2, phi) else None
+
+    return _least_assignment(img, candidates, finish, caps, "search_nodes")
+
+
+def _least_assignment(img, candidates: Callable, finish: Callable, caps: Caps,
+                      counter: str) -> tuple[object, int]:
+    """(result, nodes): the result `finish` gives for the least full
+    assignment of img it accepts, or None; and the search nodes it took.
+    The backtracking core of every search: `_search` and
+    `frames.p_morphism_search` differ only in their arguments.
+
+    Position i takes each value of candidates(i) in order, and
+    candidates(i) is read once positions 0..i-1 hold their values, so it
+    can cut on them. One search node is one value given to one position; a
+    node past caps.search_nodes raises SearchBudgetExceeded. finish(img)
+    returns the result for a full assignment, or None to go on searching.
+    The nodes are added to the `counter` stat once per call, also when the
+    budget runs out. The stack is explicit, so depth costs no recursion.
+    """
+    nodes, cap, last = 0, caps.search_nodes, len(img) - 1
+    try:
+        stack = [iter(candidates(0))]
+        while stack:
+            i = len(stack) - 1
+            for img[i] in stack[i]:
+                nodes += 1
+                if nodes > cap:
+                    raise SearchBudgetExceeded(nodes, cap)
+                if i < last:
+                    stack.append(iter(candidates(i + 1)))
+                    break
+                if (result := finish(img)) is not None:
+                    return result, nodes
+            else:
+                stack.pop()
+        return None, nodes
+    finally:
+        stats.add(counter, nodes)
 
 
 def _is_embedding(L1: FiniteLattice, L2: FiniteLattice, phi: np.ndarray) -> bool:

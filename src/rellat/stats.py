@@ -16,7 +16,9 @@ Counters written by the exhaustive scan (`equations.check_inclusion`):
     blocks              blocks scanned over their classes (a pair counts two)
     block_classes       the classes of those blocks, summed
 
-Counters written by the searches, each added once per call:
+Counters written by the searches, each added once per call by their shared
+backtracking core (`lattice._least_assignment`), also when the call raises
+SearchBudgetExceeded, which then counts the node past the cap:
 
     search_nodes        images given to generators in `lattice._search`
                         (isomorphism and embedding search, and the

@@ -66,6 +66,18 @@ def test_frame_from_edges_reports_broken_axiom():
         frame_from_edges(worlds, intrans)
 
 
+@pytest.mark.parametrize("stray, edge", [
+    ([(0, 0), (1, 1), (2, 2), (0, 5), (5, 0), (5, 5)], "(0, 5)"),
+    ([(0, 0), (1, 1), (2, 2), (-1, -1)], "(-1, -1)"),
+], ids=["world5", "world-1"])
+def test_frame_from_edges_rejects_worlds_outside_the_frame(stray, edge):
+    # the least edge in sorted order that names no world, and its relation
+    identity = [(0, 0), (1, 1), (2, 2)]
+    with pytest.raises(BadFrame) as err:
+        frame_from_edges(["a", "b", "c"], [identity, stray])
+    assert str(err.value) == f"relation 1 names a world outside 0..2 at {edge}"
+
+
 # -- confluence ---------------------------------------------------------------------
 
 
@@ -197,6 +209,18 @@ def test_frame_lattices_embed_within_300_nodes(r22):
     assert nodes == 1034
 
 
+def test_embedding_budget_error_counts_its_nodes(r22):
+    # the last three-world census frame: the third node is one past the cap
+    f = [f for f in enumerate_frames(3, 2)
+         if frame_queries(f) == {"initial": True, "full": True}][-1]
+    L = l_of_frame(f).lattice
+    with stats.collect() as counters:
+        with pytest.raises(SearchBudgetExceeded) as err:
+            find_embedding(L, r22.lattice, Caps(search_nodes=2))
+    assert (err.value.need, err.value.budget) == (3, 2)
+    assert counters["search_nodes"] == 3
+
+
 def test_l_of_frame_on_a_singleton():
     f = make_frame(["w"], [[0], [0]])
     sd = l_of_frame(f)
@@ -258,8 +282,11 @@ def test_no_p_morphism_to_disconnected_shape():
 
 def test_p_morphism_budget():
     prod = universal_product(["0", "1", "2"], 2)
-    with pytest.raises(SearchBudgetExceeded):
-        p_morphism_search(prod, prod, caps=Caps(search_nodes=3))
+    with stats.collect() as counters:
+        with pytest.raises(SearchBudgetExceeded) as err:
+            p_morphism_search(prod, prod, caps=Caps(search_nodes=3))
+    assert (err.value.need, err.value.budget) == (4, 3)
+    assert counters["pmorphism_nodes"] == 4
 
 
 def test_p_morphism_is_least_by_brute_force():
@@ -305,6 +332,22 @@ def test_p_morphisms_from_product_satisfy_definition():
     assert any(m is not None for _, m in maps)
     for f, m in maps:
         assert m is None or oracles.is_pmorphism(prod, f, m), f.rels
+
+
+def test_frame_census_pmorphism_nodes():
+    # the benchmark's frames census: the 14 full initial frames of at most
+    # three worlds from P22, the 117 four-world ones from P33
+    census = {n: [f for f in enumerate_frames(n, 2)
+                  if frame_queries(f) == {"initial": True, "full": True}]
+              for n in (1, 2, 3, 4)}
+    for prod, targets, want in (
+            (universal_product(["0", "1"], 2),
+             census[1] + census[2] + census[3], 58),
+            (universal_product(["0", "1", "2"], 2), census[4], 5526)):
+        with stats.collect() as counters:
+            for f in targets:
+                p_morphism_search(prod, f)
+        assert counters["pmorphism_nodes"] == want
 
 
 def test_p_morphism_of_long_source_needs_no_deep_recursion():

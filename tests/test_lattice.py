@@ -845,14 +845,17 @@ def test_orbit_minima_match_brute_force(small_lattices):
         assert got.tolist() == oracles.automorphism_orbit_minima(L)
 
 
-@pytest.mark.parametrize("make, count", [
-    (lambda: typed_R(typed_map_from_fibers([4, 2])).lattice, 32),
-    (lambda: build_R(Schema(("a", "b"), ("0", "1", "2"))).lattice, 32),
-    (lambda: typed_R(typed_map_from_fibers([5, 2])).lattice, 45),
-    (lambda: reconstruct(build_countermodel()), 50),
+@pytest.mark.parametrize("make, count, nodes", [
+    (lambda: typed_R(typed_map_from_fibers([4, 2])).lattice, 32, 44),
+    (lambda: build_R(Schema(("a", "b"), ("0", "1", "2"))).lattice, 32, 36),
+    (lambda: typed_R(typed_map_from_fibers([5, 2])).lattice, 45, 65),
+    (lambda: reconstruct(build_countermodel()), 50, 18),
 ], ids=["typed42", "R23", "typed52", "countermodel"])
-def test_orbit_minima_counts(make, count):
-    assert len(lattice.orbit_minima(make())) == count
+def test_orbit_minima_counts(make, count, nodes):
+    # nodes: the search nodes of all the automorphism searches together
+    with stats.collect() as counters:
+        assert len(lattice.orbit_minima(make())) == count
+    assert counters["search_nodes"] == nodes
 
 
 def test_orbit_search_on_typed_4_2_is_small():
