@@ -306,8 +306,8 @@ def p_morphism_search(src: Frame, dst: Frame,
     def candidates(w: int) -> Sequence[int]:
         # a cut that can remove no candidate is skipped: surjectivity while
         # the worlds left after w can still hit every missing target world,
-        # and back, for a world opening its block, while no target block is
-        # larger than that block
+        # and back while no target block is larger than w with its later
+        # block-mates (an earlier block-mate puts an image in seen)
         pool = range(nd)
         if nd > ns - w - 1:
             hit = set(img[:w])
@@ -316,14 +316,13 @@ def p_morphism_search(src: Frame, dst: Frame,
                 pool = [v for v in pool if need <= (v not in hit)]
         for d_blk, size, biggest, order, mates in rels:
             start, end, later = mates[w]
-            if start == end:        # w opens its block: no forward cut
-                if biggest > later + 1:
-                    pool = [v for v in pool if size[v] <= later + 1]
-                continue
-            seen = set(map(img.__getitem__, order[start:end]))
-            bound, room = d_blk[img[order[start]]], later + len(seen)
-            pool = [v for v in pool if d_blk[v] == bound
-                    and size[v] - (v not in seen) <= room]
+            if start < end:
+                bound = d_blk[img[order[start]]]
+                pool = [v for v in pool if d_blk[v] == bound]
+            if biggest > later + 1:
+                seen = set(map(img.__getitem__, order[start:end]))
+                room = later + len(seen)
+                pool = [v for v in pool if size[v] - (v not in seen) <= room]
         return pool
 
     return _least_assignment(img, candidates, list, caps, "pmorphism_nodes")[0]

@@ -26,8 +26,12 @@ below c_ refines C and misses c; it is complete because any cover that
 refines C and misses c joins below V(C - {c}) v c_. Reconstruction
 tabulates, over subsets of the graph's elements, the union of the members'
 downsets: a subset is a downset iff the table maps it to itself, and each
-cover rule is then tested over all subsets at once. `Caps.max_ji` bounds m
-for both.
+cover rule is then tested over all subsets at once. `closed_sets` returns
+the subsets that pass, and `reconstruct` builds their lattice. For a
+lattice L with graph g, x -> J(x) (the irreducibles below x) maps L onto
+`closed_sets(g)` (Davey and Priestley, Introduction to Lattices and Order,
+ch. 5 and 7), so `rellat check nation` compares those masks and needs no
+second lattice. `Caps.max_ji` bounds m for both directions.
 
 The cover properties quantify over cover steps: dstep(g, k0, c, k1) holds
 when the non-prime k1 completes c to a minimal cover of k0. Each graph
@@ -344,22 +348,30 @@ def closed_mask(g: ODGraph, mask: int) -> int:
     return s
 
 
-def reconstruct(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
-    """The lattice of downsets closed under every cover rule."""
+def closed_sets(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+    """The masks of the downsets closed under every cover rule, ascending.
+
+    By the duality they are the sets J(x) of the lattice the graph was
+    extracted from, and x -> J(x) orders that lattice as they are ordered
+    by inclusion. Raises past `caps.max_ji` elements or `caps.max_lattice`
+    closed sets."""
     n = g.n
     if n > caps.max_ji:
         raise CoverEnumerationCapExceeded(n, caps.max_ji)
     masks = np.arange(1 << n, dtype=np.int64)
-    down = g.down_masks
     # a set is a downset iff it holds the downsets of its members
-    closed = _subset_table(n, 0, lambda i, t: t | down[i]) == masks
+    closed = _subset_table(n, 0, lambda i, t: t | g.down_masks[i]) == masks
     for k, cm in g.cover_rules:
         closed &= ((masks & cm) != cm) | ((masks >> k & 1) == 1)
     count = int(closed.sum())
     if count > caps.max_lattice:
         raise SizeCapExceeded(count, caps.max_lattice)
-    members = masks[closed].tolist()
-    fam = make_closed_family(list(g.elems), members)
+    return masks[closed]
+
+
+def reconstruct(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
+    """The lattice of the graph's `closed_sets`, ordered by inclusion."""
+    fam = make_closed_family(list(g.elems), closed_sets(g, caps).tolist())
     return build_from_closed_family(fam, caps=caps)
 
 

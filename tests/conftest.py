@@ -32,6 +32,13 @@ def diamond_m3():
     return build_from_leq(5, leq, labels=["0", "a", "b", "c", "1"])
 
 
+def diamond(k):
+    """M_k: bottom 0, atoms 1..k, top k + 1."""
+    leq = np.eye(k + 2, dtype=bool)
+    leq[0, :] = leq[:, k + 1] = True
+    return build_from_leq(k + 2, leq)
+
+
 def pentagon_n5():
     # bottom 0, chain 1 < 3, lone atom 2, top 4
     leq = leq_from_covers(5, [(0, 1), (0, 2), (1, 3), (3, 4), (2, 4)])

@@ -20,12 +20,16 @@ from rellat import (
     build_R,
     enumerate_frames,
     extract_od_graph,
+    find_isomorphism,
     frame_to_json,
     l_of_frame,
     lattice_to_json,
     lattice_from_json,
     make_frame,
+    make_od_graph,
     od_graph_to_json,
+    random_lattice,
+    reconstruct,
     stats,
     typed_R,
     typed_map_from_fibers,
@@ -41,7 +45,7 @@ from rellat.cli import (
     main,
 )
 from rellat.lattice import lattice_document
-from conftest import chain, pentagon_n5
+from conftest import chain, diamond, pentagon_n5
 
 
 def run(capsys, *argv):
@@ -297,6 +301,15 @@ def test_check_bc_pc_subspace(capsys):
     assert doc["result"]["holds"] is True
 
 
+@pytest.mark.parametrize("verb", ["bc", "pc"])
+def test_completeness_checks_report_their_budget(capsys, verb):
+    # Caps.max_enum bounds the split pairs of both, and the point pairs of pc
+    code, doc, _ = run(capsys, "check", verb, "--attrs", "2", "--dom", "2",
+                       "--points", "00,11")
+    assert code in (0, 1)
+    assert doc["budget"] == DEFAULT_CAPS.max_enum == 1048576
+
+
 def test_check_pc_unknown_point(capsys):
     code, _, err = run(capsys, "check", "pc", "--attrs", "2", "--dom", "2",
                        "--points", "77")
@@ -310,6 +323,48 @@ def test_check_nation(tmp_path, capsys):
     code, doc, _ = run(capsys, "check", "nation", "--lattice", path)
     assert code == 0
     assert doc["result"]["round_trip_isomorphic"] is True
+
+
+def test_check_nation_agrees_with_reconstruction_and_search(
+        tmp_path, capsys, small_lattices, cm_lattice):
+    """The verb's answer from the J-masks is the one a rebuilt lattice and
+    an isomorphism search give."""
+    corpus = [*small_lattices,
+              *(random_lattice(s, max_size=12) for s in range(100)),
+              build_R(Schema(("a", "b"), ("0", "1"))).lattice,
+              typed_R(typed_map_from_fibers([4, 2])).lattice,
+              cm_lattice, *(diamond(k) for k in range(3, 12))]
+    path = str(tmp_path / "l.json")
+    for L in corpus:
+        _dump(lattice_document(L), path)
+        R = reconstruct(extract_od_graph(L))
+        holds = R.n == L.n and find_isomorphism(L, R) is not None
+        code, doc, _ = run(capsys, "check", "nation", "--lattice", path)
+        assert code == (0 if holds else 1)
+        assert doc["result"] == {"n": L.n, "reconstructed_n": R.n,
+                                 "round_trip_isomorphic": holds}
+
+
+def test_check_nation_fails_without_a_needed_cover(tmp_path, capsys,
+                                                   monkeypatch, cm_lattice):
+    # drop one non-trivial cover of an element that keeps another, so the
+    # graph stays valid but no longer describes the lattice
+    from rellat import cli
+
+    def drop_one(L, caps):
+        g = extract_od_graph(L, caps)
+        k, cov = next((k, c) for k, c in g.nontrivial()
+                      if len(g.covers_of(k)) > 2)
+        return make_od_graph(g.elems, g.leq_pairs, g.jp,
+                             [e for e in g.mjc if e != (k, cov)])
+
+    path = str(tmp_path / "cm.json")
+    _dump(lattice_document(cm_lattice), path)
+    monkeypatch.setattr(cli, "extract_od_graph", drop_one)
+    code, doc, err = run(capsys, "check", "nation", "--lattice", path)
+    assert code == 1
+    assert doc["result"]["round_trip_isomorphic"] is False
+    assert err == "round trip FAILED\n"
 
 
 def test_missing_file_is_usage_error(capsys):
@@ -512,7 +567,7 @@ CAPS_FLAGS = {
     "check bc": set(),
     "check pc": set(),
     "check iso": {"--cap", "--budget"},
-    "check nation": {"--cap", "--budget"},
+    "check nation": {"--cap"},
     "search sublattice": {"--cap", "--budget"},
     "search pmorphism": {"--budget"},
     "search embedding": {"--cap", "--budget"},
@@ -557,7 +612,7 @@ def test_each_verb_registers_the_caps_flags_it_reads():
                   if opt in ("--cap", "--budget")}
            for verb, p in _verb_parsers(build_parser())}
     assert got == CAPS_FLAGS
-    assert sum(map(len, got.values())) == 18
+    assert sum(map(len, got.values())) == 17
 
 
 @pytest.mark.parametrize("verb, flag", [
@@ -1091,8 +1146,8 @@ def test_build_rel_files_are_pinned(tmp_path, capsys, attrs, dom, digest):
 
 def test_stats_count_closure_and_order_builds(tmp_path, capsys):
     """A typed build is one closure build and no order build; check nation
-    reloads the file (an order build) and builds the reconstruction from
-    its closure operator. Counting changes no output byte."""
+    reloads the file (an order build) and builds no other lattice and
+    searches nothing. Counting changes no output byte."""
     plain, counted = tmp_path / "plain.json", tmp_path / "counted.json"
     stats_path = tmp_path / "stats.json"
     assert main(["build", "typed", "--fibers", "4,2", "--out", str(plain)]) == 0
@@ -1109,4 +1164,5 @@ def test_stats_count_closure_and_order_builds(tmp_path, capsys):
     assert main(["--stats", str(stats_path)] + argv) == 0
     assert capsys.readouterr().out == out
     counters = json.loads(stats_path.read_text())
-    assert (counters["order_builds"], counters["closure_builds"]) == (1, 1)
+    assert counters["order_builds"] == 1
+    assert "closure_builds" not in counters and "search_nodes" not in counters

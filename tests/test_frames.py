@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -354,6 +355,15 @@ def test_p_morphism_of_long_source_needs_no_deep_recursion():
     # one stack entry per source world
     src = make_frame([f"w{i}" for i in range(1100)], [[0] * 1100])
     assert p_morphism_search(src, make_frame(["u"], [[0]])) == [0] * 1100
+
+
+def test_p_morphism_of_one_block_is_linear_in_its_size():
+    # the back cut builds no set of block-mates' images while no target
+    # block outgrows the worlds left in the source block
+    src = make_frame([f"w{i}" for i in range(20000)], [[0] * 20000])
+    start = time.perf_counter()
+    assert p_morphism_search(src, make_frame(["u"], [[0]])) == [0] * 20000
+    assert time.perf_counter() - start < 1
 
 
 # -- serialization -----------------------------------------------------------------

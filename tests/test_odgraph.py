@@ -26,6 +26,7 @@ from rellat import (
     check_inclusion,
     check_property,
     closed_mask,
+    closed_sets,
     dstep,
     extract_od_graph,
     find_isomorphism,
@@ -39,8 +40,8 @@ from rellat import (
     sublattice_closure,
     ultrametric_representability,
 )
-from rellat import lattice, stats
-from conftest import boolean_cube, chain, diamond_m3, pentagon_n5
+from rellat import lattice, odgraph, stats
+from conftest import boolean_cube, chain, diamond, diamond_m3, pentagon_n5
 import oracles
 
 
@@ -74,13 +75,6 @@ def test_census_minimal_covers_match_definition(small_lattices):
         for j in L.join_irreducibles():
             got = {frozenset(c) for c in minimal_join_covers(L, j)}
             assert got == oracles.minimal_join_covers(L.n, L.leq, j)
-
-
-def diamond(k):
-    """M_k: bottom 0, atoms 1..k, top k + 1."""
-    leq = np.eye(k + 2, dtype=bool)
-    leq[0, :] = leq[:, k + 1] = True
-    return build_from_leq(k + 2, leq)
 
 
 @pytest.mark.parametrize("k", range(3, 17))
@@ -308,6 +302,26 @@ def test_round_trip_r22(r22, g22):
     R = reconstruct(g22)
     assert R.n == 26
     assert find_isomorphism(r22.lattice, R) is not None
+
+
+def test_closed_sets_are_the_family_reconstruct_builds(monkeypatch, g22,
+                                                       cm_graph,
+                                                       small_lattices):
+    built = []
+    real = odgraph.build_from_closed_family
+
+    def keep(fam, caps):
+        built.append(fam)
+        return real(fam, caps=caps)
+
+    monkeypatch.setattr(odgraph, "build_from_closed_family", keep)
+    graphs = [cm_graph, g22] + [extract_od_graph(L) for L in small_lattices]
+    for g in graphs:
+        R = reconstruct(g)
+        closed = closed_sets(g)
+        assert (np.diff(closed) > 0).all()
+        assert closed.tolist() == sorted(built.pop().members)
+        assert closed.size == R.n
 
 
 def test_reconstruct_cap(cm_graph):
