@@ -162,7 +162,9 @@ class Caps:
 
     max_lattice   hard cap on lattice element count,
     max_enum      cap on subsets walked per enumeration; it also bounds the
-                  p^2 point pairs of is_pairwise_complete (check pc),
+                  p^2 point pairs of is_pairwise_complete (check pc), and
+                  the bytes of filter rows one isomorphism or embedding
+                  search keeps (rows past it are rebuilt when needed),
     eval_budget   cap on the valuations a check covers: |L|^k raw valuations
                   for an exhaustive scan, factored or not (not the term
                   evaluations it performs), the sample count for a sampled one,

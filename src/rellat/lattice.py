@@ -66,7 +66,9 @@ Every search of the package runs on one backtracking core,
 candidates are computed from the values already assigned, and the first
 full assignment accepted is the answer. The core alone keeps the stack,
 counts the nodes against caps.search_nodes and adds the count to the
-search's stats counter.
+search's stats counter. `_search` gives a level's candidates as its pool
+ANDed with bitset rows of the target lattice, one per test against an
+image already assigned.
 
 Memory: besides leq and the two int32 tables, a build holds the down-set
 bitsets, n^2/8 bytes, while it finds the covers. Every other n-by-n
@@ -666,7 +668,7 @@ def orbit_minima(L: FiniteLattice) -> np.ndarray:
     """
     if "orbits" not in L._cache:
         ji = L.join_irreducibles()
-        down, up, _, _ = _order_sets(L)
+        down, up = _order_sets(L)
         least = list(range(L.n))            # union-find, rooted at minima
 
         def root(x: int) -> int:
@@ -699,15 +701,109 @@ def orbit_minima(L: FiniteLattice) -> np.ndarray:
 
 
 def _order_sets(L: FiniteLattice):
-    """(down-set sizes, up-set sizes, down-sets, up-sets) of L, the sets as
-    np.packbits rows; computed once per lattice."""
+    """(down-set sizes, up-set sizes) of L; computed once per lattice."""
     if "order_sets" not in L._cache:
-        sets = (L.leq.sum(0), L.leq.sum(1), np.packbits(L.leq.T, axis=1),
-                np.packbits(L.leq, axis=1))
+        sets = (L.leq.sum(0), L.leq.sum(1))
         for a in sets:
             a.setflags(write=False)             # shared by every search
         L._cache["order_sets"] = sets
     return L._cache["order_sets"]
+
+
+def _bitset(v: np.ndarray) -> int:
+    """The positions y where v is true, as a Python-int bitset (bit y)."""
+    return int.from_bytes(np.packbits(v, bitorder="little"), "little")
+
+
+def _members(s: int):
+    """The members of a Python-int bitset, ascending."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
+
+
+class _OrderRows(dict):
+    """x -> (the y > x, the y < x, the y apart from x) in a lattice, as
+    bitsets. Each triple is read off the order matrix the first time it
+    is asked for and kept with the lattice (`_order_rows`)."""
+
+    def __init__(self, leq: np.ndarray):
+        super().__init__()
+        self.leq = leq
+
+    def __missing__(self, x: int) -> tuple[int, int, int]:
+        up, down = _bitset(self.leq[x]), _bitset(self.leq[:, x])
+        rows = self[x] = (up ^ 1 << x, down ^ 1 << x, ~(up | down))
+        return rows
+
+
+def _order_rows(L: FiniteLattice) -> _OrderRows:
+    if "order_rows" not in L._cache:
+        L._cache["order_rows"] = _OrderRows(L.leq)
+    return L._cache["order_rows"]
+
+
+class _RowMemo(dict):
+    """The pair-count and join-dominance rows of one search into L, each
+    the set of L's elements y that pass one test, as a bitset:
+
+        (t, x, d, u)  the y whose join (t = 0) or meet (t = 1) with x has
+                      at least d elements below it and u above it
+        (u, x)        the y with u <= y v x
+
+    A row is built by numpy the first time it is asked for, and kept while
+    the rows kept fit in `limit` bytes, n/8 bytes each; past that it is
+    built and used each time but not kept. `built` counts the rows built.
+    """
+
+    def __init__(self, L: FiniteLattice, limit: int):
+        super().__init__()
+        self.leq, self.tables, self.sizes = L.leq, (L.join, L.meet), _order_sets(L)
+        self.room = limit // -(-L.n // 8)
+        self.built = 0
+
+    def __missing__(self, key: tuple) -> int:
+        if len(key) == 4:
+            t, x, d, u = key
+            (down, up), z = self.sizes, self.tables[t][x]
+            row = _bitset((down[z] >= d) & (up[z] >= u))
+        else:
+            u, x = key
+            row = _bitset(self.leq[u, self.tables[0][x]])
+        self.built += 1
+        if len(self) < self.room:
+            self[key] = row
+        return row
+
+
+def _maxima(le: np.ndarray, size: np.ndarray) -> Callable[[int], list[int]]:
+    """For an order on 0..m-1 (le[b, c]: b <= c) in which b < c implies
+    size[b] < size[c], the function giving for each item a the maximal
+    items among those numbered below a that lie strictly below it. Ranked
+    by size, the highest-ranked item left is maximal; it is taken and its
+    down-set cleared, until nothing is left: one step per maximal item, as
+    in `_cover_edges`."""
+    item = np.argsort(size, kind="stable")      # rank -> item
+    rank = np.empty_like(item)
+    rank[item] = np.arange(len(item))
+    # the ranks of the items below item r, and of the items numbered below
+    # a, as bitsets
+    down = [int.from_bytes(row, "little") for row in np.packbits(
+        le[np.ix_(item, item)].T, axis=1, bitorder="little")]
+    item, rank, earlier = item.tolist(), rank.tolist(), [0]
+    for r in rank:
+        earlier.append(earlier[-1] | 1 << r)
+
+    def maxima(a: int) -> list[int]:
+        s, found = down[rank[a]] & earlier[a], []
+        while s:
+            r = s.bit_length() - 1
+            found.append(item[r])
+            s &= ~down[r]
+        return found
+
+    return maxima
 
 
 def _search(
@@ -724,79 +820,140 @@ def _search(
     to the join of the images of the generators below it. Generators take
     images in that order, each trying its candidates in ascending order, so
     the first map found is least by (image of bottom, images of J(L1) in
-    index order). Before the search starts, each level's pool keeps only
-    the images y with |down-set of y| >= |down-set of g| and |up-set of y|
-    >= |up-set of g|, since an embedding maps both sets of g injectively
-    into those of its image. Each level then keeps the candidates y for its
-    generator a that compare with every assigned image as their generators
-    compare; whose joins and meets with each assigned image phi(b) have
-    down-sets and up-sets at least as large as those of a v b and a ^ b
-    (the same count argument, as phi(a v b) = y v phi(b)); and that keep
-    join-dominance c <= a v b among irreducibles. All these filters are
-    necessary, and the order test alone rules out reusing an image. A
-    complete assignment is extended and verified by `_is_embedding`: a map
-    onto L2 by its covers, a map into a larger L2 against the full meet and
-    join tables. The filters are the candidates of `_least_assignment`,
-    computed once per level from the images already assigned, so one
-    search node is one image given to one generator, counted after them.
+    index order). Each level's pool keeps only the images y with
+    |down-set of y| >= |down-set of g| and |up-set of y| >= |up-set of g|,
+    since an embedding maps both sets of g injectively into those of its
+    image. Each level then keeps the candidates y for its generator a that
+    compare with every assigned image as their generators compare; whose
+    joins and meets with each assigned image phi(b) have down-sets and
+    up-sets at least as large as those of a v b and a ^ b (the same count
+    argument, as phi(a v b) = y v phi(b)); and that keep join-dominance
+    c <= a v b among irreducibles. All these filters are necessary, and the
+    order test alone rules out reusing an image. A complete assignment is
+    extended and verified by `_is_embedding`: a map onto L2 by its covers,
+    a map into a larger L2 against the full meet and join tables. The
+    filters are the candidates of `_least_assignment`, computed once per
+    level from the images already assigned, so one search node is one
+    image given to one generator, counted after them.
+
+    Each test compares y with one assigned image, or with the join of two,
+    so the y that pass it are a row: a set of L2's elements fixed by L2 and
+    those images. A level's candidates are its pool ANDed with its rows, as
+    Python-int bitsets, read out ascending (forward checking with cached
+    constraint rows: Haralick and Elliott, Artificial Intelligence 14,
+    1980). The order rows, which also serve the join-dominance test with
+    the new generator as c, are kept with L2 (`_order_rows`). The other
+    rows are built by numpy on first use, in a memo that lasts one search
+    and keeps at most caps.max_enum bytes of them (`_RowMemo`); the rows it
+    builds are added to the search_rows stat once per call. When the rows
+    kept with L2 leave fewer candidates than one in 64 of L2's elements,
+    the other tests are read off L2's tables for each candidate instead,
+    since a row costs a pass over all of L2: the automorphism searches of
+    `orbit_minima` try one pinned image or a few irreducibles of a large
+    lattice. A level's
+    pool and tests are listed when the search first reaches it, without
+    the tests that others imply, so the candidates stay the same: against
+    the generators below a only the maximal ones, as the images assigned
+    keep their generators' order, and dually above; pair counts and
+    join-dominance only against generators apart from a, since for
+    comparable ones the order test and the pools imply them.
     """
     gens = np.array([L1.bottom, *L1.join_irreducibles()], dtype=np.intp)
-    down1, up1, _, _ = _order_sets(L1)
-    # L2's order rows as bitsets: a level tests every candidate against
-    # every assigned image in one pass over n/8 bytes per candidate
-    down2, up2, below2, above2 = _order_sets(L2)
-    pools = [np.asarray(p, dtype=np.intp) for p in pools]
-    pools = [p[(down2[p] >= down1[g]) & (up2[p] >= up1[g])]
-             for p, g in zip(pools, gens)]
-    le1 = L1.leq[np.ix_(gens, gens)]
-    incomparable = ~(le1 | le1.T)
-    # per pair of generators, the down-set and up-set sizes of a v b and
-    # a ^ b, with the table that gives the images' join and meet
+    down1, up1 = _order_sets(L1)
+    down2, up2 = _order_sets(L2)
     ix = np.ix_(gens, gens)
-    pair = [(down1[t1[ix]], up1[t1[ix]], t2)
-            for t1, t2 in ((L1.join, L2.join), (L1.meet, L2.meet))]
-    # incomparable level pairs (p, q), p < q, sorted by q: the pairs whose
-    # levels are all assigned before level i form a prefix
-    qs, ps = np.nonzero(np.tril(incomparable, -1))
-    img = np.zeros(len(gens), dtype=np.intp)
+    le1, join1 = L1.leq[ix], L1.join[ix]
+    # the maximal generators numbered before a and below it, and the
+    # minimal ones above it
+    maxima, minima = _maxima(le1, down1[gens]), _maxima(le1.T, up1[gens])
+    # the pairs of generators apart, pb < pa, sorted by pa: level a's are
+    # ends[a]:ends[a + 1], and those both assigned before level a are the
+    # prefix :ends[a]
+    pa, pb = np.nonzero(np.tril(~(le1 | le1.T), -1))
+    ends = np.searchsorted(pa, np.arange(len(gens) + 1)).tolist()
+    joins, meets = join1[pa, pb], L1.meet[gens[pa], gens[pb]]
+    # per pair, the down-set and up-set sizes of a v b (t = 0) and a ^ b
+    # (t = 1); when a and b compare, the order test and the pools imply them
+    counts = [[(b, 0, d, u), (b, 1, d2, u2)] for b, d, u, d2, u2 in zip(
+        pb.tolist(), down1[joins].tolist(), up1[joins].tolist(),
+        down1[meets].tolist(), up1[meets].tolist())]
+    pairs = list(zip(pb.tolist(), pa.tolist()))
+    levels = []                 # the tests of each level reached so far
 
-    def bits(ys: np.ndarray) -> np.ndarray:
-        v = np.zeros(L2.n, dtype=bool)
-        v[ys] = True
-        return np.packbits(v)
+    def tests(a: int) -> tuple:
+        """Level a's pool and the tests of its candidates against the
+        generators before it, as Python ints; built when the search first
+        reaches level a."""
+        g, lo, hi = gens[a], ends[a], ends[a + 1]
+        pool = np.zeros(L2.n, dtype=bool)
+        pool[np.asarray(pools[a], dtype=np.intp)] = True
+        pool &= (down2 >= down1[g]) & (up2 >= up1[g])
+        # phi(a) must lie above phi(b) for b below a, below it for b above
+        # a, and apart from it otherwise: rows 0, 1 and 2 of phi(b)
+        apart = pb[lo:hi]
+        order = ([(b, 0) for b in maxima(a)] + [(b, 1) for b in minima(a)]
+                 + [(b, 2) for b in apart.tolist()])
+        # c <= a v b with the new generator as c, and a and b assigned
+        # apart; when they compare, a v b is one of them and the order
+        # test decides
+        first = [(b0, b1, want) for (b0, b1), want in zip(
+            pairs[:lo], L1.leq[g, joins[:lo]].tolist())]
+        # ... and with the new generator as a, b assigned apart from it,
+        # and c assigned; when c lies below a or b, the order test decides
+        second = []
+        if hi > lo:
+            c, k = np.nonzero(~(le1[:a, a, None] | le1[:a, apart]))
+            second = list(zip(c.tolist(), apart[k].tolist(),
+                              L1.leq[gens[c], join1[a, apart[k]]].tolist()))
+        levels.append((_bitset(pool), order,
+                       [t for pair in counts[lo:hi] for t in pair],
+                       first, second))
+        return levels[a]
 
-    def candidates(i: int) -> np.ndarray:
-        g, Y, pool = gens[i], img[:i], pools[i]
-        seen = bits(Y)
-        ok = (((below2[pool] & seen) == bits(Y[le1[:i, i]])).all(1)
-              & ((above2[pool] & seen) == bits(Y[le1[i, :i]])).all(1))
-        pool = pool[ok]
-        for down, up, table in pair:
-            z = table[np.ix_(pool, Y)]
-            pool = pool[((down2[z] >= down[i, :i]) & (up2[z] >= up[i, :i])).all(1)]
-        # c <= a v b with the new generator as c, a and b assigned; when a
-        # and b compare, a v b is one of them and the order test decides
-        k = int(np.searchsorted(qs, i))
-        if k and pool.size:
-            a, b = ps[:k], qs[:k]
-            want = L1.leq[g, L1.join[gens[a], gens[b]]]
-            pool = pool[(L2.leq[np.ix_(pool, L2.join[Y[a], Y[b]])] == want).all(1)]
-        # ... and with the new generator as a, b assigned, c assigned
-        b = np.flatnonzero(incomparable[i, :i])
-        if b.size and pool.size:
-            want = L1.leq[np.ix_(gens[:i], L1.join[g, gens[b]])]
-            got = L2.leq[Y[:, None, None], L2.join[np.ix_(pool, Y[b])][None]]
-            pool = pool[(got == want[:, None, :]).all(axis=(0, 2))]
-        return pool
+    img = [0] * len(gens)
+    rows, memo, join2 = _order_rows(L2), _RowMemo(L2, caps.max_enum), L2.join
+    leq2, tables2 = L2.leq, (L2.join, L2.meet)
 
-    def finish(img: np.ndarray) -> list[int] | None:
+    def passes(y: int, pair: list, second: list) -> bool:
+        """Whether y passes the pair-count and join-dominance tests, read
+        off L2's tables for y alone."""
+        for b, t, d, u in pair:
+            z = tables2[t][y, img[b]]
+            if down2[z] < d or up2[z] < u:
+                return False
+        return all(leq2[img[c], join2[y, img[b]]] == want
+                   for c, b, want in second)
+
+    def candidates(i: int):
+        s, order, pair, first, second = levels[i] if i < len(levels) else tests(i)
+        for b, r in order:
+            s &= rows[img[b]][r]
+        for b0, b1, want in first:
+            z = int(join2[img[b0], img[b1]])
+            below = rows[z][1] | 1 << z
+            s &= below if want else ~below
+        # a row spans all of L2: with fewer candidates left than one in 64
+        # of its elements, testing each on the tables is cheaper
+        if s.bit_count() << 6 <= L2.n:
+            return [y for y in _members(s) if passes(y, pair, second)]
+        for b, t, d, u in pair:
+            s &= memo[t, img[b], d, u]
+        for c, b, want in second:
+            row = memo[img[c], img[b]]
+            s &= row if want else ~row
+        return _members(s)
+
+    def finish(img: list[int]) -> list[int] | None:
         phi = np.full(L1.n, img[0], dtype=np.intp)
         for g, y in zip(gens[1:], img[1:]):
             below = L1.leq[g]
             phi[below] = L2.join[phi[below], y]
         return phi.tolist() if _is_embedding(L1, L2, phi) else None
 
-    return _least_assignment(img, candidates, finish, caps, "search_nodes")
+    try:
+        return _least_assignment(img, candidates, finish, caps, "search_nodes")
+    finally:
+        stats.add("search_rows", memo.built)
 
 
 def _least_assignment(img, candidates: Callable, finish: Callable, caps: Caps,

@@ -28,6 +28,12 @@ SearchBudgetExceeded, which then counts the node past the cap:
     pmorphism_nodes     images given to worlds in `frames.p_morphism_search`,
                         counted after its cuts
 
+and, once per `lattice._search` call in the same way:
+
+    search_rows         pair-count and join-dominance rows its memo built
+                        (`lattice._RowMemo`), counting again a row built
+                        anew because the memo was full
+
 Counters written by the duality and the action tables:
 
     subset_entries      the 2^m entries of each `lattice._subset_table`

@@ -7,8 +7,10 @@ Sizes are expected to be tiny; nothing here is clever. The exceptions are
 `plain_scan`, which folds terms through a lattice's own tables,
 `sublattice_closure`, which closes a seed over them, `sampled_scan`,
 which folds sampled valuations through them,
-`automorphism_orbit_minima`, which checks maps against them, and
-`bc_identity_witness`, which reads a space's action table.
+`automorphism_orbit_minima`, which checks maps against them,
+`bc_identity_witness`, which reads a space's action table, and
+`reference_search`, the numpy candidate filters of lattice search, which
+runs on the package's own backtracking core.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from rellat import Meet, NotALattice, NotAPartialOrder, Var
+from rellat import Meet, NotALattice, NotAPartialOrder, Var, lattice
 
 
 # -- order-theoretic oracles (input: n and a leq predicate or matrix) -----------
@@ -272,6 +274,75 @@ def automorphism_orbit_minima(L):
                 for a in range(n) for b in range(n)):
             least = [min(m, y) for m, y in zip(least, phi)]
     return [x for x in range(n) if least[x] == x]
+
+
+def reference_search(L1, L2, pools, caps):
+    """(phi, nodes) of `lattice._search` by the array filters it replaced:
+    each level tests every candidate of its pool against every assigned
+    image with numpy calls on the pool, the order test through L2's
+    packed down-set and up-set rows. It runs on the same core,
+    `lattice._least_assignment`, with the same `finish`, so the least map,
+    the node count and any SearchBudgetExceeded must agree with
+    `_search` exactly."""
+    gens = np.array([L1.bottom, *L1.join_irreducibles()], dtype=np.intp)
+    down1, up1 = L1.leq.sum(0), L1.leq.sum(1)
+    # L2's order rows as bitsets: a level tests every candidate against
+    # every assigned image in one pass over n/8 bytes per candidate
+    down2, up2 = L2.leq.sum(0), L2.leq.sum(1)
+    below2, above2 = np.packbits(L2.leq.T, axis=1), np.packbits(L2.leq, axis=1)
+    pools = [np.asarray(p, dtype=np.intp) for p in pools]
+    pools = [p[(down2[p] >= down1[g]) & (up2[p] >= up1[g])]
+             for p, g in zip(pools, gens)]
+    le1 = L1.leq[np.ix_(gens, gens)]
+    incomparable = ~(le1 | le1.T)
+    # per pair of generators, the down-set and up-set sizes of a v b and
+    # a ^ b, with the table that gives the images' join and meet
+    ix = np.ix_(gens, gens)
+    pair = [(down1[t1[ix]], up1[t1[ix]], t2)
+            for t1, t2 in ((L1.join, L2.join), (L1.meet, L2.meet))]
+    # incomparable level pairs (p, q), p < q, sorted by q: the pairs whose
+    # levels are all assigned before level i form a prefix
+    qs, ps = np.nonzero(np.tril(incomparable, -1))
+    img = np.zeros(len(gens), dtype=np.intp)
+
+    def bits(ys):
+        v = np.zeros(L2.n, dtype=bool)
+        v[ys] = True
+        return np.packbits(v)
+
+    def candidates(i):
+        g, Y, pool = gens[i], img[:i], pools[i]
+        seen = bits(Y)
+        ok = (((below2[pool] & seen) == bits(Y[le1[:i, i]])).all(1)
+              & ((above2[pool] & seen) == bits(Y[le1[i, :i]])).all(1))
+        pool = pool[ok]
+        for down, up, table in pair:
+            z = table[np.ix_(pool, Y)]
+            pool = pool[((down2[z] >= down[i, :i]) & (up2[z] >= up[i, :i])).all(1)]
+        # c <= a v b with the new generator as c, a and b assigned; when a
+        # and b compare, a v b is one of them and the order test decides
+        k = int(np.searchsorted(qs, i))
+        if k and pool.size:
+            a, b = ps[:k], qs[:k]
+            want = L1.leq[g, L1.join[gens[a], gens[b]]]
+            pool = pool[(L2.leq[np.ix_(pool, L2.join[Y[a], Y[b]])] == want).all(1)]
+        # ... and with the new generator as a, b assigned, c assigned
+        b = np.flatnonzero(incomparable[i, :i])
+        if b.size and pool.size:
+            want = L1.leq[np.ix_(gens[:i], L1.join[g, gens[b]])]
+            got = L2.leq[Y[:, None, None], L2.join[np.ix_(pool, Y[b])][None]]
+            pool = pool[(got == want[:, None, :]).all(axis=(0, 2))]
+        return pool
+
+    def finish(img):
+        phi = np.full(L1.n, img[0], dtype=np.intp)
+        for g, y in zip(gens[1:], img[1:]):
+            below = L1.leq[g]
+            phi[below] = L2.join[phi[below], y]
+        return phi.tolist() if lattice._is_embedding(L1, L2, phi) else None
+
+    return lattice._least_assignment(img, candidates, finish, caps,
+                                     "search_nodes")
 
 
 def plain_scan(L, inc, chunk=1 << 16):

@@ -1104,15 +1104,18 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps(GRAPH))
     stats_path = tmp_path / "stats.json"
-    for argv, keys in (
+    # the identity of R(2,2) is found in one node per generator, 7 in all,
+    # and builds 33 filter rows
+    for argv, keys, pinned in (
             (["check", "iso", "--lattice", r22_file, "--other", r22_file],
-             {"lattice_docs_direct", "order_builds", "search_nodes"}),
+             {"lattice_docs_direct", "order_builds", "search_nodes",
+              "search_rows"}, {"search_nodes": 7, "search_rows": 33}),
             (["search", "pmorphism", "--src", prod, "--dst", two],
-             {"pmorphism_nodes"}),
+             {"pmorphism_nodes"}, {}),
             (["odgraph", "extract", "--lattice", r22_file, "--out", "OUT"],
-             {"lattice_docs_direct", "order_builds", "subset_entries"}),
+             {"lattice_docs_direct", "order_builds", "subset_entries"}, {}),
             (["odgraph", "props", "--odgraph", str(graph)],
-             {"closure_passes"})):
+             {"closure_passes"}, {})):
         plain_out, counted_out = tmp_path / "plain.json", tmp_path / "counted.json"
         assert main([str(plain_out) if a == "OUT" else a for a in argv]) in (0, 1)
         plain = capsys.readouterr().out
@@ -1124,6 +1127,7 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
             assert plain_out.read_bytes() == counted_out.read_bytes()
         counters = json.loads(stats_path.read_text())
         assert counters.keys() == keys and all(v > 0 for v in counters.values())
+        assert counters.items() >= pinned.items()
 
 
 @pytest.mark.parametrize("attrs, dom, digest", [

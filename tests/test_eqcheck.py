@@ -362,8 +362,10 @@ def test_scan_counts_chunks_up_to_the_witness(m3, monkeypatch):
     assert outcome(res) == ("counterexample", {"x": 1, "y": 2, "z": 3},
                             25 + 2 * 5 + 3 + 1)
     # the space outgrows a chunk, so x runs over the orbit minima 0, 1, 4,
-    # found by two automorphism searches of four nodes each
-    assert counters == {"valuations_scanned": 15 + 10 + 1, "search_nodes": 8}
+    # found by two automorphism searches of four nodes and six filter
+    # rows each
+    assert counters == {"valuations_scanned": 15 + 10 + 1, "search_nodes": 8,
+                        "search_rows": 12}
 
 
 def test_scan_counts_block_classes(m3):

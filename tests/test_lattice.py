@@ -51,7 +51,14 @@ from rellat import (
     typed_R,
 )
 from rellat import frames, lattgen, lattice, odgraph, relational, stats
-from conftest import boolean_cube, chain, diamond_m3, leq_from_covers, pentagon_n5
+from conftest import (
+    boolean_cube,
+    chain,
+    diamond,
+    diamond_m3,
+    leq_from_covers,
+    pentagon_n5,
+)
 import oracles
 
 
@@ -872,9 +879,102 @@ def test_orbit_minima_are_cached():
     with stats.collect() as counters:
         first = lattice.orbit_minima(L)
         assert lattice.orbit_minima(L) is first
-    # two searches, 1 -> 2 and 1 -> 3, of one node per generator each
-    assert counters == {"search_nodes": 8}
+    # two searches, 1 -> 2 and 1 -> 3, of one node per generator each; each
+    # builds 6 rows: the join and meet count rows of the images of a and b,
+    # and the join-dominance rows of (a, b) and (b, a)
+    assert counters == {"search_nodes": 8, "search_rows": 12}
     assert first.tolist() == [0, 1, 4]
+
+
+def _r23():
+    return build_R(Schema(("a", "b"), ("0", "1", "2"))).lattice
+
+
+def _searches(corpus, monkeypatch):
+    """(L1, L2, pools, budget) of each search of a corpus: the embeddings of
+    every third lattice of at most 6 elements into seeded random lattices
+    and R(2,2); each automorphism search `orbit_minima` makes on a lattice,
+    with its pinned image; or M_11 into R(2,3), which runs out at 3,000
+    nodes."""
+    if corpus == "census":
+        targets = [random_lattice(s, max_size=12) for s in range(10)]
+        targets.append(build_R(Schema(("a", "b"), ("0", "1"))).lattice)
+        return [(L1, L2, [range(L2.n)] * (1 + len(L1.join_irreducibles())),
+                 10**6)
+                for L1 in all_lattices_upto(6)[::3] for L2 in targets
+                if L1.n <= L2.n]
+    if corpus == "M11":
+        return [(diamond(11), _r23(), [range(530)] * 12, 3000)]
+    L = {"typed42": lambda: typed_R(typed_map_from_fibers([4, 2])).lattice,
+         "R23": _r23,
+         "typed52": lambda: typed_R(typed_map_from_fibers([5, 2])).lattice}[corpus]()
+    calls, search = [], lattice._search
+
+    def recorded(L1, L2, pools, caps):
+        calls.append((L1, L2, pools, 10**6))
+        return search(L1, L2, pools, caps)
+
+    monkeypatch.setattr(lattice, "_search", recorded)
+    lattice.orbit_minima(L)
+    monkeypatch.undo()
+    return calls
+
+
+def _outcome(search, L1, L2, pools, caps):
+    try:
+        return search(L1, L2, pools, caps)
+    except SearchBudgetExceeded as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("corpus", ["census", "typed42", "R23", "typed52",
+                                    "M11"])
+def test_row_filters_match_the_array_filters(corpus, monkeypatch):
+    """The bitset rows give each level the candidates the numpy filters
+    gave: the same least map, node count and budget error."""
+    outcomes = collections.Counter()
+    for L1, L2, pools, budget in _searches(corpus, monkeypatch):
+        for nodes in (budget, 7):
+            caps = Caps(search_nodes=nodes)
+            got = _outcome(lattice._search, L1, L2, pools, caps)
+            assert got == _outcome(oracles.reference_search, L1, L2, pools, caps)
+            outcomes["budget" if isinstance(got, str) else got[0] is not None] += 1
+    # budget errors, maps found and (among the census) none
+    assert outcomes["budget"] and (outcomes[True] or corpus == "M11")
+    assert outcomes[False] or corpus != "census"
+
+
+def test_row_memo_keeps_at_most_max_enum_bytes(monkeypatch):
+    """A row memo too small for the search keeps what fits and builds the
+    other rows each time they are asked for, with the same maps, nodes and
+    budget errors; search_rows counts every row built."""
+    memos = []
+
+    class Recorded(lattice._RowMemo):
+        def __init__(self, L, limit):
+            super().__init__(L, limit)
+            memos.append(self)
+
+    r23, width = _r23(), 67                     # bytes per row of 530 bits
+    searches = [(diamond(11), [range(530)] * 12, 3000),
+                (boolean_cube(4), [range(530)] * 5, 10**6)]
+    for L1, pools, nodes in searches:
+        want = _outcome(lattice._search, L1, r23, pools, Caps(search_nodes=nodes))
+        monkeypatch.setattr(lattice, "_RowMemo", Recorded)
+        kept, built = [], []
+        for limit in (1 << 20, 4 * width, width - 1):
+            caps = Caps(search_nodes=nodes, max_enum=limit)
+            with stats.collect() as counters:
+                assert _outcome(lattice._search, L1, r23, pools, caps) == want
+            assert len(memos[-1]) * width <= limit
+            assert counters["search_rows"] == memos[-1].built
+            kept.append(len(memos[-1]))
+            built.append(memos[-1].built)
+        monkeypatch.undo()
+        # the default keeps every row; a smaller memo builds some again,
+        # many times over on M_11's 3,000 nodes
+        assert kept[0] == built[0] <= built[1] <= built[2] and kept[2] == 0
+        assert L1.n != 13 or built == [7000, 16838, 17864]
 
 
 # -- serialization -----------------------------------------------------------------
