@@ -17,18 +17,33 @@ no matrix product:
    inside that of a, and is then cleared, until nothing is left: one step
    per cover. If every such check passes the relation is transitive, by
    induction on the size of the down-set.
-3. Meets, with joins as meets of the transposed order: the candidate meet
-   of a and b is their common lower bound latest in a linear extension
+3. J, the elements with exactly one lower cover, is read off the covers.
+   When a table over its 2^|J| subsets fits caps.max_enum, each element x
+   stands for its mask J(x) = {j in J : j <= x}, and the masks are built
+   as a lattice of closed sets (below) with the covers already found. Its
+   tables are taken if the masks are distinct, hold all of J, are closed
+   under intersection, and inclusion among them is the given order,
+   compared a block of rows at a time. That is sound whatever J is: an
+   order equal to inclusion on an intersection-closed family that holds
+   its universe is a lattice, with meet a & b and join cl[a | b]. Every
+   lattice whose J fits is taken, as J(x) determines x and
+   J(a ^ b) = J(a) & J(b) (Birkhoff's representation; Davey and Priestley,
+   Introduction to Lattices and Order, ch. 5 and 7). Reloads, the
+   `lattgen` enumeration and closed families too wide for 2^u flags come
+   this way; a long chain, whose irreducibles are all but its bottom,
+   does not.
+4. Otherwise meets, with joins as meets of the transposed order: the candidate
+   meet of a and b is their common lower bound latest in a linear extension
    (elements sorted by height). Over the covers it is b when b <= a, else
-   the latest of the candidates of a with the lower covers of b, filled
-   one height at a time, upwards, as elementwise maxima over all a. If
-   there is a bottom and meet(a, c) <= meet(a, b) for every a and every
-   cover c < b, every candidate is the meet, by induction on b; this reads
-   one entry of the order per a and cover. A finite poset with a top in
-   which every pair has a meet is a lattice (Davey and Priestley,
-   Introduction to Lattices and Order, ch. 2), and then each join
-   candidate is the join, so joins are never checked.
-4. Only a rejected order reaches the witness code, which gives the same
+   the latest of the candidates of a with the lower covers of b, filled one
+   height at a time, upwards, as elementwise maxima over all a. If there is
+   a bottom and meet(a, c) <= meet(a, b) for every a and every cover c < b,
+   every candidate is the meet, by induction on b; this reads one entry of
+   the order per a and cover. A finite poset with a top in which every pair
+   has a meet is a lattice (Davey and Priestley, Introduction to Lattices
+   and Order, ch. 2), and then each join candidate is the join, so joins
+   are never checked.
+5. Only a rejected order reaches the witness code, which gives the same
    witnesses as a per-pair check: the least non-reflexive i, the first
    i != j in row-major order with i <= j and j <= i, the transitivity
    witness (c, b, a) with least a, then least b, then least c, from the
@@ -37,24 +52,26 @@ no matrix product:
    covers, one column a at a time, on both tables, finds the first row
    that has such a pair; only that row's pairs are then counted.
 
-Lattices of closed sets (`_closure_lattice`) skip all of that. Every
-lattice the package constructs, except the `lattgen` enumeration, is a
-family of subsets of a u-point universe closed under intersection: the
-closed families of `build_from_closed_family` (closure systems,
-reconstructions, random lattices), the fixed pairs of
+Lattices of closed sets (`_closure_lattice`) skip all of that but the
+covers. Every lattice the package constructs, except the `lattgen`
+enumeration, is a family of subsets of a u-point universe closed under
+intersection: the closed families of `build_from_closed_family` (closure
+systems, reconstructions, random lattices), the fixed pairs of
 `relational.semidirect_core` (typed, semidirect and frame lattices) and the
 tables of `relational.build_R`, each standing for its closed set. The
 members are flagged among all 2^u masks, and the operator cl[S], the
 intersection of the closed supersets of S, is filled in u in-place passes
-over the masks. The family is accepted only if the universe and every
-cl[S] are flagged, which holds iff it is closed under intersection, as
-cl(a & b) lies inside a and b; else NotIntersectionClosed names a pair.
-Then meet is a & b and join is cl[a | b] (Davey and Priestley,
-Introduction to Lattices and Order, ch. 7), both gathers through the mask
--> element table, and a <= b iff their meet is a. Only the covers are
-computed from the order, as above. A closed family too wide for 2^u
-entries is checked by the intersection scan (`_open_pair`) and built by
-`build_from_leq`.
+over the masks. The family is accepted only if the universe and every cl[S]
+are flagged, which holds iff it is closed under intersection, as cl(a & b)
+lies inside a and b; else NotIntersectionClosed names a pair. Then meet is
+a & b and join is cl[a | b] (Davey and Priestley, Introduction to Lattices
+and Order, ch. 7), both gathers through the mask -> element table, and
+a <= b iff their meet is a. Only the covers are computed from the order,
+as above. The sweep itself (`_closure_tables`) returns nothing on a family it
+refuses, so `build_from_leq` can fall back where `_closure_lattice` raises.
+A closed family too wide for 2^u entries is checked by the intersection
+scan (`_open_pair`) and built by `build_from_leq`, through the masks of its
+own irreducibles.
 
 A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
 its parent's tables restricted to it, and only its covers are computed.
@@ -80,7 +97,9 @@ sets holds its flags, cl and the mask -> element table, 2^u entries each
 (4 MB of int32 at u = 20, the most the default Caps.max_enum allows for
 closed families and action tables; for `build_R` 2^u is at most n^2),
 and gathers its tables in blocks of rows of about _BLOCK / 4 int32
-entries, so each temporary holds about 1 MB.
+entries, so each temporary holds about 1 MB. On the J-mask route of
+`build_from_leq` the same holds with u = |J|, and the order is compared
+in those blocks, so no second order matrix is made.
 """
 from __future__ import annotations
 
@@ -278,6 +297,13 @@ def build_from_leq(
 ) -> FiniteLattice:
     """Validate a partial order and compute meet/join tables, bottom, top.
 
+    After the reflexivity, antisymmetry and cover checks, an order whose
+    join-irreducibles J have 2^|J| <= caps.max_enum is built by the closure
+    sweep of `_closure_tables` on its masks J(x), element order kept, if
+    that accepts it; any other order takes the candidate meets
+    (`_meet_table`, `_first_fault`). Both give the same tables, and only
+    the second raises. The module docstring gives the steps.
+
     Raises NotAPartialOrder / NotALattice with witnesses, SizeCapExceeded.
     """
     stats.add("order_builds", 1)
@@ -302,6 +328,15 @@ def build_from_leq(
             raise NotAPartialOrder("not antisymmetric", (r0 + i, j))
 
     lo, hi = _cover_edges(arr)
+    ji = np.flatnonzero(np.bincount(hi, minlength=n) == 1)
+    u = len(ji)
+    if 1 << u <= caps.max_enum:
+        # J(x), the irreducibles below x, as bit k for ji[k]
+        dtype = _mask_dtype(u)
+        bits = np.arange(u, dtype=dtype)[:, None]
+        masks = (arr[ji].astype(dtype) << bits).sum(axis=0, dtype=dtype)
+        if (tables := _closure_tables(u, masks, arr)) is not None:
+            return FiniteLattice(n, *tables, labels, lo, hi)
     meet = _meet_table(arr, lo, hi)
     join = _meet_table(arr.T, hi, lo)
     bottoms, tops = arr.all(axis=1), arr.all(axis=0)
@@ -512,7 +547,8 @@ def build_from_closed_family(
     of the universe, which `make_closed_family` never gives. When the
     universe's 2^u subsets fit caps.max_enum, the family is checked and
     built by `_closure_lattice`; a wider family is checked by `_open_pair`
-    and built by `build_from_leq`.
+    and built by `build_from_leq`, from the masks of its own
+    join-irreducibles when 2^|J| fits.
     """
     members = fam.members
     n = len(members)
@@ -534,12 +570,36 @@ def build_from_closed_family(
     return build_from_leq(n, _containment(members), labels=labels, caps=caps)
 
 
+def _mask_dtype(u: int) -> type:
+    """The integer type that holds every mask of a u-point universe."""
+    return np.int32 if u < 32 else np.int64
+
+
 def _closure_lattice(u: int, members, labels: Sequence[str]) -> FiniteLattice:
     """The lattice of the distinct masks `members` of a u-point universe,
-    ordered by inclusion, element i being the set members[i]. Raises
-    NotIntersectionClosed with the universe twice if it is not a member,
-    else with the first pair of `_open_pair` if the members are not closed
-    under intersection.
+    ordered by inclusion, element i being the set members[i], built by
+    `_closure_tables`. Raises NotIntersectionClosed with the universe twice
+    if it is not a member, else with the first pair of `_open_pair` if the
+    members are not closed under intersection.
+    """
+    tables = _closure_tables(u, members)
+    if tables is None:
+        full = (1 << u) - 1
+        masks = [int(m) for m in members]
+        raise NotIntersectionClosed(
+            _open_pair(masks) if full in masks else (full, full))
+    stats.add("closure_builds", 1)
+    leq = tables[0]
+    return FiniteLattice(len(leq), *tables, tuple(labels), *_cover_edges(leq))
+
+
+def _closure_tables(u: int, members, order: np.ndarray | None = None):
+    """(leq, meet, join, bottom, top) of the masks `members` of a u-point
+    universe ordered by inclusion, element i being the set members[i], or
+    None if two members are equal, the universe is not a member or the
+    members are not closed under intersection. Given `order`, the order
+    the caller claims for the elements, it is also None unless inclusion
+    is that order, and leq is `order` itself.
 
     The operator cl[S], the intersection of the members containing S
     (the universe if there are none), is filled in u in-place passes over
@@ -548,35 +608,37 @@ def _closure_lattice(u: int, members, labels: Sequence[str]) -> FiniteLattice:
     is a & b. It is then a lattice (Davey and Priestley, Introduction to
     Lattices and Order, ch. 7) with meet a & b and join cl[a | b], both
     read as gathers, a block of rows at a time; a <= b iff their meet is
-    a.
+    a, which is compared with `order` block by block, so no second order
+    matrix is held.
     """
     full = (1 << u) - 1
-    dtype = np.int32 if u < 32 else np.int64     # holds every mask
+    dtype = _mask_dtype(u)
     masks = np.asarray(members, dtype=dtype)
-    closed = np.zeros(1 << u, dtype=bool)
-    closed[masks] = True
-    if not closed[full]:
-        raise NotIntersectionClosed((full, full))
-    cl = np.where(closed, np.arange(1 << u, dtype=dtype), dtype(full))
+    n = len(masks)
+    ids = np.arange(n, dtype=np.int32)
+    pos = np.full(1 << u, -1, dtype=np.int32)   # mask -> element
+    pos[masks] = ids
+    if (pos[masks] != ids).any() or pos[full] < 0:
+        return None
+    cl = np.where(pos >= 0, np.arange(1 << u, dtype=dtype), dtype(full))
     for i in range(u):
         pairs = cl.reshape(-1, 2, 1 << i)       # [:, 1] adds point i
         pairs[:, 0] &= pairs[:, 1]
-    if not closed[cl].all():
-        raise NotIntersectionClosed(_open_pair(masks.tolist()))
-    n = len(masks)
-    pos = np.full(1 << u, -1, dtype=np.int32)   # mask -> element
-    pos[masks] = np.arange(n, dtype=np.int32)
-    leq = np.empty((n, n), dtype=bool)
+    cl = pos[cl]                                # S -> element cl[S], or -1
+    if (cl < 0).any():
+        return None
+    leq = np.empty((n, n), dtype=bool) if order is None else order
     meet = np.empty((n, n), dtype=np.int32)
     join = np.empty((n, n), dtype=np.int32)
     for r0, r1 in _row_blocks(n, 4 * n):
         rows = masks[r0:r1, None]
         meet[r0:r1] = pos[rows & masks]
-        join[r0:r1] = pos[cl[rows | masks]]
-        np.equal(meet[r0:r1], np.arange(r0, r1)[:, None], out=leq[r0:r1])
-    stats.add("closure_builds", 1)
-    return FiniteLattice(n, leq, meet, join, int(pos[cl[0]]), int(pos[full]),
-                         tuple(labels), *_cover_edges(leq))
+        join[r0:r1] = cl[rows | masks]
+        if order is None:
+            np.equal(meet[r0:r1], ids[r0:r1, None], out=leq[r0:r1])
+        elif not np.array_equal(meet[r0:r1] == ids[r0:r1, None], order[r0:r1]):
+            return None
+    return leq, meet, join, int(cl[0]), int(pos[full])
 
 
 # -- sublattices -----------------------------------------------------------

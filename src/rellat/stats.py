@@ -52,7 +52,9 @@ Counters written by lattice construction, one per build:
     order_builds        calls of `lattice.build_from_leq`, which validates
                         an order matrix (reloads, `lattgen` enumeration,
                         and closed families too wide for 2^u flags), those
-                        that raise too
+                        that raise too; one per call whether it is built
+                        through its join-irreducibles' masks, which adds
+                        no closure_builds, or by candidate meets
 
 Counters written by the command line when it reads a lattice file, one per
 file:

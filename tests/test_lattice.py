@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import ast
 import collections
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -414,6 +415,12 @@ def test_closed_family_past_64_bits(block, monkeypatch):
             assert ms[int(L.meet[i, j])] == a & b
 
 
+# max_enum = 0 admits no 2^|J| closure table, not even 2^0 = 1 entry, so
+# build_from_leq takes the candidate-meet path (_meet_table, _first_fault)
+# on every order.
+CANDIDATE_CAPS = dataclasses.replace(lattice.DEFAULT_CAPS, max_enum=0)
+
+
 def _assert_same_lattice(got, want):
     """Equal fields, the tables' dtypes included."""
     for name in ("leq", "meet", "join", "lo", "hi"):
@@ -434,22 +441,22 @@ def _closure_built(build):
 
 
 def _family_by_order(fam):
-    """A closed family's lattice as build_from_leq builds it from the
-    inclusion order of its members."""
+    """A closed family's lattice as build_from_leq's candidate meets build
+    it from the inclusion order of its members."""
     labels = [set_label(fam.universe, m) for m in fam.members]
     return build_from_leq(len(fam.members), lattice._containment(fam.members),
-                          labels=labels)
+                          labels=labels, caps=CANDIDATE_CAPS)
 
 
 def _semidirect_by_order(attr_names, point_names, table):
-    """semidirect_core's lattice as build_from_leq builds it from the
-    inclusion order of the fixed pairs' sets X | T << attrs."""
+    """semidirect_core's lattice as build_from_leq's candidate meets build
+    it from the inclusion order of the fixed pairs' sets X | T << attrs."""
     xs, ts = np.nonzero(table == np.arange(table.shape[1]))
     labels = [f"({set_label(attr_names, x)}|{set_label(point_names, t)})"
               for x, t in zip(xs.tolist(), ts.tolist())]
     masks = (xs | ts << len(attr_names)).tolist()
     return build_from_leq(len(masks), lattice._containment(masks),
-                          labels=labels)
+                          labels=labels, caps=CANDIDATE_CAPS)
 
 
 @small_blocks
@@ -511,13 +518,14 @@ def test_family_closure_builds_match_order_builds(block, monkeypatch, r22,
 def test_relational_closure_builds_match_order_builds(attrs, dom, block,
                                                       monkeypatch):
     """build_R builds from its tables' closed sets the lattice that
-    build_from_leq builds from its order; the table_leq tests pin the
-    order itself."""
+    build_from_leq's candidate meets build from its order; the table_leq
+    tests pin the order itself."""
     monkeypatch.setattr(lattice, "_BLOCK", block)
     R = _closure_built(lambda: build_R(
         Schema(tuple("abc"[:attrs]), tuple("0123"[:dom]))))
     L = R.lattice
-    _assert_same_lattice(L, build_from_leq(L.n, L.leq, labels=L.labels))
+    _assert_same_lattice(L, build_from_leq(L.n, L.leq, labels=L.labels,
+                                           caps=CANDIDATE_CAPS))
 
 
 def _broken_tables(rng):
@@ -975,6 +983,152 @@ def test_row_memo_keeps_at_most_max_enum_bytes(monkeypatch):
         # many times over on M_11's 3,000 nodes
         assert kept[0] == built[0] <= built[1] <= built[2] and kept[2] == 0
         assert L1.n != 13 or built == [7000, 16838, 17864]
+
+
+# -- reloads through join-irreducible masks ---------------------------------------
+
+def _reload_corpus():
+    """(name, lattice) of the lattices a reload is timed on: R(2,3) from
+    its tables and from its closure system, typed 4,2 and 5,2, and the
+    countermodel's reconstruction."""
+    closure23 = closure_system_R(Schema(("a", "b"), ("0", "1", "2")))
+    yield "R23", _r23()
+    yield "R23 closure", build_from_closed_family(closure23)
+    for fibers in ([4, 2], [5, 2]):
+        yield f"typed {fibers}", typed_R(typed_map_from_fibers(fibers)).lattice
+    yield "countermodel", reconstruct(build_countermodel())
+
+
+def _build_outcome(n, leq, labels=None, caps=lattice.DEFAULT_CAPS):
+    try:
+        return build_from_leq(n, leq, labels=labels, caps=caps)
+    except (NotAPartialOrder, NotALattice) as e:
+        return type(e), e.args
+
+
+def _assert_same_build(n, leq, labels=None):
+    """build_from_leq gives what the candidate-meet path gives: the same
+    tables (bytes and dtypes), bottom, top and labels, or the same
+    exception type and args. Returns the outcome's name."""
+    got = _build_outcome(n, leq, labels)
+    want = _build_outcome(n, leq, labels, CANDIDATE_CAPS)
+    if isinstance(want, tuple):
+        assert got == want
+        return want[0].__name__
+    _assert_same_lattice(got, want)
+    return "lattice"
+
+
+def test_mask_route_matches_candidate_meets_on_lattices():
+    """The census, seeded random lattices, the reload corpus (also with
+    labels dropped) and a closed family on 21 points, which is checked by
+    _open_pair and built from its _containment order."""
+    for L in all_lattices_upto(7):
+        assert _assert_same_build(L.n, L.leq) == "lattice"
+    for s in range(300):
+        L = random_lattice(s, 12)
+        assert _assert_same_build(L.n, L.leq, L.labels) == "lattice"
+    for _, L in _reload_corpus():
+        for labels in (L.labels, None):
+            assert _assert_same_build(L.n, L.leq, labels) == "lattice"
+    rng = random.Random(21)
+    masks = {(1 << 21) - 1} | {rng.getrandbits(21) for _ in range(6)}
+    while len(closed := {a & b for a in masks for b in masks}) > len(masks):
+        masks = closed
+    fam = make_closed_family([f"u{i}" for i in range(21)], masks)
+    _assert_same_lattice(build_from_closed_family(fam),
+                         build_from_closed_family(fam, CANDIDATE_CAPS))
+
+
+def test_mask_route_matches_candidate_meets_on_random_relations():
+    """Seeded relations on at most 8 points, lattices or not: orders and
+    non-transitive, non-antisymmetric and non-reflexive relations, and
+    orders without a meet or a join."""
+    rng = random.Random(28)
+    seen = collections.Counter(_assert_same_build(*_random_relation(rng))
+                               for _ in range(5000))
+    assert seen["lattice"] >= 1000 and seen["NotALattice"] >= 1000, seen
+    assert seen["NotAPartialOrder"] >= 1000, seen
+
+
+@pytest.mark.parametrize("n, covers", [
+    (3, [(0, 2), (1, 2)]),
+    (3, [(0, 1), (0, 2)]),
+    (8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (3, 5), (1, 6),
+         (2, 6), (4, 6), (5, 7), (6, 7)]),
+    (8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 5), (1, 6), (2, 6),
+         (3, 6), (4, 7), (5, 7), (6, 7)]),
+], ids=["masks repeat", "no universe", "not closed", "other order"])
+def test_refused_masks_fall_back_to_the_candidate_witness(n, covers,
+                                                          monkeypatch):
+    """Orders that are not lattices, whose J-masks the closure core refuses
+    each way: two minimal elements, both with no irreducible below; two
+    maximal ones, so no J(x) is all of J; two coatoms above the same two
+    atoms and one more each, so their masks' intersection is no J(x); and
+    a coatom above two atoms and a second one above those and a third,
+    so inclusion of masks orders what the order does not. Each still
+    raises the candidate-meet path's exception."""
+    core, refused = lattice._closure_tables, []
+
+    def spied(*args):
+        refused.append((out := core(*args)) is None)
+        return out
+
+    monkeypatch.setattr(lattice, "_closure_tables", spied)
+    assert _assert_same_build(n, leq_from_covers(n, covers)) == "NotALattice"
+    assert refused == [True]
+
+
+def test_reloads_of_small_irreducible_sets_skip_the_candidate_meets(monkeypatch):
+    """R(2,3), typed 5,2 and the countermodel reload through their J-masks
+    with no candidate meet, one order build and no closure build; a
+    1,100-element chain (1,099 irreducibles) and an order that is not a
+    lattice still reach _meet_table."""
+    meet_table, calls = lattice._meet_table, []
+
+    def refused(*args):
+        raise AssertionError("the candidate-meet path ran")
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return meet_table(*args)
+
+    corpus, doc1100 = dict(_reload_corpus()), lattice_to_json(chain(1100))
+    monkeypatch.setattr(lattice, "_meet_table", refused)
+    for name in ("R23", "typed [5, 2]", "countermodel"):
+        doc = lattice_to_json(corpus[name])
+        with stats.collect() as counters:
+            lattice_from_json(doc)
+        assert counters == {"order_builds": 1}, name
+    monkeypatch.setattr(lattice, "_meet_table", counted)
+    lattice_from_json(doc1100)
+    leq = np.eye(3, dtype=bool)
+    leq[:, 2] = True                            # two minimal elements
+    with pytest.raises(NotALattice, match=r"\(0, 1\) has no meet"):
+        build_from_leq(3, leq)
+    assert calls == [1100, 1100, 3, 3]
+
+
+def test_mask_route_holds_no_second_order_matrix(monkeypatch):
+    """Reloading typed 5,2 through its J-masks peaks below the candidate-
+    meet path in tracemalloc. With small blocks its peak stays below its
+    two tables and one more n-by-n boolean matrix, so it does not hold the
+    closure's own order next to the input's."""
+    import tracemalloc
+
+    L = typed_R(typed_map_from_fibers([5, 2])).lattice
+
+    def peak(caps):
+        tracemalloc.start()
+        try:
+            build_from_leq(L.n, L.leq, labels=L.labels, caps=caps)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lattice.DEFAULT_CAPS) < peak(CANDIDATE_CAPS)
+    monkeypatch.setattr(lattice, "_BLOCK", 1 << 16)
+    assert peak(lattice.DEFAULT_CAPS) < L.meet.nbytes + L.join.nbytes + L.n ** 2
 
 
 # -- serialization -----------------------------------------------------------------
