@@ -21,28 +21,29 @@ no matrix product:
    When a table over its 2^|J| subsets fits caps.max_enum, each element x
    stands for its mask J(x) = {j in J : j <= x}, and the masks are built
    as a lattice of closed sets (below) with the covers already found. Its
-   tables are taken if the masks are distinct, hold all of J, are closed
-   under intersection, and inclusion among them is the given order,
-   compared a block of rows at a time. That is sound whatever J is: an
-   order equal to inclusion on an intersection-closed family that holds
-   its universe is a lattice, with meet a & b and join cl[a | b]. Every
-   lattice whose J fits is taken, as J(x) determines x and
+   tables are taken if the masks hold all of J, are closed under
+   intersection, and inclusion among them is the given order, compared a
+   block of rows at a time, so they are distinct. That is sound whatever
+   J is: an order equal to inclusion on an intersection-closed family
+   that holds its universe is a lattice, with meet a & b and join
+   cl[a | b]. Every lattice whose J fits is taken, as J(x) determines x and
    J(a ^ b) = J(a) & J(b) (Birkhoff's representation; Davey and Priestley,
    Introduction to Lattices and Order, ch. 5 and 7). Reloads, the
    `lattgen` enumeration and closed families too wide for 2^u flags come
    this way; a long chain, whose irreducibles are all but its bottom,
    does not.
-4. Otherwise meets, with joins as meets of the transposed order: the candidate
-   meet of a and b is their common lower bound latest in a linear extension
+4. Meets, with joins as meets of the transposed order: the candidate meet
+   of a and b is their common lower bound latest in a linear extension
    (elements sorted by height). Over the covers it is b when b <= a, else
-   the latest of the candidates of a with the lower covers of b, filled one
-   height at a time, upwards, as elementwise maxima over all a. If there is
-   a bottom and meet(a, c) <= meet(a, b) for every a and every cover c < b,
-   every candidate is the meet, by induction on b; this reads one entry of
-   the order per a and cover. A finite poset with a top in which every pair
-   has a meet is a lattice (Davey and Priestley, Introduction to Lattices
-   and Order, ch. 2), and then each join candidate is the join, so joins
-   are never checked.
+   the latest of the candidates of a with the lower covers of b, filled
+   one height at a time, upwards, as elementwise maxima over all a. If
+   there is a bottom and meet(a, c) <= meet(a, b) for every a and every
+   cover c < b, every candidate is the meet, by induction on b; this reads
+   one entry of the order per a and cover. A finite poset with a top in
+   which every pair has a meet is a lattice (Davey and Priestley,
+   Introduction to Lattices and Order, ch. 2), and then each join
+   candidate is the join, so joins are never checked. Every order that
+   step 3 does not take comes this way.
 5. Only a rejected order reaches the witness code, which gives the same
    witnesses as a per-pair check: the least non-reflexive i, the first
    i != j in row-major order with i <= j and j <= i, the transitivity
@@ -52,26 +53,26 @@ no matrix product:
    covers, one column a at a time, on both tables, finds the first row
    that has such a pair; only that row's pairs are then counted.
 
-Lattices of closed sets (`_closure_lattice`) skip all of that but the
-covers. Every lattice the package constructs, except the `lattgen`
-enumeration, is a family of subsets of a u-point universe closed under
-intersection: the closed families of `build_from_closed_family` (closure
-systems, reconstructions, random lattices), the fixed pairs of
+Lattices of closed sets (`_closure_lattice`) skip all but step 2. Every
+lattice the package constructs, except the `lattgen` enumeration, is a
+family of subsets of a u-point universe closed under intersection: the
+closed families of `build_from_closed_family` (closure systems,
+reconstructions, random lattices), the fixed pairs of
 `relational.semidirect_core` (typed, semidirect and frame lattices) and the
 tables of `relational.build_R`, each standing for its closed set. The
 members are flagged among all 2^u masks, and the operator cl[S], the
 intersection of the closed supersets of S, is filled in u in-place passes
-over the masks. The family is accepted only if the universe and every cl[S]
-are flagged, which holds iff it is closed under intersection, as cl(a & b)
-lies inside a and b; else NotIntersectionClosed names a pair. Then meet is
-a & b and join is cl[a | b] (Davey and Priestley, Introduction to Lattices
-and Order, ch. 7), both gathers through the mask -> element table, and
-a <= b iff their meet is a. Only the covers are computed from the order,
-as above. The sweep itself (`_closure_tables`) returns nothing on a family it
-refuses, so `build_from_leq` can fall back where `_closure_lattice` raises.
-A closed family too wide for 2^u entries is checked by the intersection
-scan (`_open_pair`) and built by `build_from_leq`, through the masks of its
-own irreducibles.
+over the masks. The family is accepted only if the universe and every
+cl[S] are flagged, which holds iff it is closed under intersection, as
+cl(a & b) lies inside a and b; else NotIntersectionClosed names a pair.
+Then meet is a & b and join is cl[a | b] (Davey and Priestley,
+Introduction to Lattices and Order, ch. 7), both gathers through the mask
+-> element table, and a <= b iff their meet is a. Only the covers are
+computed from the order, as above. The sweep (`_closure_tables`) returns
+nothing on a family it refuses, so that `build_from_leq` can fall back
+where `_closure_lattice` raises. A closed family too wide for 2^u
+entries is checked by the intersection scan (`_open_pair`) and built by
+`build_from_leq`, through the masks of its own irreducibles.
 
 A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
 its parent's tables restricted to it, and only its covers are computed.
@@ -93,7 +94,7 @@ computation, and the order matrix of a wide closed family, runs in
 blocks of rows of at most about _BLOCK (2^20) entries, so temporaries
 stay within a few times 8 MB whatever n is; the meet check reads the
 order in blocks of columns of about _BLOCK / 4 entries. A build of closed
-sets holds its flags, cl and the mask -> element table, 2^u entries each
+sets holds cl and the mask -> element table, 2^u entries each
 (4 MB of int32 at u = 20, the most the default Caps.max_enum allows for
 closed families and action tables; for `build_R` 2^u is at most n^2),
 and gathers its tables in blocks of rows of about _BLOCK / 4 int32
@@ -594,12 +595,13 @@ def _closure_lattice(u: int, members, labels: Sequence[str]) -> FiniteLattice:
 
 
 def _closure_tables(u: int, members, order: np.ndarray | None = None):
-    """(leq, meet, join, bottom, top) of the masks `members` of a u-point
-    universe ordered by inclusion, element i being the set members[i], or
-    None if two members are equal, the universe is not a member or the
-    members are not closed under intersection. Given `order`, the order
-    the caller claims for the elements, it is also None unless inclusion
-    is that order, and leq is `order` itself.
+    """(leq, meet, join, bottom, top) of the distinct masks `members` of a
+    u-point universe ordered by inclusion, element i being the set
+    members[i], or None if the universe is not a member or the members
+    are not closed under intersection. Given `order`, a reflexive order
+    the caller claims for the elements, the masks may repeat: it is also
+    None unless inclusion is that order, which two equal masks fail on the
+    diagonal (their meet is one of them), and leq is `order` itself.
 
     The operator cl[S], the intersection of the members containing S
     (the universe if there are none), is filled in u in-place passes over
@@ -618,7 +620,7 @@ def _closure_tables(u: int, members, order: np.ndarray | None = None):
     ids = np.arange(n, dtype=np.int32)
     pos = np.full(1 << u, -1, dtype=np.int32)   # mask -> element
     pos[masks] = ids
-    if (pos[masks] != ids).any() or pos[full] < 0:
+    if pos[full] < 0:
         return None
     cl = np.where(pos >= 0, np.arange(1 << u, dtype=dtype), dtype(full))
     for i in range(u):

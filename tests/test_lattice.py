@@ -10,6 +10,7 @@ import itertools
 import pathlib
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -999,6 +1000,16 @@ def _reload_corpus():
     yield "countermodel", reconstruct(build_countermodel())
 
 
+def _family21():
+    """A seeded closed family of 26 members on 21 points, too wide for
+    2^u flags under the default caps, with 12 join-irreducibles."""
+    rng = random.Random(21)
+    masks = {(1 << 21) - 1} | {rng.getrandbits(21) for _ in range(6)}
+    while len(closed := {a & b for a in masks for b in masks}) > len(masks):
+        masks = closed
+    return make_closed_family([f"u{i}" for i in range(21)], masks)
+
+
 def _build_outcome(n, leq, labels=None, caps=lattice.DEFAULT_CAPS):
     try:
         return build_from_leq(n, leq, labels=labels, caps=caps)
@@ -1031,11 +1042,7 @@ def test_mask_route_matches_candidate_meets_on_lattices():
     for _, L in _reload_corpus():
         for labels in (L.labels, None):
             assert _assert_same_build(L.n, L.leq, labels) == "lattice"
-    rng = random.Random(21)
-    masks = {(1 << 21) - 1} | {rng.getrandbits(21) for _ in range(6)}
-    while len(closed := {a & b for a in masks for b in masks}) > len(masks):
-        masks = closed
-    fam = make_closed_family([f"u{i}" for i in range(21)], masks)
+    fam = _family21()
     _assert_same_lattice(build_from_closed_family(fam),
                          build_from_closed_family(fam, CANDIDATE_CAPS))
 
@@ -1081,12 +1088,13 @@ def test_refused_masks_fall_back_to_the_candidate_witness(n, covers,
 
 def test_reloads_of_small_irreducible_sets_skip_the_candidate_meets(monkeypatch):
     """R(2,3), typed 5,2 and the countermodel reload through their J-masks
-    with no candidate meet, one order build and no closure build; a
-    1,100-element chain (1,099 irreducibles) and an order that is not a
-    lattice still reach _meet_table."""
+    with no candidate meet, one order build and no closure build, and so
+    does a closed family too wide for 2^u flags; a 1,100-element chain
+    (1,099 irreducibles) and an order that is not a lattice still reach
+    _meet_table."""
     meet_table, calls = lattice._meet_table, []
 
-    def refused(*args):
+    def forbidden(*args):
         raise AssertionError("the candidate-meet path ran")
 
     def counted(*args):
@@ -1094,12 +1102,13 @@ def test_reloads_of_small_irreducible_sets_skip_the_candidate_meets(monkeypatch)
         return meet_table(*args)
 
     corpus, doc1100 = dict(_reload_corpus()), lattice_to_json(chain(1100))
-    monkeypatch.setattr(lattice, "_meet_table", refused)
+    monkeypatch.setattr(lattice, "_meet_table", forbidden)
     for name in ("R23", "typed [5, 2]", "countermodel"):
         doc = lattice_to_json(corpus[name])
         with stats.collect() as counters:
             lattice_from_json(doc)
         assert counters == {"order_builds": 1}, name
+    assert build_from_closed_family(_family21()).n == 26
     monkeypatch.setattr(lattice, "_meet_table", counted)
     lattice_from_json(doc1100)
     leq = np.eye(3, dtype=bool)
@@ -1114,8 +1123,6 @@ def test_mask_route_holds_no_second_order_matrix(monkeypatch):
     meet path in tracemalloc. With small blocks its peak stays below its
     two tables and one more n-by-n boolean matrix, so it does not hold the
     closure's own order next to the input's."""
-    import tracemalloc
-
     L = typed_R(typed_map_from_fibers([5, 2])).lattice
 
     def peak(caps):
