@@ -18,20 +18,14 @@ no matrix product:
    per cover. If every such check passes the relation is transitive, by
    induction on the size of the down-set.
 3. J, the elements with exactly one lower cover, is read off the covers.
-   When a table over its 2^|J| subsets fits caps.max_enum, each element x
-   stands for its mask J(x) = {j in J : j <= x}, and the masks are built
-   as a lattice of closed sets (below) with the covers already found. Its
-   tables are taken if the masks hold all of J, are closed under
-   intersection, and inclusion among them is the given order, compared a
-   block of rows at a time, so they are distinct. That is sound whatever
-   J is: an order equal to inclusion on an intersection-closed family
-   that holds its universe is a lattice, with meet a & b and join
-   cl[a | b]. Every lattice whose J fits is taken, as J(x) determines x and
-   J(a ^ b) = J(a) & J(b) (Birkhoff's representation; Davey and Priestley,
-   Introduction to Lattices and Order, ch. 5 and 7). Reloads, the
-   `lattgen` enumeration and closed families too wide for 2^u flags come
-   this way; a long chain, whose irreducibles are all but its bottom,
-   does not.
+   When its 2^|J| subsets fit caps.max_enum, element x stands for its
+   mask J(x) = {j in J : j <= x}, and the masks are built as a lattice of
+   closed sets (below). Its tables are taken if the masks hold all of J,
+   are closed under intersection and are ordered by inclusion as the
+   input is, compared a block of rows at a time. That is sound whatever J
+   is, and every lattice whose J fits passes, as J(x) determines x and
+   J(a ^ b) = J(a) & J(b) (Birkhoff; Davey and Priestley, ch. 5 and 7).
+   A long chain, whose irreducibles are all but its bottom, does not fit.
 4. Meets, with joins as meets of the transposed order: the candidate meet
    of a and b is their common lower bound latest in a linear extension
    (elements sorted by height). Over the covers it is b when b <= a, else
@@ -626,8 +620,9 @@ def _closure_tables(u: int, members, order: np.ndarray | None = None):
     for i in range(u):
         pairs = cl.reshape(-1, 2, 1 << i)       # [:, 1] adds point i
         pairs[:, 0] &= pairs[:, 1]
-    cl = pos[cl]                                # S -> element cl[S], or -1
-    if (cl < 0).any():
+    for b0, b1 in _row_blocks(1 << u, 4):      # in place: S -> element cl[S]
+        cl[b0:b1] = pos[cl[b0:b1]]
+    if (cl < 0).any():                          # cl[S] is no member
         return None
     leq = np.empty((n, n), dtype=bool) if order is None else order
     meet = np.empty((n, n), dtype=np.int32)
