@@ -399,7 +399,7 @@ def _cmd_od_props(args, caps: Caps):
     g = od_graph_from_json(_load(args.odgraph))
     results = {}
     for name in PROPERTY_IDS:
-        w = check_property(g, name)
+        w = check_property(g, name, caps)
         results[name] = {"holds": w is None, "witness": _witness_doc(g, w)}
     held = sum(r["holds"] for r in results.values())
     return ({"properties": results}, f"{held}/{len(results)} properties hold",
@@ -457,7 +457,7 @@ def _cmd_check_eq(args, caps: Caps):
 
 def _cmd_check_prop(args, caps: Caps):
     g = od_graph_from_json(_load(args.odgraph))
-    w = check_property(g, args.prop)
+    w = check_property(g, args.prop, caps)
     verdict = "holds" if w is None else f"fails at {g.elems[w.j]}"
     return ({"property": args.prop, "holds": w is None,
              "witness": _witness_doc(g, w)},

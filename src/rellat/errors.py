@@ -50,11 +50,18 @@ class EnumerationCapExceeded(RellatError):
     def __init__(self, need: int, cap: int):
         self.need = need
         self.cap = cap
-        super().__init__(f"enumeration of {need} subsets exceeds cap {cap}")
+        super().__init__(self._message())
+
+    def _message(self) -> str:
+        return f"enumeration of {self.need} subsets exceeds cap {self.cap}"
 
 
 class CoverEnumerationCapExceeded(EnumerationCapExceeded):
-    """Too many join-irreducibles for minimal-cover enumeration."""
+    """Too many join-irreducibles (or graph elements) for the duality's
+    tables over all their subsets."""
+
+    def _message(self) -> str:
+        return f"{self.need} join-irreducibles exceed the max_ji cap {self.cap}"
 
 
 class PartitionEnumerationCapExceeded(EnumerationCapExceeded):
@@ -170,8 +177,9 @@ class Caps:
                   evaluations it performs), the sample count for a sampled one,
     search_nodes  node cap for backtracking searches,
     max_ji        cap on |J(L)| for cover extraction and on the graph size
-                  for reconstruction; both build tables over all 2^|J|
-                  subsets, so it bounds their time and memory.
+                  for reconstruction and for the cover properties that ask
+                  a join; each builds tables over all 2^|J| subsets, so it
+                  bounds their time and memory.
 
     A search node is one value given to one position: an image given to a
     generator (bottom or a join-irreducible) by find_isomorphism and

@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DEFAULT_CAPS, Caps, EnumerationCapExceeded, NotALattice
-from .lattice import FiniteLattice, build_from_closed_family, build_from_leq, \
-    make_closed_family
+from .lattice import FiniteLattice, _closure, build_from_closed_family, \
+    build_from_leq, make_closed_family
 
 
 def _inner_posets(m: int, caps: Caps = DEFAULT_CAPS) -> set[frozenset]:
@@ -131,24 +131,22 @@ def all_lattices_upto(n: int, caps: Caps = DEFAULT_CAPS) -> list[FiniteLattice]:
 def random_lattice(seed: int, max_size: int = 12,
                    caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
     """A seeded lattice of at most max_size elements: close a few random
-    subsets of a small universe under intersection."""
+    subsets of a small universe under intersection. The closure's values,
+    each the intersection of the drawn sets above a subset, are exactly
+    the intersections of drawn sets, the universe included."""
     rng = random.Random(seed)
     while True:
         bits = rng.randint(3, 6)
         universe = (1 << bits) - 1
         count = rng.randint(2, 6)
-        masks = {universe}
+        drawn = np.zeros(1 << bits, dtype=bool)
+        drawn[universe] = True
         for _ in range(count):
-            masks.add(rng.randint(0, universe))
-        work = list(masks)
-        while work:
-            a = work.pop()
-            for b in list(masks):
-                c = a & b
-                if c not in masks:
-                    masks.add(c)
-                    work.append(c)
-        if 2 <= len(masks) <= max_size:
+            drawn[rng.randint(0, universe)] = True
+        masks = np.zeros(1 << bits, dtype=bool)
+        masks[_closure(bits, drawn)] = True
+        size = int(masks.sum())
+        if 2 <= size <= max_size:
             fam = make_closed_family([f"u{i}" for i in range(bits)],
-                                     sorted(masks))
+                                     np.flatnonzero(masks).tolist())
             return build_from_closed_family(fam, caps=caps)

@@ -56,17 +56,27 @@ reconstructions, random lattices), the fixed pairs of
 tables of `relational.build_R`, each standing for its closed set. The
 members are flagged among all 2^u masks, and the operator cl[S], the
 intersection of the closed supersets of S, is filled in u in-place passes
-over the masks. The family is accepted only if the universe and every
-cl[S] are flagged, which holds iff it is closed under intersection, as
-cl(a & b) lies inside a and b; else NotIntersectionClosed names a pair.
-Then meet is a & b and join is cl[a | b] (Davey and Priestley,
-Introduction to Lattices and Order, ch. 7), both gathers through the mask
--> element table, and a <= b iff their meet is a. Only the covers are
+over the masks (`_closure`). The family is accepted only if the universe
+and every cl[S] are flagged, which holds iff it is closed under
+intersection, as cl(a & b) lies inside a and b; else NotIntersectionClosed
+names a pair. Then meet is a & b and join is cl[a | b] (Davey and
+Priestley, Introduction to Lattices and Order, ch. 7), both gathers through
+the mask -> element table, and a <= b iff their meet is a. Only the covers are
 computed from the order, as above. The sweep (`_closure_tables`) returns
 nothing on a family it refuses, so that `build_from_leq` can fall back
 where `_closure_lattice` raises. A closed family too wide for 2^u
 entries is checked by the intersection scan (`_open_pair`) and built by
 `build_from_leq`, through the masks of its own irreducibles.
+
+Families given by rules, where a premise P inside S forces a conclusion
+C inside S, are flagged by `_closed_under`: each conclusion is ORed into
+its premise's entry and then up to every superset in u in-place passes
+(the zeta transform over subsets; Bjorklund, Husfeldt, Kaski and Koivisto,
+STOC 2007), so S is closed iff the conclusions it forces lie inside it,
+at O(u 2^u) whatever the number of rules. The closure systems of
+`relational.closure_system_R` and the closed sets of an od-graph
+(`odgraph`) are flagged this way, and `_closure` gives the graph's
+closure operator from those flags.
 
 A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
 its parent's tables restricted to it, and only its covers are computed.
@@ -570,6 +580,38 @@ def _mask_dtype(u: int) -> type:
     return np.int32 if u < 32 else np.int64
 
 
+def _closed_under(u: int, rules: Sequence[tuple[int, int]]) -> np.ndarray:
+    """flags[S] for every subset mask S of a u-point universe: S is closed
+    under every rule (premise, conclusion), that is, holds the conclusion
+    whenever it holds the premise.
+
+    forced[S], the union of the conclusions of the premises inside S, is
+    the conclusions scattered to their premises and ORed up to every
+    superset in u in-place passes, one per point; S is closed iff
+    forced[S] lies inside S.
+    """
+    dtype = _mask_dtype(u)
+    forced = np.zeros(1 << u, dtype=dtype)
+    premise, conclusion = np.array(rules, dtype=dtype).reshape(-1, 2).T
+    np.bitwise_or.at(forced, premise, conclusion)
+    for i in range(u):
+        pairs = forced.reshape(-1, 2, 1 << i)       # [:, 1] adds point i
+        pairs[:, 1] |= pairs[:, 0]
+    return (forced & ~np.arange(1 << u, dtype=dtype)) == 0
+
+
+def _closure(u: int, flags: np.ndarray) -> np.ndarray:
+    """cl[S] for every subset mask S of a u-point universe: the
+    intersection of the flagged supersets of S (the universe if there are
+    none), filled in u in-place passes, one per point."""
+    dtype = _mask_dtype(u)
+    cl = np.where(flags, np.arange(1 << u, dtype=dtype), dtype((1 << u) - 1))
+    for i in range(u):
+        pairs = cl.reshape(-1, 2, 1 << i)           # [:, 1] adds point i
+        pairs[:, 0] &= pairs[:, 1]
+    return cl
+
+
 def _closure_lattice(u: int, members, labels: Sequence[str]) -> FiniteLattice:
     """The lattice of the distinct masks `members` of a u-point universe,
     ordered by inclusion, element i being the set members[i], built by
@@ -598,28 +640,23 @@ def _closure_tables(u: int, members, order: np.ndarray | None = None):
     diagonal (their meet is one of them), and leq is `order` itself.
 
     The operator cl[S], the intersection of the members containing S
-    (the universe if there are none), is filled in u in-place passes over
-    the 2^u masks, one per point. The family is closed under intersection
-    iff every cl[S] is a member: cl(a & b) lies inside a and b, so then it
-    is a & b. It is then a lattice (Davey and Priestley, Introduction to
-    Lattices and Order, ch. 7) with meet a & b and join cl[a | b], both
-    read as gathers, a block of rows at a time; a <= b iff their meet is
-    a, which is compared with `order` block by block, so no second order
-    matrix is held.
+    (the universe if there are none), is `_closure` of the members' flags.
+    The family is closed under intersection iff every cl[S] is a member:
+    cl(a & b) lies inside a and b, so then it is a & b. It is then a
+    lattice (Davey and Priestley, Introduction to Lattices and Order,
+    ch. 7) with meet a & b and join cl[a | b], both read as gathers, a
+    block of rows at a time; a <= b iff their meet is a, which is compared
+    with `order` block by block, so no second order matrix is held.
     """
     full = (1 << u) - 1
-    dtype = _mask_dtype(u)
-    masks = np.asarray(members, dtype=dtype)
+    masks = np.asarray(members, dtype=_mask_dtype(u))
     n = len(masks)
     ids = np.arange(n, dtype=np.int32)
     pos = np.full(1 << u, -1, dtype=np.int32)   # mask -> element
     pos[masks] = ids
     if pos[full] < 0:
         return None
-    cl = np.where(pos >= 0, np.arange(1 << u, dtype=dtype), dtype(full))
-    for i in range(u):
-        pairs = cl.reshape(-1, 2, 1 << i)       # [:, 1] adds point i
-        pairs[:, 0] &= pairs[:, 1]
+    cl = _closure(u, pos >= 0)
     for b0, b1 in _row_blocks(1 << u, 4):      # in place: S -> element cl[S]
         cl[b0:b1] = pos[cl[b0:b1]]
     if (cl < 0).any():                          # cl[S] is no member

@@ -15,23 +15,29 @@ Conventions: a graph on n elements indexes them 0..n-1; covers are sorted
 tuples of indices; the cover list always carries the trivial cover (j, (j,))
 for every element, and join-prime elements carry nothing else.
 
-Both directions of the duality work on one kind of table, indexed by the
-2^m subsets of m items and filled by doubling (`lattice._subset_table`).
-Extraction tabulates, over subsets of J(L), the join and the irreducibles
-strictly below some member (so antichains are the subsets that miss it),
-and keeps an antichain cover C of j iff the local test holds: for every
-c in C, j is not below V(C - {c}) v c_, where c_ is the unique lower cover
-of c. The test is sound because (C - {c}) together with the irreducibles
-below c_ refines C and misses c; it is complete because any cover that
-refines C and misses c joins below V(C - {c}) v c_. Reconstruction
-tabulates, over subsets of the graph's elements, the union of the members'
-downsets: a subset is a downset iff the table maps it to itself, and each
-cover rule is then tested over all subsets at once. `closed_sets` returns
-the subsets that pass, and `reconstruct` builds their lattice. For a
-lattice L with graph g, x -> J(x) (the irreducibles below x) maps L onto
-`closed_sets(g)` (Davey and Priestley, Introduction to Lattices and Order,
-ch. 5 and 7), so `rellat check nation` compares those masks and needs no
-second lattice. `Caps.max_ji` bounds m for both directions.
+Both directions of the duality work on tables indexed by the 2^m subsets
+of m items. Extraction fills, by doubling (`lattice._subset_table`), the
+join over subsets of J(L) and the irreducibles strictly below some member
+(so antichains are the subsets that miss it), and keeps an antichain
+cover C of j iff the local test holds: for every c in C, j is not below
+V(C - {c}) v c_, where c_ is the unique lower cover of c. The test is
+sound because (C - {c}) together with the irreducibles below c_ refines C
+and misses c; it is complete because any cover that refines C and misses
+c joins below V(C - {c}) v c_. Reconstruction reads the graph as rules
+over subsets of its elements: {a} forces the downset of a, and a cover C
+of k forces k. `lattice._closed_under` flags the subsets closed under
+every rule at once, and `lattice._closure` turns the flags into the
+closure table cl[S], the least closed set above S. Each graph builds that
+table once, when it is first read: `closed_sets` returns its fixed points,
+`reconstruct` builds their lattice, and `closed_mask` and the joins of the
+cover properties read single entries. For a lattice L with graph g,
+x -> J(x) (the irreducibles below x) maps L onto `closed_sets(g)` (Davey
+and Priestley, Introduction to Lattices and Order, ch. 5 and 7), so
+`rellat check nation` compares those masks and needs no second lattice.
+`Caps.max_ji` bounds m for both directions and for the closure table, so
+a property that asks a join (pi-Sym, pi-SymPC, pi-StrongSymPC, prop-last)
+raises on a graph wider than that when it reaches one; the seven others
+read no table.
 
 The cover properties quantify over cover steps: dstep(g, k0, c, k1) holds
 when the non-prime k1 completes c to a minimal cover of k0. Each graph
@@ -67,6 +73,8 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
+    _closed_under,
+    _closure,
     _cover_edges,
     _subset_table,
     build_from_closed_family,
@@ -171,11 +179,6 @@ class ODGraph:
         return tuple(zip(*(x.tolist() for x in np.nonzero(lt))))
 
     @cached_property
-    def cover_rules(self) -> tuple[tuple[int, int], ...]:
-        """(element, bitmask of the cover) for every non-trivial cover."""
-        return tuple((k, sum(1 << c for c in cov)) for k, cov in self.nontrivial())
-
-    @cached_property
     def completions(self) -> dict[tuple[int, tuple[int, ...]], tuple[int, ...]]:
         """(k, C - {x}) -> every such x, ascending, over the covers C of k."""
         index: dict[tuple[int, tuple[int, ...]], list[int]] = {}
@@ -192,9 +195,16 @@ class ODGraph:
                      for k0, cov in self.mjc for k1 in cov if not self.jp[k1])
 
     @cached_property
-    def closed_masks(self) -> dict[int, int]:
-        """closed_mask's results on this graph so far, keyed by mask."""
-        return {}
+    def _table(self) -> np.ndarray:
+        """cl[S] for every subset mask S: the least downset above S closed
+        under every cover rule, from the rules {a} forces down(a) and C
+        forces k for each cover C of k. Read it through `_closure_table`,
+        which checks the cap first."""
+        n = self.n
+        stats.add("subset_entries", 1 << n)
+        rules = [*((1 << a, down) for a, down in enumerate(self.down_masks)),
+                 *((sum(1 << c for c in cov), 1 << k) for k, cov in self.mjc)]
+        return _closure(n, _closed_under(n, rules))
 
     def le(self, a: int, b: int) -> bool:
         return bool(self.down_masks[b] >> a & 1)
@@ -325,27 +335,21 @@ def od_graph_from_json(doc: dict) -> ODGraph:
 # -- reconstruction ------------------------------------------------------------
 
 
-def closed_mask(g: ODGraph, mask: int) -> int:
-    """Least set above mask that is a downset closed under the cover rules;
-    computed once per graph and mask."""
-    if mask in g.closed_masks:
-        return g.closed_masks[mask]
-    down = g.down_masks
-    s = 0
-    for i in range(g.n):
-        if mask >> i & 1:
-            s |= down[i]
-    rules = g.cover_rules
-    changed, passes = True, 0
-    while changed:
-        changed, passes = False, passes + 1
-        for k, cm in rules:
-            if not s >> k & 1 and cm & ~s == 0:
-                s |= down[k]
-                changed = True
-    stats.add("closure_passes", passes)
-    g.closed_masks[mask] = s
-    return s
+def _closure_table(g: ODGraph, caps: Caps) -> np.ndarray:
+    """The graph's closure table, built the first time it is asked for;
+    raises past `caps.max_ji` elements, whether built or not."""
+    if g.n > caps.max_ji:
+        raise CoverEnumerationCapExceeded(g.n, caps.max_ji)
+    return g._table
+
+
+def closed_mask(g: ODGraph, mask: int, caps: Caps = DEFAULT_CAPS) -> int:
+    """Least set above mask that is a downset closed under the cover rules,
+    read off the graph's closure table. Raises ValueError for a mask
+    outside 0..2^n - 1."""
+    if not 0 <= mask < 1 << g.n:
+        raise ValueError(f"mask {mask} is not a subset of the {g.n} elements")
+    return int(_closure_table(g, caps)[mask])
 
 
 def closed_sets(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
@@ -353,20 +357,13 @@ def closed_sets(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
 
     By the duality they are the sets J(x) of the lattice the graph was
     extracted from, and x -> J(x) orders that lattice as they are ordered
-    by inclusion. Raises past `caps.max_ji` elements or `caps.max_lattice`
-    closed sets."""
-    n = g.n
-    if n > caps.max_ji:
-        raise CoverEnumerationCapExceeded(n, caps.max_ji)
-    masks = np.arange(1 << n, dtype=np.int64)
-    # a set is a downset iff it holds the downsets of its members
-    closed = _subset_table(n, 0, lambda i, t: t | g.down_masks[i]) == masks
-    for k, cm in g.cover_rules:
-        closed &= ((masks & cm) != cm) | ((masks >> k & 1) == 1)
-    count = int(closed.sum())
-    if count > caps.max_lattice:
-        raise SizeCapExceeded(count, caps.max_lattice)
-    return masks[closed]
+    by inclusion. They are the fixed points of the closure table. Raises
+    past `caps.max_ji` elements or `caps.max_lattice` closed sets."""
+    table = _closure_table(g, caps)
+    closed = np.flatnonzero(table == np.arange(len(table), dtype=table.dtype))
+    if len(closed) > caps.max_lattice:
+        raise SizeCapExceeded(len(closed), caps.max_lattice)
+    return closed
 
 
 def reconstruct(g: ODGraph, caps: Caps = DEFAULT_CAPS) -> FiniteLattice:
@@ -392,10 +389,10 @@ class CoverWitness:
     context: str
 
 
-def _join_le(g: ODGraph, k: int, parts: Iterable[int]) -> bool:
-    """k is below the join of parts: k lies in the closure `closed_mask`
-    computes, since by the duality the graph determines its lattice."""
-    return bool(closed_mask(g, sum(1 << p for p in parts)) >> k & 1)
+def _join_le(g: ODGraph, k: int, parts: Iterable[int], caps: Caps) -> bool:
+    """k is below the join of parts: k lies in the closure of parts, since
+    by the duality the graph determines its lattice."""
+    return bool(_closure_table(g, caps)[sum(1 << p for p in parts)] >> k & 1)
 
 
 def _midpoints(g: ODGraph, k0: int, c0: tuple[int, ...], c1: tuple[int, ...],
@@ -422,7 +419,8 @@ def _splits(c: tuple[int, ...], caps: Caps):
 def check_property(g: ODGraph, name: str,
                    caps: Caps = DEFAULT_CAPS) -> CoverWitness | None:
     """None when the property holds; otherwise the first failing instance
-    in (element, cover, split) order. Joins are decided on the graph."""
+    in (element, cover, split) order. Joins are decided on the graph's
+    closure table, so asking one raises past `caps.max_ji` elements."""
     if name not in PROPERTY_IDS:
         raise UnknownProperty(name)
     return next(_PROPERTY_FUNCS[name](g, caps), None)
@@ -461,7 +459,7 @@ def _check_rmod(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
 
 def _check_sym(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
     for k0, rest, k1, cov in g.dsteps:
-        if not _join_le(g, k1, rest + (k0,)):
+        if not _join_le(g, k1, rest + (k0,), caps):
             yield CoverWitness(
                 k0, cov, f"step target {k1} not below join of rest and {k0}")
 
@@ -469,7 +467,7 @@ def _check_sym(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
 def _check_sympc(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
     for k0, rest, k2, cov in g.dsteps:
         for c0, c1 in _splits(rest, caps):
-            if not any(_join_le(g, k1, c0 + (k0,))
+            if not any(_join_le(g, k1, c0 + (k0,), caps)
                        for k1 in _midpoints(g, k0, c0, c1, k2)):
                 yield CoverWitness(
                     k0, cov,
@@ -485,9 +483,9 @@ def _check_strong_sympc(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
             # are then closed in the order of a scan over every element
             if not any(
                     kp in via1 and (kp, c0) in mjc_set
-                    and _join_le(g, kp, c1 + (k,))
+                    and _join_le(g, kp, c1 + (k,), caps)
                     or kp in via0 and (kp, c1) in mjc_set
-                    and _join_le(g, kp, c0 + (k,))
+                    and _join_le(g, kp, c0 + (k,), caps)
                     for kp in sorted({*via1, *via0})):
                 yield CoverWitness(k, cov, f"no pivot for split {c0} / {c1}")
 
@@ -521,7 +519,7 @@ def _check_prop_last(g: ODGraph, caps: Caps) -> Iterator[CoverWitness]:
                 continue
             rest = tuple(x for x in cov if x != k2)
             for c0, c1 in _splits(rest, caps):
-                if not any(_join_le(g, k1, c0 + (k0,))
+                if not any(_join_le(g, k1, c0 + (k0,), caps)
                            for k1 in _midpoints(g, k0, c0, c1, k2)):
                     yield CoverWitness(
                         k0, cov, f"no pivot past {k2} through split {c0} / {c1}")

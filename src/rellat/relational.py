@@ -31,6 +31,7 @@ from .errors import (
 from .lattice import (
     ClosedFamily,
     FiniteLattice,
+    _closed_under,
     _closure_lattice,
     _subset_table,
     make_closed_family,
@@ -640,10 +641,9 @@ def closure_system_R(schema: Schema, caps: Caps = DEFAULT_CAPS) -> ClosedFamily:
     """All subsets of attrs + full rows closed under: if delta(f,g) and g lie
     inside S then f lies in S.
 
-    Every subset is tested at once, from the definition: S is not closed iff
-    some pair f != g has g inside S, f outside S and delta(f, g) inside the
-    attribute part of S. Per g, the f are grouped by delta(f, g). The size
-    error gives the full number of closed sets.
+    Each pair f != g gives one rule, delta(f, g) with g forcing f, and
+    `lattice._closed_under` flags every subset closed under all of them at
+    once. The size error gives the full number of closed sets.
     """
     n_attrs = len(schema.attrs)
     n_fun = len(schema.dom) ** n_attrs
@@ -653,23 +653,13 @@ def closure_system_R(schema: Schema, caps: Caps = DEFAULT_CAPS) -> ClosedFamily:
     universe = list(schema.attrs) + [
         schema.row_label(schema.full_header, c) for c in range(n_fun)
     ]
-    masks = np.arange(1 << universe_bits, dtype=np.int64)
-    attr_part = masks & ((1 << n_attrs) - 1)
-    rows = masks >> n_attrs
-    closed = np.ones(len(masks), dtype=bool)
-    for g in range(n_fun):
-        by_delta: dict[int, int] = {}
-        for f in range(n_fun):
-            if f != g:
-                d = schema.delta(f, g)
-                by_delta[d] = by_delta.get(d, 0) | 1 << f
-        has_g = (rows >> g & 1) == 1
-        for d, fs in by_delta.items():
-            closed &= ~(has_g & (d & ~attr_part == 0) & (rows & fs != fs))
+    closed = _closed_under(universe_bits, [
+        (schema.delta(f, g) | 1 << (n_attrs + g), 1 << (n_attrs + f))
+        for g in range(n_fun) for f in range(n_fun) if f != g])
     count = int(closed.sum())
     if count > caps.max_lattice:
         raise SizeCapExceeded(count, caps.max_lattice)
-    return make_closed_family(universe, masks[closed].tolist())
+    return make_closed_family(universe, np.flatnonzero(closed).tolist())
 
 
 # -- JSON interchange ----------------------------------------------------------

@@ -37,11 +37,11 @@ and, once per `lattice._search` call in the same way:
 Counters written by the duality and the action tables:
 
     subset_entries      the 2^m entries of each `lattice._subset_table`
-                        (joins, down-closures and sizes over subsets of
-                        J(L) or of a graph, relational and frame actions)
-    closure_passes      sweeps over the cover rules in `odgraph.closed_mask`
-                        until nothing changes, summed over the masks it
-                        closes (each mask once per graph)
+                        (joins, antichain flags and sizes over subsets of
+                        J(L), relational and frame actions), and the 2^n
+                        entries of an od-graph's closure table, counted
+                        once per graph, when `closed_sets`, `closed_mask`
+                        or a cover property first reads it
 
 Counters written by lattice construction, one per build:
 

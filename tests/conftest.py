@@ -1,6 +1,8 @@
 """Shared fixtures. Expensive lattices are session-scoped."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from rellat import (
     build_R,
     extract_od_graph,
     hamming_space,
+    make_od_graph,
     reconstruct,
 )
 
@@ -37,6 +40,16 @@ def diamond(k):
     leq = np.eye(k + 2, dtype=bool)
     leq[0, :] = leq[:, k + 1] = True
     return build_from_leq(k + 2, leq)
+
+
+def wide_diamond(k):
+    """The od-graph of M_k, made directly: k atoms, each minimally covered
+    by every pair of the others."""
+    mjc = [(a, (a,)) for a in range(k)]
+    mjc += [(a, pair) for a in range(k)
+            for pair in itertools.combinations(
+                [b for b in range(k) if b != a], 2)]
+    return make_od_graph([f"a{a}" for a in range(k)], [], [False] * k, mjc)
 
 
 def pentagon_n5():

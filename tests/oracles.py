@@ -15,6 +15,7 @@ runs on the package's own backtracking core.
 from __future__ import annotations
 
 import itertools
+import random
 from math import comb
 
 import numpy as np
@@ -175,6 +176,50 @@ def intersection_witness(members):
         if a & b not in present:
             return a, b
     return None
+
+
+def closed_under_rules(u, rules):
+    """For every subset S of u points, as a mask in order: S holds the
+    conclusion of each (premise, conclusion) rule whose premise it holds."""
+    return [all(c & ~s == 0 for p, c in rules if p & ~s == 0)
+            for s in range(1 << u)]
+
+
+def closure_of_flags(u, flags):
+    """For every subset S of u points, as a mask in order: the intersection
+    of the flagged supersets of S, the universe if there are none."""
+    out = []
+    for s in range(1 << u):
+        cl = (1 << u) - 1
+        for t in range(1 << u):
+            if flags[t] and s & ~t == 0:
+                cl &= t
+        out.append(cl)
+    return out
+
+
+def random_family(seed, max_size=12):
+    """(universe size, members) of the family random_lattice(seed,
+    max_size) is built from: the same draws from the same stream, closed
+    under intersection by a worklist of pairwise intersections."""
+    rng = random.Random(seed)
+    while True:
+        bits = rng.randint(3, 6)
+        universe = (1 << bits) - 1
+        count = rng.randint(2, 6)
+        masks = {universe}
+        for _ in range(count):
+            masks.add(rng.randint(0, universe))
+        work = list(masks)
+        while work:
+            a = work.pop()
+            for b in list(masks):
+                c = a & b
+                if c not in masks:
+                    masks.add(c)
+                    work.append(c)
+        if 2 <= len(masks) <= max_size:
+            return bits, sorted(masks)
 
 
 def sublattice_closure(L, seed):

@@ -45,7 +45,7 @@ from rellat.cli import (
     main,
 )
 from rellat.lattice import lattice_document
-from conftest import chain, diamond, pentagon_n5
+from conftest import chain, diamond, pentagon_n5, wide_diamond
 
 
 def run(capsys, *argv):
@@ -186,6 +186,23 @@ def test_odgraph_props_failure_exit(capsys, cm_files):
     assert props["exactly-one-nonjp"]["holds"] is False
     assert props["exactly-one-nonjp"]["witness"]["element_label"] == "k0"
     assert props["pi-VarRL1"]["holds"] is True
+
+
+def test_join_properties_refuse_a_graph_wider_than_max_ji(tmp_path, capsys):
+    # M_17's graph, each atom covered by every pair of the others: pi-Sym
+    # asks a join, which would read a 2^17-entry closure table
+    path = tmp_path / "m17.json"
+    path.write_text(json.dumps(od_graph_to_json(wide_diamond(17))))
+    error = {"type": "CoverEnumerationCapExceeded",
+             "detail": "17 join-irreducibles exceed the max_ji cap 16"}
+    code, doc, _ = run(capsys, "odgraph", "props", "--odgraph", str(path))
+    assert (code, doc) == (3, {"command": "odgraph props", "error": error})
+    code, doc, _ = run(capsys, "check", "prop", "--prop", "pi-Sym",
+                       "--odgraph", str(path))
+    assert (code, doc) == (3, {"command": "check prop", "error": error})
+    code, doc, _ = run(capsys, "check", "prop", "--prop", "pi-VarRL1",
+                       "--odgraph", str(path))
+    assert code == 0 and doc["result"]["holds"] is True
 
 
 # -- check -------------------------------------------------------------------------
@@ -1115,7 +1132,7 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
             (["odgraph", "extract", "--lattice", r22_file, "--out", "OUT"],
              {"lattice_docs_direct", "order_builds", "subset_entries"}, {}),
             (["odgraph", "props", "--odgraph", str(graph)],
-             {"closure_passes"}, {})):
+             {"subset_entries"}, {})):
         plain_out, counted_out = tmp_path / "plain.json", tmp_path / "counted.json"
         assert main([str(plain_out) if a == "OUT" else a for a in argv]) in (0, 1)
         plain = capsys.readouterr().out

@@ -1216,6 +1216,51 @@ def test_generated_lattices_are_pairwise_distinct():
         assert find_isomorphism(a, b) is None
 
 
+def test_random_lattice_closes_its_draws_as_a_worklist_does():
+    for s in range(3000):
+        bits, masks = oracles.random_family(s)
+        want = build_from_closed_family(
+            make_closed_family([f"u{i}" for i in range(bits)], masks))
+        got = random_lattice(s)
+        assert got.labels == want.labels, s
+        for name in ("leq", "meet", "join"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), s
+
+
+def _rule_sets():
+    """(u, rules) over at most 8 points: the named edge cases, then seeded
+    sets whose premises repeat and whose conclusions overlap them."""
+    yield 3, []                                     # every set is closed
+    yield 3, [(0, 0b101)]                           # an empty premise
+    yield 4, [(0b11, 0b100), (0b11, 0b1000), (0b11, 0b100)]
+    yield 4, [(0b11, 0b111), (0b110, 0b110), (0b1, 0b1)]
+    yield 0, [(0, 0)]
+    rng = random.Random(0)
+    for _ in range(80):
+        u = rng.randint(1, 8)
+        full = (1 << u) - 1
+        premises = [rng.randint(0, full) for _ in range(rng.randint(1, 4))]
+        yield u, [(p, rng.randint(0, full) | p & rng.randint(0, full))
+                  for p in (rng.choice(premises)
+                            for _ in range(rng.randint(0, 10)))]
+
+
+def test_closed_under_reads_every_rule_at_every_set():
+    for u, rules in _rule_sets():
+        got = lattice._closed_under(u, rules)
+        assert got.dtype == bool and got.shape == (1 << u,)
+        assert got.tolist() == oracles.closed_under_rules(u, rules), (u, rules)
+
+
+def test_closure_intersects_the_flagged_supersets():
+    rng = np.random.default_rng(0)
+    for u in range(9):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            flags = rng.random(1 << u) < density
+            assert lattice._closure(u, flags).tolist() == \
+                oracles.closure_of_flags(u, flags.tolist()), (u, density)
+
+
 @settings(max_examples=20, deadline=None)
 @given(seeds)
 def test_random_lattice_is_deterministic_and_bounded(seed):

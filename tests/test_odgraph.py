@@ -41,7 +41,8 @@ from rellat import (
     ultrametric_representability,
 )
 from rellat import lattice, odgraph, stats
-from conftest import boolean_cube, chain, diamond, diamond_m3, pentagon_n5
+from conftest import (boolean_cube, chain, diamond, diamond_m3, pentagon_n5,
+                      wide_diamond)
 import oracles
 
 
@@ -112,7 +113,8 @@ def test_minimal_covers_rejects_reducible(n5):
 
 
 def test_cover_cap(b3):
-    with pytest.raises(CoverEnumerationCapExceeded):
+    with pytest.raises(CoverEnumerationCapExceeded,
+                       match="^3 join-irreducibles exceed the max_ji cap 2$"):
         minimal_join_covers(b3, b3.atoms()[0], caps=Caps(max_ji=2))
 
 
@@ -325,7 +327,8 @@ def test_closed_sets_are_the_family_reconstruct_builds(monkeypatch, g22,
 
 
 def test_reconstruct_cap(cm_graph):
-    with pytest.raises(CoverEnumerationCapExceeded):
+    with pytest.raises(CoverEnumerationCapExceeded,
+                       match="^8 join-irreducibles exceed the max_ji cap 4$"):
         reconstruct(cm_graph, caps=Caps(max_ji=4))
 
 
@@ -425,19 +428,21 @@ def test_cover_searches_match_the_definitional_scan(small_lattices, r22,
 
 
 def test_cover_checks_close_a_fixed_number_of_masks(small_lattices):
-    # closed_mask keeps its results per graph, so on fresh graphs the 11
-    # checks sweep the cover rules a fixed number of times; the census sum
-    # moves if the pivot search tries its candidates in another order
-    def passes(graphs):
+    # a graph builds its closure table, 2^n entries, once, when a check
+    # first asks a join; 57 of the 78 census graphs ask one, and checking
+    # the same graphs again builds nothing
+    def entries(graphs):
         with stats.collect() as counters:
             for g in graphs:
                 for name in PROPERTY_IDS:
                     check_property(g, name)
-        return counters.get("closure_passes", 0)
+        return counters.get("subset_entries", 0)
 
-    assert passes([build_countermodel()]) == 2
-    assert passes([extract_od_graph(diamond(11))]) == 121
-    assert passes([extract_od_graph(L) for L in small_lattices]) == 509
+    assert entries([build_countermodel()]) == 256
+    assert entries([extract_od_graph(diamond(11))]) == 2048
+    census = [extract_od_graph(L) for L in small_lattices]
+    assert entries(census) == 1312
+    assert entries(census) == 0
 
 
 def test_cover_properties_against_their_laws(small_lattices):
@@ -470,6 +475,49 @@ def test_closed_mask_decides_joins(small_lattices, r22, cm_lattice):
                 L.n, L.leq, [ji[i] for i in range(g.n) if mask >> i & 1])
             want = sum(1 << k for k in range(g.n) if L.leq[ji[k], v])
             assert closed_mask(g, mask) == want, (L.n, mask)
+
+
+def test_closed_mask_rejects_masks_outside_the_graph(cm_graph):
+    # a numpy lookup would wrap a negative mask round to the table's end
+    assert closed_mask(cm_graph, 0) == 0
+    assert closed_mask(cm_graph, 255) == 255
+    for mask in (-1, -256, 256, 1 << 70):
+        with pytest.raises(ValueError, match=f"mask {mask} is not a subset"):
+            closed_mask(cm_graph, mask)
+
+
+def test_join_properties_refuse_graphs_wider_than_max_ji():
+    # on M_17's graph pi-Sym and pi-StrongSymPC ask a join; pi-SymPC and
+    # prop-last ask none, as no cover has three members or one below its
+    # element, and the other seven never do
+    g = wide_diamond(17)
+    wide = Caps(max_ji=17)
+    fails = (0, (1, 2))
+    answers = {"unjp": fails, "exactly-one-nonjp": fails}
+    for name in PROPERTY_IDS:
+        if name in ("pi-Sym", "pi-StrongSymPC"):
+            with pytest.raises(CoverEnumerationCapExceeded) as info:
+                check_property(g, name)
+            assert (info.value.need, info.value.cap) == (17, 16)
+            assert str(info.value) == "17 join-irreducibles exceed the max_ji cap 16"
+            assert check_property(g, name, wide) is None
+            with pytest.raises(CoverEnumerationCapExceeded):
+                check_property(g, name)     # one cap, built table or not
+        else:
+            w = check_property(g, name)
+            got = None if w is None else (w.j, w.cover)
+            assert got == answers.get(name), name
+
+
+@pytest.mark.parametrize("seed, name", [(0, "prop-last"), (236, "pi-SymPC")])
+def test_each_join_property_refuses_past_max_ji(seed, name):
+    # of the census and random_lattice(s, 12) for s < 300, only these
+    # graphs make prop-last and pi-SymPC ask a join
+    g = extract_od_graph(random_lattice(seed, max_size=12))
+    check_property(g, name)                     # answers under the defaults
+    with pytest.raises(CoverEnumerationCapExceeded) as info:
+        check_property(g, name, Caps(max_ji=g.n - 1))
+    assert (info.value.need, info.value.cap) == (g.n, g.n - 1)
 
 
 def test_sympc_implies_weakened_form():
