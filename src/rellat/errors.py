@@ -41,7 +41,7 @@ class SizeCapExceeded(RellatError):
     def __init__(self, need: int, cap: int):
         self.need = need
         self.cap = cap
-        super().__init__(f"size {need} exceeds cap {cap}")
+        super().__init__(f"size {need} exceeds the max_lattice cap {cap}")
 
 
 class EnumerationCapExceeded(RellatError):
@@ -53,7 +53,7 @@ class EnumerationCapExceeded(RellatError):
         super().__init__(self._message())
 
     def _message(self) -> str:
-        return f"enumeration of {self.need} subsets exceeds cap {self.cap}"
+        return f"enumeration of {self.need} subsets exceeds the max_enum cap {self.cap}"
 
 
 class CoverEnumerationCapExceeded(EnumerationCapExceeded):

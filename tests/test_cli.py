@@ -103,8 +103,8 @@ def test_build_typed_size_error_gives_full_count(tmp_path, capsys):
                          "--out", str(tmp_path / "t.json"))
     assert code == 3
     assert doc["error"] == {"type": "SizeCapExceeded",
-                            "detail": "size 4122 exceeds cap 4096"}
-    assert "size 4122 exceeds cap 4096" in err
+                            "detail": "size 4122 exceeds the max_lattice cap 4096"}
+    assert "size 4122 exceeds the max_lattice cap 4096" in err
 
 
 def test_build_closure_size_error_gives_full_count(tmp_path, capsys):
@@ -112,8 +112,8 @@ def test_build_closure_size_error_gives_full_count(tmp_path, capsys):
                          "--dom", "4", "--out", str(tmp_path / "c.json"))
     assert code == 3
     assert doc["error"] == {"type": "SizeCapExceeded",
-                            "detail": "size 65570 exceeds cap 4096"}
-    assert "size 65570 exceeds cap 4096" in err
+                            "detail": "size 65570 exceeds the max_lattice cap 4096"}
+    assert "size 65570 exceeds the max_lattice cap 4096" in err
 
 
 def test_build_typed_and_closure_agree_with_rel(tmp_path, capsys, r22_file):
@@ -506,7 +506,7 @@ def test_check_bc_caps_attribute_sets(tmp_path, capsys):
     code, out, err = run(capsys, "check", "bc", "--space", str(path))
     assert code == 3
     assert out["error"]["detail"] == (
-        f"enumeration of {1 << 70} subsets exceeds cap {1 << 20}")
+        f"enumeration of {1 << 70} subsets exceeds the max_enum cap {1 << 20}")
 
 
 def _one_step_space(n_points, n_attrs):
@@ -530,7 +530,7 @@ def test_completeness_checks_cap_split_pairs(tmp_path, capsys, verb, points,
     assert code == 3
     assert out["error"] == {
         "type": "EnumerationCapExceeded",
-        "detail": f"enumeration of {need} subsets exceeds cap {1 << 20}"}
+        "detail": f"enumeration of {need} subsets exceeds the max_enum cap {1 << 20}"}
 
 
 def test_check_bc_caps_the_whole_action_table(capsys):
@@ -540,7 +540,7 @@ def test_check_bc_caps_the_whole_action_table(capsys):
                        "--points", points)
     assert code == 3
     assert out["error"]["detail"] == \
-        f"enumeration of {1 << 22} subsets exceeds cap {1 << 20}"
+        f"enumeration of {1 << 22} subsets exceeds the max_enum cap {1 << 20}"
 
 
 def test_bad_arguments_exit_2(capsys):

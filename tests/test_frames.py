@@ -233,7 +233,7 @@ def test_l_of_frame_names_the_subset_cap():
     # 21 worlds have 2^21 world sets, past the default max_enum of 2^20
     f = make_frame([f"w{i}" for i in range(21)], [[0] * 21, list(range(21))])
     with pytest.raises(EnumerationCapExceeded,
-                       match="enumeration of 2097152 subsets exceeds cap 1048576"):
+                       match="enumeration of 2097152 subsets exceeds the max_enum cap 1048576"):
         l_of_frame(f)
 
 
@@ -242,7 +242,7 @@ def test_l_of_frame_caps_the_whole_table():
     f = make_frame([f"w{i}" for i in range(16)],
                    [[w >> k for w in range(16)] for k in range(6)])
     with pytest.raises(EnumerationCapExceeded,
-                       match="enumeration of 4194304 subsets exceeds cap 1048576"):
+                       match="enumeration of 4194304 subsets exceeds the max_enum cap 1048576"):
         l_of_frame(f)
 
 

@@ -1176,13 +1176,40 @@ def test_lattice_counts_frozen():
 
 @pytest.mark.parametrize("m", range(6))
 def test_batched_canonical_keys_match_reference(m):
-    """All orders on m <= 4 points, a seeded 300 of the 4231 on 5."""
+    """All orders on m <= 4 points, a seeded 300 of the 4231 on 5: the key
+    of each order's orbit."""
     rels = sorted(lattgen._inner_posets(m), key=sorted)
     if m == 5:
         rels = random.Random(0).sample(rels, 300)
-    got = [tuple(divmod(j, m) for j in lattgen._word_indices(m, word))
-           for word in lattgen._canon_words(m, rels).tolist()]
+    got = [tuple(divmod(j, m) for j in
+                 lattgen._word_indices(m, lattgen._orbit(m, r)[1]))
+           for r in rels]
     assert got == [oracles.canon_key(m, r) for r in rels]
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_orbits_partition_labelled_orders(m):
+    """The orbits of the class representatives mark every transitive
+    orientation exactly once, each representative is the first member of
+    its orbit in set order, and there is one class per unlabelled order on
+    m points."""
+    pairs = list(itertools.combinations(range(m), 2))
+
+    def code(rel):
+        return sum(3 ** (len(pairs) - 1 - j) * (1 if p in rel else
+                                                2 if p[::-1] in rel else 0)
+                   for j, p in enumerate(pairs))
+
+    reps = lattgen._classes(m)
+    orbits = [set(lattgen._orbit(m, rel)[0].tolist()) for rel in reps.values()]
+    assert len(reps) == [1, 1, 2, 5, 16, 63][m]
+    assert sum(map(len, orbits)) == len(set().union(*orbits))
+    assert set().union(*orbits) == {code(r) for r in oracles.inner_posets(m)}
+    owner = {c: i for i, orbit in enumerate(orbits) for c in orbit}
+    firsts = {}
+    for rel in lattgen._inner_posets(m):
+        firsts.setdefault(owner[code(rel)], rel)
+    assert list(firsts.values()) == list(reps.values())
 
 
 @pytest.mark.parametrize("m", range(6))
@@ -1197,6 +1224,18 @@ def test_census_representatives_are_pinned():
     data = b"".join(L.leq.tobytes() for L in all_lattices_upto(7))
     assert hashlib.sha256(data).hexdigest() == (
         "e50dda5aed6a04dcf4c7ce96061b485e9523dd8fb5e72a5b65c198c2e4ab5d20")
+
+
+def test_census_enumeration_stays_small():
+    """The seven-element census peaks at no more than 3.5 MB in tracemalloc,
+    so the orientation filter's temporaries stay bounded."""
+    tracemalloc.start()
+    try:
+        lattices_of_order(7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5e6
 
 
 def test_lattice_generation_respects_enum_cap():
