@@ -51,7 +51,6 @@ from .frames import (
     frame_from_json,
     frame_to_json,
     is_s5n_frame,
-    l_of_frame,
     make_frame,
     p_morphism_search,
     universal_product,

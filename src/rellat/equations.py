@@ -73,7 +73,6 @@ from .errors import (
 from .lattice import FiniteLattice, orbit_minima
 from .terms import (
     Inclusion,
-    Join,
     Meet,
     Term,
     Var,

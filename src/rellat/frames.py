@@ -17,20 +17,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DEFAULT_CAPS,
     BadFrame,
     Caps,
-    EnumerationCapExceeded,
     SizeCapExceeded,
     document_field,
     document_list,
 )
-from .lattice import _least_assignment, _subset_table
+from .lattice import _least_assignment
 from .relational import SdLattice, semidirect_core
 
 
@@ -215,44 +212,26 @@ def frame_queries(f: Frame) -> dict[str, bool]:
     return {"initial": initial, "full": full}
 
 
-def _path_closure_table(f: Frame, caps: Caps) -> np.ndarray:
-    """table[x, t] for every relation mask x and world mask t: the union of
-    the blocks of the join of the partitions in x that meet t, as a
-    (2^rels, 2^worlds) int64 array. The world sets, then the whole table,
-    must stay within caps.max_enum."""
-    n = f.n_worlds
-    for m in (n, n + f.n_rels):
-        if 1 << m > caps.max_enum:
-            raise EnumerationCapExceeded(1 << m, caps.max_enum)
-    rows = []
-    for x_mask in range(1 << f.n_rels):
-        parent = list(range(n))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for i in range(f.n_rels):
-            if x_mask >> i & 1:
-                first: dict[int, int] = {}
-                for a, b in enumerate(f.rels[i]):
-                    parent[find(a)] = find(first.setdefault(b, a))
-        block_mask = [0] * n
-        for a in range(n):
-            block_mask[find(a)] |= 1 << a
-        single = [block_mask[find(a)] for a in range(n)]
-        rows.append(_subset_table(n, 0, lambda i, t: t | single[i]))
-    return np.array(rows)
+def _block_rules(f: Frame) -> Iterator[tuple[int, int]]:
+    """The rules over the relations then the worlds: relation i together
+    with world w forces w's block of i. They are generated as read, after
+    the reader's cap checks."""
+    r = f.n_rels
+    for i, blocks in enumerate(f.rels):
+        block_mask: dict[int, int] = {}
+        for w, b in enumerate(blocks):
+            block_mask[b] = block_mask.get(b, 0) | 1 << w
+        for w, b in enumerate(blocks):
+            yield 1 << i | 1 << (r + w), block_mask[b] << r
 
 
 def l_of_frame(f: Frame, caps: Caps = DEFAULT_CAPS) -> SdLattice:
-    """Fixed pairs (X, T) where T is a union of blocks of the joined
-    partitions indexed by X; the frame analog of the semidirect product."""
+    """Pairs (X, T) where T is a union of blocks of the joined partitions
+    indexed by X; the frame analog of the semidirect product. They are the
+    sets closed under `_block_rules`: closed under the blocks of each
+    partition in X is closed under the blocks of their join."""
     attr_names = [str(i + 1) for i in range(f.n_rels)]
-    return semidirect_core(attr_names, f.worlds, _path_closure_table(f, caps),
-                           caps=caps)
+    return semidirect_core(attr_names, f.worlds, _block_rules(f), caps=caps)
 
 
 def p_morphism_search(src: Frame, dst: Frame,

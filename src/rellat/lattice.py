@@ -51,7 +51,7 @@ Lattices of closed sets (`_closure_lattice`) skip all but step 2. Every
 lattice the package constructs, except the `lattgen` enumeration, is a
 family of subsets of a u-point universe closed under intersection: the
 closed families of `build_from_closed_family` (closure systems,
-reconstructions, random lattices), the fixed pairs of
+reconstructions, random lattices), the rule-closed pairs of
 `relational.semidirect_core` (typed, semidirect and frame lattices) and the
 tables of `relational.build_R`, each standing for its closed set. The
 members are flagged among all 2^u masks, and the operator cl[S], the
@@ -74,7 +74,8 @@ its premise's entry and then up to every superset in u in-place passes
 (the zeta transform over subsets; Bjorklund, Husfeldt, Kaski and Koivisto,
 STOC 2007), so S is closed iff the conclusions it forces lie inside it,
 at O(u 2^u) whatever the number of rules. The closure systems of
-`relational.closure_system_R` and the closed sets of an od-graph
+`relational.closure_system_R`, the pairs (X, T) of
+`relational.semidirect_core` and the closed sets of an od-graph
 (`odgraph`) are flagged this way, and `_closure` gives the graph's
 closure operator from those flags.
 
@@ -232,8 +233,9 @@ def _subset_table(m: int, seed, step: Callable) -> np.ndarray:
     Filled by doubling: step(i, t[:2^i]) gives t[2^i : 2^(i+1)] in one numpy
     call, so there is no Python loop over masks. The duality uses it for
     joins and antichain flags over subsets of J(L) and for down-closures
-    over a graph's elements; the relational and frame actions use it to
-    extend an action from single points to every point set.
+    over a graph's elements; `check bc`'s action table
+    (`relational._act_table`) uses it to extend the action from single
+    points to every point set.
     """
     stats.add("subset_entries", 1 << m)
     t = np.empty((1 << m, *np.shape(seed)), dtype=np.int64)
@@ -580,7 +582,7 @@ def _mask_dtype(u: int) -> type:
     return np.int32 if u < 32 else np.int64
 
 
-def _closed_under(u: int, rules: Sequence[tuple[int, int]]) -> np.ndarray:
+def _closed_under(u: int, rules: Iterable[tuple[int, int]]) -> np.ndarray:
     """flags[S] for every subset mask S of a u-point universe: S is closed
     under every rule (premise, conclusion), that is, holds the conclusion
     whenever it holds the premise.
@@ -592,7 +594,7 @@ def _closed_under(u: int, rules: Sequence[tuple[int, int]]) -> np.ndarray:
     """
     dtype = _mask_dtype(u)
     forced = np.zeros(1 << u, dtype=dtype)
-    premise, conclusion = np.array(rules, dtype=dtype).reshape(-1, 2).T
+    premise, conclusion = np.array(list(rules), dtype=dtype).reshape(-1, 2).T
     np.bitwise_or.at(forced, premise, conclusion)
     for i in range(u):
         pairs = forced.reshape(-1, 2, 1 << i)       # [:, 1] adds point i

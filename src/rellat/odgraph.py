@@ -80,7 +80,7 @@ from .lattice import (
     build_from_closed_family,
     make_closed_family,
 )
-from .relational import UltraSpace, make_space
+from .relational import make_space
 
 
 # -- minimal join-covers -----------------------------------------------------

@@ -5,13 +5,16 @@ a fixed-radix integer whose most significant digit belongs to the smallest
 attribute index present. All three constructions order elements
 deterministically, so cross-construction tests can rely on positions, and
 all three build their lattices as families of closed sets
-(`lattice._closure_lattice`).
+(`lattice._closure_lattice`). The semidirect product and the closure
+system take theirs from one rule list over attributes and points, the
+ultrametric rule of `_distance_rules`, flagged by `lattice._closed_under`;
+the action itself is tabulated only for `bc_identity_check`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -582,39 +585,53 @@ class SdLattice:
 def semidirect_core(
     attr_names: Sequence[str],
     point_names: Sequence[str],
-    table: np.ndarray,
+    rules: Iterable[tuple[int, int]],
     caps: Caps = DEFAULT_CAPS,
 ) -> SdLattice:
-    """Fixed pairs (X, T) with table[X, T] == T, ordered componentwise.
+    """Pairs (X, T) whose set X | T << attrs is closed under `rules`,
+    ordered componentwise, in X-then-T order.
 
-    table is the action as a (2^attrs, 2^points) array, a closure operator
-    in T for each X and monotone in X; `_act_table` builds it for
-    semidirect() and `frames._path_closure_table` for the frame lattice.
-    The pairs come in X-then-T order.
-
-    The pair (X, T) is the set X | T << attrs of attributes and points,
-    and componentwise order is inclusion of these sets. Under the contract
-    they are closed under intersection and hold the full pair, so
-    `lattice._closure_lattice` builds the lattice from them; a table off
-    the contract so that they are not raises NotIntersectionClosed, as a
-    closed family does.
+    Each rule (premise, conclusion) is a pair of masks over the attributes
+    then the points; `lattice._closed_under` flags the closed sets, whose
+    inclusion is the componentwise order. They are closed under
+    intersection and hold the full pair, so `lattice._closure_lattice`
+    builds the lattice from them. 2^points, then 2^attrs, then
+    2^(attrs + points) must stay within caps.max_enum before any rule is
+    read.
     """
-    n_attrs = len(attr_names)
-    xs, ts = np.nonzero(table == np.arange(table.shape[1]))
+    n_attrs, n_points = len(attr_names), len(point_names)
+    for m in (n_points, n_attrs, n_attrs + n_points):
+        if 1 << m > caps.max_enum:
+            raise EnumerationCapExceeded(1 << m, caps.max_enum)
+    closed = _closed_under(n_attrs + n_points, rules)
+    xs, ts = np.nonzero(closed.reshape(1 << n_points, 1 << n_attrs).T)
     if len(xs) > caps.max_lattice:
         raise SizeCapExceeded(len(xs), caps.max_lattice)
     elems = list(zip(xs.tolist(), ts.tolist()))
     x_label = {x: set_label(attr_names, x) for x in set(xs.tolist())}
     t_label = {t: set_label(point_names, t) for t in set(ts.tolist())}
     labels = [f"({x_label[x]}|{t_label[t]})" for x, t in elems]
-    lattice = _closure_lattice(n_attrs + len(point_names),
-                               xs | ts << n_attrs, labels)
+    lattice = _closure_lattice(n_attrs + n_points, xs | ts << n_attrs, labels)
     return SdLattice(lattice, tuple(elems))
 
 
+def _distance_rules(n_attrs: int, dist: Sequence[Sequence[int]]
+                    ) -> Iterator[tuple[int, int]]:
+    """The ultrametric rules over n_attrs attributes then the points of a
+    symmetric distance matrix: for points f != g, the distance d(f, g)
+    together with g forces f. They are generated as read, after the
+    reader's cap checks."""
+    return ((d | 1 << (n_attrs + g), 1 << (n_attrs + f))
+            for g, row in enumerate(dist)
+            for f, d in enumerate(row) if f != g)
+
+
 def semidirect(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> SdLattice:
-    """The semidirect product over an ultrametric space's action."""
-    return semidirect_core(space.attrs, space.points, _act_table(space, caps),
+    """The semidirect product over an ultrametric space's action: the pairs
+    (X, T) with T fixed by the action of X, the sets closed under the
+    distance rules."""
+    return semidirect_core(space.attrs, space.points,
+                           _distance_rules(len(space.attrs), space.dist),
                            caps=caps)
 
 
@@ -641,9 +658,10 @@ def closure_system_R(schema: Schema, caps: Caps = DEFAULT_CAPS) -> ClosedFamily:
     """All subsets of attrs + full rows closed under: if delta(f,g) and g lie
     inside S then f lies in S.
 
-    Each pair f != g gives one rule, delta(f, g) with g forcing f, and
-    `lattice._closed_under` flags every subset closed under all of them at
-    once. The size error gives the full number of closed sets.
+    These are the distance rules (`_distance_rules`) of delta over the
+    full rows in code order, and `lattice._closed_under` flags every
+    subset closed under all of them at once. The size error gives the
+    full number of closed sets.
     """
     n_attrs = len(schema.attrs)
     n_fun = len(schema.dom) ** n_attrs
@@ -653,9 +671,8 @@ def closure_system_R(schema: Schema, caps: Caps = DEFAULT_CAPS) -> ClosedFamily:
     universe = list(schema.attrs) + [
         schema.row_label(schema.full_header, c) for c in range(n_fun)
     ]
-    closed = _closed_under(universe_bits, [
-        (schema.delta(f, g) | 1 << (n_attrs + g), 1 << (n_attrs + f))
-        for g in range(n_fun) for f in range(n_fun) if f != g])
+    dist = [[schema.delta(f, g) for g in range(n_fun)] for f in range(n_fun)]
+    closed = _closed_under(universe_bits, _distance_rules(n_attrs, dist))
     count = int(closed.sum())
     if count > caps.max_lattice:
         raise SizeCapExceeded(count, caps.max_lattice)

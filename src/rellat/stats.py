@@ -34,11 +34,11 @@ and, once per `lattice._search` call in the same way:
                         (`lattice._RowMemo`), counting again a row built
                         anew because the memo was full
 
-Counters written by the duality and the action tables:
+Counters written by the duality and `check bc`'s action table:
 
     subset_entries      the 2^m entries of each `lattice._subset_table`
                         (joins, antichain flags and sizes over subsets of
-                        J(L), relational and frame actions), and the 2^n
+                        J(L), and `check bc`'s action table), and the 2^n
                         entries of an od-graph's closure table, counted
                         once per graph, when `closed_sets`, `closed_mask`
                         or a cover property first reads it

@@ -725,6 +725,42 @@ def bc_identity_witness(table):
 # -- frame oracles ----------------------------------------------------------------
 
 
+def path_closure_table(f):
+    """table[x, t] for every relation mask x and world mask t: the union of
+    the blocks of the join of the partitions in x that meet t, as a
+    (2^rels, 2^worlds) array, from a union-find over the worlds per x."""
+    n = f.n_worlds
+    rows = []
+    for x_mask in range(1 << f.n_rels):
+        parent = list(range(n))
+
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
+
+        for i in range(f.n_rels):
+            if x_mask >> i & 1:
+                first = {}
+                for a, b in enumerate(f.rels[i]):
+                    parent[find(a)] = find(first.setdefault(b, a))
+        block_mask = [0] * n
+        for a in range(n):
+            block_mask[find(a)] |= 1 << a
+        rows.append([0] * (1 << n))
+        for t in range(1, 1 << n):
+            a = t.bit_length() - 1
+            rows[-1][t] = rows[-1][t ^ 1 << a] | block_mask[find(a)]
+    return np.array(rows)
+
+
+def fixed_pairs(table):
+    """The pairs (x, t) with table[x, t] == t, in x-then-t order."""
+    return [(x, t) for x, row in enumerate(np.asarray(table).tolist())
+            for t, v in enumerate(row) if v == t]
+
+
 def edges_of_partition(blocks):
     n = len(blocks)
     return {(i, j) for i in range(n) for j in range(n) if blocks[i] == blocks[j]}

@@ -1163,6 +1163,7 @@ def test_build_rel_files_are_pinned(tmp_path, capsys, attrs, dom, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     counters = json.loads(stats_path.read_text())
     assert counters["closure_builds"] == 1 and "order_builds" not in counters
+    assert "subset_entries" not in counters
 
 
 def test_stats_count_closure_and_order_builds(tmp_path, capsys):
@@ -1179,6 +1180,7 @@ def test_stats_count_closure_and_order_builds(tmp_path, capsys):
     assert plain.read_bytes() == counted.read_bytes()
     counters = json.loads(stats_path.read_text())
     assert counters["closure_builds"] == 1 and "order_builds" not in counters
+    assert "subset_entries" not in counters
     argv = ["check", "nation", "--lattice", str(plain)]
     assert main(argv) == 0
     out = capsys.readouterr().out

@@ -237,8 +237,17 @@ def test_l_of_frame_names_the_subset_cap():
         l_of_frame(f)
 
 
+def test_l_of_frame_caps_the_relation_sets():
+    # one world passes; 2^21 relation sets are past the default max_enum
+    f = make_frame(["w"], [[0]] * 21)
+    with pytest.raises(EnumerationCapExceeded,
+                       match="enumeration of 2097152 subsets exceeds the max_enum cap 1048576"):
+        l_of_frame(f)
+
+
 def test_l_of_frame_caps_the_whole_table():
-    # 2^16 world sets and 2^6 relation sets pass one by one; 2^22 entries do not
+    # 2^16 world sets and 2^6 relation sets pass one by one; the 2^22 sets
+    # of relations and worlds together do not
     f = make_frame([f"w{i}" for i in range(16)],
                    [[w >> k for w in range(16)] for k in range(6)])
     with pytest.raises(EnumerationCapExceeded,

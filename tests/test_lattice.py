@@ -52,7 +52,7 @@ from rellat import (
     typed_map_from_fibers,
     typed_R,
 )
-from rellat import frames, lattgen, lattice, odgraph, relational, stats
+from rellat import lattgen, lattice, odgraph, relational, stats
 from conftest import (
     boolean_cube,
     chain,
@@ -449,13 +449,12 @@ def _family_by_order(fam):
                           labels=labels, caps=CANDIDATE_CAPS)
 
 
-def _semidirect_by_order(attr_names, point_names, table):
+def _semidirect_by_order(attr_names, point_names, pairs):
     """semidirect_core's lattice as build_from_leq's candidate meets build
-    it from the inclusion order of the fixed pairs' sets X | T << attrs."""
-    xs, ts = np.nonzero(table == np.arange(table.shape[1]))
+    it from the inclusion order of the pairs' sets X | T << attrs."""
     labels = [f"({set_label(attr_names, x)}|{set_label(point_names, t)})"
-              for x, t in zip(xs.tolist(), ts.tolist())]
-    masks = (xs | ts << len(attr_names)).tolist()
+              for x, t in pairs]
+    masks = [x | t << len(attr_names) for x, t in pairs]
     return build_from_leq(len(masks), lattice._containment(masks),
                           labels=labels, caps=CANDIDATE_CAPS)
 
@@ -463,7 +462,8 @@ def _semidirect_by_order(attr_names, point_names, table):
 @small_blocks
 def test_semidirect_closure_builds_match_order_builds(block, monkeypatch):
     """Every frame of at most four worlds that is full and initial (those
-    the frame census uses), and typed 4,2 and 5,2."""
+    the frame census uses), against the fixed pairs of its path-closure
+    table, and typed 4,2 and 5,2, against those of the action table."""
     monkeypatch.setattr(lattice, "_BLOCK", block)
     census = [f for w in range(1, 5) for f in enumerate_frames(w, 2)
               if all(frame_queries(f).values())]
@@ -471,15 +471,67 @@ def test_semidirect_closure_builds_match_order_builds(block, monkeypatch):
     for f in census:
         want = _semidirect_by_order(
             [str(i + 1) for i in range(f.n_rels)], f.worlds,
-            frames._path_closure_table(f, lattice.DEFAULT_CAPS))
+            oracles.fixed_pairs(oracles.path_closure_table(f)))
         _assert_same_lattice(_closure_built(lambda: l_of_frame(f)).lattice, want)
     for fibers in ([4, 2], [5, 2]):
         tm = typed_map_from_fibers(fibers)
         space = sections_space(tm)
         want = _semidirect_by_order(
-            space.attrs, space.points,
-            relational._act_table(space, lattice.DEFAULT_CAPS))
+            space.attrs, space.points, oracles.fixed_pairs(
+                relational._act_table(space, lattice.DEFAULT_CAPS)))
         _assert_same_lattice(_closure_built(lambda: typed_R(tm)).lattice, want)
+
+
+def test_frame_pairs_are_the_path_closure_fixed_pairs():
+    """l_of_frame's elements are the fixed pairs of the path-closure table,
+    in X-then-T order, on every frame of 1-3 worlds with 1-3 relations and
+    of 4 worlds with 1-2 relations."""
+    shapes = [(w, r) for w in range(1, 4) for r in range(1, 4)] + [(4, 1), (4, 2)]
+    for w, r in shapes:
+        for f in enumerate_frames(w, r):
+            assert list(l_of_frame(f).elems) == \
+                oracles.fixed_pairs(oracles.path_closure_table(f)), f
+
+
+def test_semidirect_rule_builds_match_order_builds():
+    """150 seeded rule lists over at most 2 attributes and 3 points: the
+    elements are the pairs whose sets the rules close, in X-then-T order,
+    and the closure build is the lattice of their inclusion order."""
+    rng = random.Random(19)
+    sizes = collections.Counter()
+    for _ in range(150):
+        n_attrs, n_points = rng.randint(1, 2), rng.randint(1, 3)
+        u = n_attrs + n_points
+        rules = [(rng.getrandbits(u),
+                  1 << rng.randrange(u) if rng.random() < 0.5 else rng.getrandbits(u))
+                 for _ in range(rng.randint(0, 5))]
+        attrs = [str(i + 1) for i in range(n_attrs)]
+        points = [f"p{i}" for i in range(n_points)]
+        flags = oracles.closed_under_rules(u, rules)
+        pairs = sorted((s & (1 << n_attrs) - 1, s >> n_attrs)
+                       for s in range(1 << u) if flags[s])
+        got = _closure_built(lambda: semidirect_core(attrs, points, rules))
+        assert list(got.elems) == pairs, rules
+        _assert_same_lattice(got.lattice,
+                             _semidirect_by_order(attrs, points, pairs))
+        sizes[len(pairs)] += 1
+    assert len(sizes) >= 20 and sizes[1], sizes
+
+
+def test_semidirect_core_caps_before_reading_rules():
+    """2^points, then 2^attrs, then 2^(attrs + points) are refused before
+    the first rule is read."""
+    def unread():
+        raise AssertionError("a rule was read")
+        yield
+
+    for n_attrs, n_points, want in ((5, 6, 64), (6, 3, 64), (4, 4, 256)):
+        with pytest.raises(EnumerationCapExceeded,
+                           match=f"enumeration of {want} subsets exceeds "
+                                 "the max_enum cap 16"):
+            semidirect_core([f"a{i}" for i in range(n_attrs)],
+                            [f"p{i}" for i in range(n_points)], unread(),
+                            Caps(max_enum=16))
 
 
 @small_blocks
@@ -527,51 +579,6 @@ def test_relational_closure_builds_match_order_builds(attrs, dom, block,
     L = R.lattice
     _assert_same_lattice(L, build_from_leq(L.n, L.leq, labels=L.labels,
                                            caps=CANDIDATE_CAPS))
-
-
-def _broken_tables(rng):
-    """Path-closure tables of frames with one X row made the identity (no
-    longer monotone in X) or one entry grown by a point (no longer
-    idempotent, or no longer a closure), and seeded extensive tables."""
-    for f in enumerate_frames(3, 2):
-        table = frames._path_closure_table(f, lattice.DEFAULT_CAPS)
-        xs, ts = table.shape
-        broken = table.copy()
-        broken[rng.randrange(1, xs)] = np.arange(ts)
-        yield f.n_rels, f.worlds, broken
-        broken = table.copy()
-        x, t = rng.randrange(xs), rng.randrange(ts)
-        broken[x, t] |= 1 << rng.randrange(f.n_worlds)
-        yield f.n_rels, f.worlds, broken
-    for _ in range(150):
-        n_attrs, n_points = rng.randint(1, 2), rng.randint(1, 3)
-        ts = np.arange(1 << n_points)
-        grow = np.array([[rng.getrandbits(n_points) if rng.random() < 0.3 else 0
-                          for _ in ts] for _ in range(1 << n_attrs)])
-        yield n_attrs, tuple(f"p{i}" for i in range(n_points)), ts | grow
-
-
-def test_semidirect_tables_off_contract_build_or_raise():
-    """A table that is not monotone in X or not idempotent either has fixed
-    pairs closed under intersection, and then its closure build is the
-    lattice of their inclusion order, or raises NotIntersectionClosed with
-    the first pair whose intersection is not a fixed pair."""
-    rng = random.Random(19)
-    outcomes = collections.Counter()
-    for n_attrs, points, table in _broken_tables(rng):
-        attrs = [str(i + 1) for i in range(n_attrs)]
-        xs, ts = np.nonzero(table == np.arange(table.shape[1]))
-        pair = oracles.intersection_witness((xs | ts << n_attrs).tolist())
-        if pair is None:
-            got = _closure_built(lambda: semidirect_core(attrs, points, table))
-            _assert_same_lattice(got.lattice,
-                                 _semidirect_by_order(attrs, points, table))
-        else:
-            with pytest.raises(NotIntersectionClosed) as got:
-                semidirect_core(attrs, points, table)
-            assert got.value.pair == pair
-        outcomes["raised" if pair else "built"] += 1
-    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_closure_family_failures_raise_the_open_pair():
