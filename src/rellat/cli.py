@@ -18,6 +18,11 @@ them) and `result`. A run stopped by a budget or cap reports only
 counterexample/witness/not found, 2 usage error or malformed input
 document, 3 budget or cap exceeded.
 
+`main` parses with one argparse tree per process, built at its first call.
+Each verb parser names its handler (`func`, a `_cmd_*` name kept out of the
+report's `params`), and the name is looked up on this module when the verb
+runs.
+
 `rellat --stats PATH <verb> ...` also writes the run's work counters (see
 rellat.stats) to PATH as JSON; stdout and the files a verb writes stay
 byte-identical to a run without it.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -627,34 +633,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dom", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_caps_flags(p, "--cap")
-    p.set_defaults(func=_cmd_build_rel)
+    p.set_defaults(func="_cmd_build_rel")
 
     p = bsub.add_parser("typed", help="typed relational lattice from fiber sizes")
     p.add_argument("--fibers", required=True, help="comma list, e.g. 2,1")
     p.add_argument("--out", required=True)
     _add_caps_flags(p, "--cap")
-    p.set_defaults(func=_cmd_build_typed)
+    p.set_defaults(func="_cmd_build_typed")
 
     p = bsub.add_parser("closure", help="closure-system lattice over a schema")
     p.add_argument("--attrs", type=int, required=True)
     p.add_argument("--dom", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_caps_flags(p, "--cap")
-    p.set_defaults(func=_cmd_build_closure)
+    p.set_defaults(func="_cmd_build_closure")
 
     p = bsub.add_parser("frame", help="frame from partition block lists")
     p.add_argument("--rels", required=True,
                    help="semicolon-separated block lists, e.g. 0,0,1;0,1,0")
     p.add_argument("--worlds", help="comma list of world names")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_build_frame)
+    p.set_defaults(func="_cmd_build_frame")
 
     p = bsub.add_parser("product", help="universal product frame")
     p.add_argument("--components", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
     _add_caps_flags(p, "--cap")
-    p.set_defaults(func=_cmd_build_product)
+    p.set_defaults(func="_cmd_build_product")
 
     p = bsub.add_parser("countermodel",
                         help="the eight-atom separation example")
@@ -662,7 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", action="store_true",
                    help="write the cover graph instead of the lattice")
     _add_caps_flags(p, "--cap")
-    p.set_defaults(func=_cmd_build_countermodel)
+    p.set_defaults(func="_cmd_build_countermodel")
 
     od = verbs.add_parser("odgraph", help="duality data of a lattice")
     osub = od.add_subparsers(dest="what", required=True)
@@ -671,17 +677,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--out", required=True)
     _add_caps_flags(p, "--cap")
-    p.set_defaults(func=_cmd_od_extract)
+    p.set_defaults(func="_cmd_od_extract")
 
     p = osub.add_parser("reconstruct", help="lattice of closed downsets")
     p.add_argument("--odgraph", required=True)
     p.add_argument("--out", required=True)
     _add_caps_flags(p, "--cap")
-    p.set_defaults(func=_cmd_od_reconstruct)
+    p.set_defaults(func="_cmd_od_reconstruct")
 
     p = osub.add_parser("props", help="run every property checker")
     p.add_argument("--odgraph", required=True)
-    p.set_defaults(func=_cmd_od_props)
+    p.set_defaults(func="_cmd_od_props")
 
     check = verbs.add_parser("check", help="verdicts with witnesses")
     csub = check.add_subparsers(dest="what", required=True)
@@ -696,16 +702,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--witness", help="replay a valuation, e.g. x=3,y=0")
     _add_caps_flags(p, "--cap", "--budget")
-    p.set_defaults(func=_cmd_check_eq)
+    p.set_defaults(func="_cmd_check_eq")
 
     p = csub.add_parser("prop", help="one cover-combinatorial property")
     p.add_argument("--prop", required=True, choices=list(PROPERTY_IDS))
     p.add_argument("--odgraph", required=True)
-    p.set_defaults(func=_cmd_check_prop)
+    p.set_defaults(func="_cmd_check_prop")
 
     for what, helptext, func in (
-        ("bc", "action composition identity on a space", _cmd_check_bc),
-        ("pc", "pairwise completeness of a space", _cmd_check_pc),
+        ("bc", "action composition identity on a space", "_cmd_check_bc"),
+        ("pc", "pairwise completeness of a space", "_cmd_check_pc"),
     ):
         p = csub.add_parser(what, help=helptext)
         p.add_argument("--space", help="space JSON file")
@@ -718,12 +724,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True)
     p.add_argument("--other", required=True)
     _add_caps_flags(p, "--cap", "--budget")
-    p.set_defaults(func=_cmd_check_iso)
+    p.set_defaults(func="_cmd_check_iso")
 
     p = csub.add_parser("nation", help="extract-then-reconstruct round trip")
     p.add_argument("--lattice", required=True)
     _add_caps_flags(p, "--cap")
-    p.set_defaults(func=_cmd_check_nation)
+    p.set_defaults(func="_cmd_check_nation")
 
     search = verbs.add_parser("search", help="bounded backtracking searches")
     ssub = search.add_subparsers(dest="what", required=True)
@@ -735,26 +741,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seed", type=int, default=3)
     p.add_argument("--out")
     _add_caps_flags(p, "--cap", "--budget")
-    p.set_defaults(func=_cmd_search_sublattice)
+    p.set_defaults(func="_cmd_search_sublattice")
 
     p = ssub.add_parser("pmorphism", help="surjective p-morphism between frames")
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     _add_caps_flags(p, "--budget")
-    p.set_defaults(func=_cmd_search_pmorphism)
+    p.set_defaults(func="_cmd_search_pmorphism")
 
     p = ssub.add_parser("embedding", help="lattice embedding")
     p.add_argument("--lattice", required=True)
     p.add_argument("--into", required=True)
     _add_caps_flags(p, "--cap", "--budget")
-    p.set_defaults(func=_cmd_search_embedding)
+    p.set_defaults(func="_cmd_search_embedding")
 
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built at the first `main` call. Parsing
+    does not change it, and a verb's handler is named, not bound, so a
+    handler replaced on this module later is still the one that runs.
+    `_parser.cache_clear()` makes the next call build it again."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    top = build_parser()
-    args = top.parse_args(argv)
+    """Parse argv with the process's one parser and run the verb by its
+    handler's name; exit 2 on a usage error (argparse's SystemExit)."""
+    args = _parser().parse_args(argv)
     if args.stats is None:
         return _run(args)
     with stats.collect() as counters:
@@ -778,7 +794,8 @@ def _run(args) -> int:
     the error handling, so an unreadable input exits 2."""
     command = f"{args.verb} {args.what}"
     try:
-        result, summary, code, *fields = args.func(args, _caps(args))
+        handler = globals()[args.func]
+        result, summary, code, *fields = handler(args, _caps(args))
         report = {
             "command": command,
             "params": {k: v for k, v in sorted(vars(args).items())

@@ -255,6 +255,10 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
         raise BadODGraph(f"order not transitive at ({a},{b},{c})") from None
     if len(jp) != n:
         raise BadODGraph("jp flag count does not match element count")
+    packed = np.packbits(down, axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    down_masks = tuple(int.from_bytes(raw[b * width:(b + 1) * width], "little")
+                       for b in range(n))
     entries = set()
     for k, cov in mjc:
         c = tuple(sorted(set(cov)))
@@ -262,7 +266,9 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
             raise BadODGraph(f"cover entry ({k},{c}) out of range")
         if not c:
             raise BadODGraph(f"empty cover for element {k}")
-        if lt[np.ix_(c, c)].any():
+        # an antichain: no other member lies in any member's down-set
+        members = sum(1 << x for x in c)
+        if any(down_masks[x] & members != 1 << x for x in c):
             raise BadODGraph(f"cover {c} of {k} is not an antichain")
         entries.add((k, c))
     covers: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
@@ -276,12 +282,9 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
         if not jp[j] and len(own) == 1:
             raise BadODGraph(f"element {j} is flagged non-prime but has only "
                              "the trivial cover")
-    packed = np.packbits(down, axis=1, bitorder="little")
-    width, raw = packed.shape[1], packed.tobytes()
     return ODGraph(
         elems=tuple(str(e) for e in elems),
-        down_masks=tuple(int.from_bytes(raw[b * width:(b + 1) * width], "little")
-                         for b in range(n)),
+        down_masks=down_masks,
         jp=tuple(bool(x) for x in jp),
         mjc=tuple(sorted(entries)),
     )

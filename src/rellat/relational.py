@@ -13,6 +13,7 @@ the action itself is tabulated only for `bc_identity_check`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -636,7 +637,13 @@ def semidirect(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> SdLattice:
 
 
 def typed_R(tm: TypedMap, caps: Caps = DEFAULT_CAPS) -> SdLattice:
-    """The typed relational lattice: semidirect over the sections space."""
+    """The typed relational lattice: semidirect over the sections space.
+    Its 2^sections point sets are checked against caps.max_enum before
+    the sections' p^2 distances are computed, as `semidirect_core` would
+    check them after."""
+    n_points = math.prod(len(tm.fiber(a)) for a in range(len(tm.schema.attrs)))
+    if n_points <= caps.max_enum < 1 << n_points:
+        raise EnumerationCapExceeded(1 << n_points, caps.max_enum)
     return semidirect(sections_space(tm, caps), caps=caps)
 
 

@@ -8,6 +8,7 @@ flattened and deduplicated at construction, which leaves semantics untouched
 """
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Union
@@ -80,7 +81,9 @@ class Inclusion:
     rhs: Term
     name: str | None = None
 
-    @property
+    # computed once per inclusion; the frozen dataclass's __eq__ and
+    # __hash__ read its fields only
+    @functools.cached_property
     def variables(self) -> tuple[str, ...]:
         return tuple(sorted(set(variables(self.lhs)) | set(variables(self.rhs))))
 

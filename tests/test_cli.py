@@ -614,14 +614,19 @@ VERB_ARGV = {
 }
 
 
-def _verb_parsers(parser):
-    """(verb, parser) for every two-word verb under parser."""
+def _all_parsers(parser, words=""):
+    """(words, parser) for parser and every parser under it, by the words
+    that reach it."""
+    yield words, parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for word, sub in action.choices.items():
-                inner = list(_verb_parsers(sub))
-                yield from ([(f"{word} {v}", p) for v, p in inner]
-                            if inner else [(word, sub)])
+                yield from _all_parsers(sub, f"{words} {word}".lstrip())
+
+
+def _verb_parsers(parser):
+    """(verb, parser) for every two-word verb under parser."""
+    return [(w, p) for w, p in _all_parsers(parser) if w.count(" ") == 1]
 
 
 def test_each_verb_registers_the_caps_flags_it_reads():
@@ -649,6 +654,65 @@ def test_caps_flag_a_verb_does_not_read_is_a_usage_error(tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert f"unrecognized arguments: {flag} 5" in err
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path, capsys):
+    from rellat import cli
+
+    builds = []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert run(capsys, "build", "rel", "--attrs", "1", "--dom", "2",
+                       "--out", str(tmp_path / "r.json"))[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+
+
+def test_shared_parser_is_left_as_built(tmp_path, capsys, monkeypatch,
+                                        r22_file):
+    # answered lines, usage errors and every --help go through the one
+    # parser; each of its parsers then prints the help and usage, and
+    # parses each verb's line, as a fresh one does
+    from rellat import cli
+
+    monkeypatch.chdir(tmp_path)
+    shared = cli._parser()
+    lines = [f"build rel --attrs 1 --dom 2 --out {tmp_path / 'x.json'}",
+             f"check eq --lattice {r22_file} --eq RL1",
+             f"check eq --lattice {r22_file} --eq Sym --mode sample --samples 10",
+             "build rel --attrs 2",
+             "build rel --attrs two --dom 2 --out x.json",
+             "check eq --lattice x.json --mode fast",
+             "odgraph props --odgraph x.json --cap 5",
+             "search nowhere",
+             "",
+             "--help"]
+    lines += [f"{words} --help" for words, _ in _all_parsers(shared) if words]
+    for line in lines:
+        try:
+            main(line.split())
+        except SystemExit as e:
+            assert e.code in (0, 2), line
+    capsys.readouterr()
+    assert cli._parser() is shared
+    fresh = dict(_all_parsers(build_parser()))
+    got = dict(_all_parsers(shared))
+    assert got.keys() == fresh.keys() and len(got) == 23
+    for words, p in got.items():
+        assert p.format_help() == fresh[words].format_help(), words
+        assert p.format_usage() == fresh[words].format_usage(), words
+    for verb, argv in VERB_ARGV.items():
+        line = verb.split() + argv.split()
+        assert vars(shared.parse_args(line)) == \
+            vars(build_parser().parse_args(line))
 
 
 # A command line each verb answers (exit 0 or 1); the capitalised words

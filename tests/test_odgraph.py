@@ -168,10 +168,18 @@ def test_make_od_graph_rejects(mangle):
 
 
 def test_cover_members_must_be_antichain(n5):
+    # a < c in N5's graph (elements a, b, c): the first entry, in the order
+    # given, whose cover holds both is named, wherever it stands
     g = extract_od_graph(n5)
-    with pytest.raises(BadODGraph):
-        make_od_graph(g.elems, g.leq_pairs, g.jp,
-                      [(k, list(c)) for k, c in g.mjc] + [(2, [0, 2])])
+    good = [(k, list(c)) for k, c in g.mjc]
+    for mjc, want in (
+            (good + [(2, [0, 2])], "cover (0, 2) of 2"),
+            (good[:2] + [(2, [2, 0])] + good[2:] + [(1, [1, 0, 2])],
+             "cover (0, 2) of 2"),
+            ([(1, [0, 2, 1])] + good + [(2, [0, 2])], "cover (0, 1, 2) of 1")):
+        with pytest.raises(BadODGraph) as err:
+            make_od_graph(g.elems, g.leq_pairs, g.jp, mjc)
+        assert str(err.value) == f"{want} is not an antichain"
 
 
 def chain_graph(n):

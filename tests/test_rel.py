@@ -668,6 +668,25 @@ def test_typed_square_fibers_match_direct_build(r22):
     assert find_isomorphism(r22.lattice, sd.lattice) is not None
 
 
+def test_typed_refuses_its_point_sets_before_the_sections(monkeypatch):
+    # more sections than max_enum are refused while they are counted; fewer
+    # sections with 2^sections point sets past max_enum are refused before
+    # any section or distance is computed
+    with pytest.raises(EnumerationCapExceeded) as err:
+        typed_R(typed_map_from_fibers([3, 2]), Caps(max_enum=5))
+    assert (err.value.need, err.value.cap) == (6, 5)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the sections space was built")
+
+    monkeypatch.setattr(relational, "sections_space", fail)
+    for fibers, caps, need in (([4] * 5, DEFAULT_CAPS, 1 << 1024),
+                               ([3, 2], Caps(max_enum=63), 64)):
+        with pytest.raises(EnumerationCapExceeded) as err:
+            typed_R(typed_map_from_fibers(fibers), caps)
+        assert (err.value.need, err.value.cap) == (need, caps.max_enum)
+
+
 def test_closure_system_matches_direct_build(r22, schema22):
     fam = closure_system_R(schema22)
     L = build_from_closed_family(fam)
