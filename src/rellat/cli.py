@@ -62,6 +62,7 @@ from .frames import (
     universal_product,
 )
 from .lattice import (
+    _ji_masks,
     _row_blocks,
     build_from_closed_family,
     find_embedding,
@@ -84,6 +85,7 @@ from .odgraph import (
 )
 from .relational import (
     Schema,
+    _check_caps,
     bc_identity_check,
     build_R,
     closure_system_R,
@@ -469,13 +471,17 @@ def _cmd_check_prop(args, caps: Caps):
             f"{args.prop}: {verdict}", 0 if w is None else 1)
 
 
-def _space_from_args(args):
+def _space_from_args(args, check: str, caps: Caps):
+    """The space to check; a whole H(attrs, dom) meets `_check_caps` first."""
     if args.space:
         return space_from_json(_load(args.space))
     if args.attrs is None or args.dom is None:
         raise RellatError("need --space FILE or --attrs N --dom N")
+    schema, n_points = _schema(args.attrs, args.dom), args.dom ** args.attrs
+    if not args.points and n_points <= caps.max_enum:
+        _check_caps(check, args.attrs, n_points, caps)
     points = args.points.split(",") if args.points else None
-    return hamming_space(_schema(args.attrs, args.dom), points=points)
+    return hamming_space(schema, points=points)
 
 
 def _members(names, mask: int) -> list:
@@ -484,8 +490,8 @@ def _members(names, mask: int) -> list:
 
 
 def _cmd_check_bc(args, caps: Caps):
-    space = _space_from_args(args)
-    w = bc_identity_check(space)
+    space = _space_from_args(args, "bc", caps)
+    w = bc_identity_check(space, caps)
     result = {"holds": w is None}
     if w is not None:
         result["witness"] = {"x1": _members(space.attrs, w.x1),
@@ -496,8 +502,8 @@ def _cmd_check_bc(args, caps: Caps):
 
 
 def _cmd_check_pc(args, caps: Caps):
-    space = _space_from_args(args)
-    w = is_pairwise_complete(space)
+    space = _space_from_args(args, "pc", caps)
+    w = is_pairwise_complete(space, caps)
     result = {"holds": w is None}
     if w is not None:
         result["witness"] = {"f": space.points[w.f], "g": space.points[w.g],
@@ -521,9 +527,7 @@ def _cmd_check_nation(args, caps: Caps):
     irreducible t, are the graph's closed sets."""
     L = _load_lattice(args.lattice, caps)
     closed = closed_sets(extract_od_graph(L, caps), caps)
-    ji = L.join_irreducibles()
-    rows = L.leq[list(ji)].astype(np.int64) << np.arange(len(ji))[:, None]
-    holds = np.array_equal(np.sort(rows.sum(axis=0)), closed)
+    holds = np.array_equal(np.sort(_ji_masks(L.leq, L.join_irreducibles())), closed)
     return ({"n": L.n, "reconstructed_n": closed.size,
              "round_trip_isomorphic": holds},
             f"round trip {'succeeded' if holds else 'FAILED'}", 0 if holds else 1)

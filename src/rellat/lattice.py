@@ -68,16 +68,18 @@ where `_closure_lattice` raises. A closed family too wide for 2^u
 entries is checked by the intersection scan (`_open_pair`) and built by
 `build_from_leq`, through the masks of its own irreducibles.
 
-Families given by rules, where a premise P inside S forces a conclusion
-C inside S, are flagged by `_closed_under`: each conclusion is ORed into
-its premise's entry and then up to every superset in u in-place passes
-(the zeta transform over subsets; Bjorklund, Husfeldt, Kaski and Koivisto,
-STOC 2007), so S is closed iff the conclusions it forces lie inside it,
-at O(u 2^u) whatever the number of rules. The closure systems of
-`relational.closure_system_R`, the pairs (X, T) of
-`relational.semidirect_core` and the closed sets of an od-graph
-(`odgraph`) are flagged this way, and `_closure` gives the graph's
-closure operator from those flags.
+Every table over all 2^u subsets comes from two in-place passes of u
+rounds: `_or_subsets` ORs each entry up to every superset (the zeta
+transform; Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007) and
+`_closure` ANDs each flag down from every superset. `_closed_under` flags
+a family given by rules, a premise P inside S forcing a conclusion C
+inside S, by ORing each conclusion into its premise's entry and up: S is
+closed iff what it forces lies inside it, at O(u 2^u) whatever the number
+of rules. The constructions flag their closed sets so, and an od-graph's
+closure operator is `_closure` of its flags. Extraction (`odgraph`) reads
+its joins off `_closure` of the flagged masks J(x) (`_ji_masks`), and
+`check bc` (`relational._act_table`) ORs the action on single points up
+over the attribute sets, then over the point sets.
 
 A sublattice (`sublattice_closure`) is not rebuilt: its meet and join are
 its parent's tables restricted to it, and only its covers are computed.
@@ -225,26 +227,6 @@ def _row_blocks(n: int, width: int) -> list[tuple[int, int]]:
     return [(r, min(n, r + step)) for r in range(0, n, step)]
 
 
-def _subset_table(m: int, seed, step: Callable) -> np.ndarray:
-    """t[mask] for every subset mask of m items: t[0] = seed and
-    t[mask] = step(i, t[mask - 2^i]) with i the highest bit of mask. A seed
-    array makes each t[mask] an array of its shape.
-
-    Filled by doubling: step(i, t[:2^i]) gives t[2^i : 2^(i+1)] in one numpy
-    call, so there is no Python loop over masks. The duality uses it for
-    joins and antichain flags over subsets of J(L) and for down-closures
-    over a graph's elements; `check bc`'s action table
-    (`relational._act_table`) uses it to extend the action from single
-    points to every point set.
-    """
-    stats.add("subset_entries", 1 << m)
-    t = np.empty((1 << m, *np.shape(seed)), dtype=np.int64)
-    t[0] = seed
-    for i in range(m):
-        t[1 << i:2 << i] = step(i, t[:1 << i])
-    return t
-
-
 def _mask_words(masks: Sequence[int]) -> np.ndarray:
     """Non-negative plain-int bitmasks of any width as the rows of 64-bit
     words of an n-by-words array."""
@@ -338,11 +320,7 @@ def build_from_leq(
     ji = np.flatnonzero(np.bincount(hi, minlength=n) == 1)
     u = len(ji)
     if 1 << u <= caps.max_enum:
-        # J(x), the irreducibles below x, as bit k for ji[k]
-        dtype = _mask_dtype(u)
-        bits = np.arange(u, dtype=dtype)[:, None]
-        masks = (arr[ji].astype(dtype) << bits).sum(axis=0, dtype=dtype)
-        if (tables := _closure_tables(u, masks, arr)) is not None:
+        if (tables := _closure_tables(u, _ji_masks(arr, ji), arr)) is not None:
             return FiniteLattice(n, *tables, labels, lo, hi)
     meet = _meet_table(arr, lo, hi)
     join = _meet_table(arr.T, hi, lo)
@@ -380,9 +358,7 @@ def _cover_edges(le: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for r0, r1 in _row_blocks(n, n):
         down[r0:r1] = np.packbits(le[:, r0:r1][order].T, axis=1,
                                   bitorder="little")
-    width, raw = down.shape[1], down.tobytes()
-    sets = [int.from_bytes(raw[a * width:(a + 1) * width], "little")
-            for a in range(n)]
+    sets = _bitsets(down)
     element = order.tolist()
     lo, hi = [], []
     for a, r in enumerate(rank.tolist()):
@@ -596,10 +572,25 @@ def _closed_under(u: int, rules: Iterable[tuple[int, int]]) -> np.ndarray:
     forced = np.zeros(1 << u, dtype=dtype)
     premise, conclusion = np.array(list(rules), dtype=dtype).reshape(-1, 2).T
     np.bitwise_or.at(forced, premise, conclusion)
-    for i in range(u):
-        pairs = forced.reshape(-1, 2, 1 << i)       # [:, 1] adds point i
-        pairs[:, 1] |= pairs[:, 0]
+    _or_subsets(forced, u)
     return (forced & ~np.arange(1 << u, dtype=dtype)) == 0
+
+
+def _or_subsets(t: np.ndarray, u: int) -> np.ndarray:
+    """t[S] becomes the OR of t[T] over the T inside S, for the subset masks
+    S of a u-point universe along the first axis, in place, in u passes."""
+    for i in range(u):
+        pairs = t.reshape(-1, 2, 1 << i, *t.shape[1:])  # [:, 1] adds point i
+        pairs[:, 1] |= pairs[:, 0]
+    return t
+
+
+def _ji_masks(leq: np.ndarray, ji) -> np.ndarray:
+    """J(x) for every element x of an order: bit t set iff ji[t] <= x, in
+    the narrowest mask type of `_mask_dtype`."""
+    dtype = _mask_dtype(len(ji))
+    rows = leq[np.asarray(ji, dtype=np.intp)].astype(dtype)
+    return (rows << np.arange(len(ji), dtype=dtype)[:, None]).sum(axis=0, dtype=dtype)
 
 
 def _closure(u: int, flags: np.ndarray) -> np.ndarray:
@@ -808,9 +799,17 @@ def _order_sets(L: FiniteLattice):
     return L._cache["order_sets"]
 
 
-def _bitset(v: np.ndarray) -> int:
-    """The positions y where v is true, as a Python-int bitset (bit y)."""
-    return int.from_bytes(np.packbits(v, bitorder="little"), "little")
+def _bitsets(rows: np.ndarray) -> int | list[int]:
+    """A boolean vector as the Python-int bitset of its true positions (bit
+    y for position y), or a matrix as the list of its rows' bitsets; uint8
+    rows are read as packed already (np.packbits, little bit order)."""
+    if rows.dtype == bool:
+        rows = np.packbits(rows, axis=-1, bitorder="little")
+    if rows.ndim == 1:
+        return int.from_bytes(rows, "little")
+    width, raw = rows.shape[1], rows.tobytes()
+    return [int.from_bytes(raw[r:r + width], "little")
+            for r in range(0, len(raw), width or 1)]
 
 
 def _members(s: int):
@@ -831,7 +830,7 @@ class _OrderRows(dict):
         self.leq = leq
 
     def __missing__(self, x: int) -> tuple[int, int, int]:
-        up, down = _bitset(self.leq[x]), _bitset(self.leq[:, x])
+        up, down = _bitsets(np.stack((self.leq[x], self.leq[:, x])))
         rows = self[x] = (up ^ 1 << x, down ^ 1 << x, ~(up | down))
         return rows
 
@@ -865,10 +864,10 @@ class _RowMemo(dict):
         if len(key) == 4:
             t, x, d, u = key
             (down, up), z = self.sizes, self.tables[t][x]
-            row = _bitset((down[z] >= d) & (up[z] >= u))
+            row = _bitsets((down[z] >= d) & (up[z] >= u))
         else:
             u, x = key
-            row = _bitset(self.leq[u, self.tables[0][x]])
+            row = _bitsets(self.leq[u, self.tables[0][x]])
         self.built += 1
         if len(self) < self.room:
             self[key] = row
@@ -887,8 +886,7 @@ def _maxima(le: np.ndarray, size: np.ndarray) -> Callable[[int], list[int]]:
     rank[item] = np.arange(len(item))
     # the ranks of the items below item r, and of the items numbered below
     # a, as bitsets
-    down = [int.from_bytes(row, "little") for row in np.packbits(
-        le[np.ix_(item, item)].T, axis=1, bitorder="little")]
+    down = _bitsets(le[np.ix_(item, item)].T)
     item, rank, earlier = item.tolist(), rank.tolist(), [0]
     for r in rank:
         earlier.append(earlier[-1] | 1 << r)
@@ -1003,7 +1001,7 @@ def _search(
             c, k = np.nonzero(~(le1[:a, a, None] | le1[:a, apart]))
             second = list(zip(c.tolist(), apart[k].tolist(),
                               L1.leq[gens[c], join1[a, apart[k]]].tolist()))
-        levels.append((_bitset(pool), order,
+        levels.append((_bitsets(pool), order,
                        [t for pair in counts[lo:hi] for t in pair],
                        first, second))
         return levels[a]

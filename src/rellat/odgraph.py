@@ -16,17 +16,17 @@ tuples of indices; the cover list always carries the trivial cover (j, (j,))
 for every element, and join-prime elements carry nothing else.
 
 Both directions of the duality work on tables indexed by the 2^m subsets
-of m items. Extraction fills, by doubling (`lattice._subset_table`), the
-join over subsets of J(L) and the irreducibles strictly below some member
-(so antichains are the subsets that miss it), and keeps an antichain
-cover C of j iff the local test holds: for every c in C, j is not below
-V(C - {c}) v c_, where c_ is the unique lower cover of c. The test is
-sound because (C - {c}) together with the irreducibles below c_ refines C
-and misses c; it is complete because any cover that refines C and misses
-c joins below V(C - {c}) v c_. Reconstruction reads the graph as rules
-over subsets of its elements: {a} forces the downset of a, and a cover C
-of k forces k. `lattice._closed_under` flags the subsets closed under
-every rule at once, and `lattice._closure` turns the flags into the
+of m items. Extraction flags L's masks J(x) among the subsets of J(L);
+their `lattice._closure` is cl[S] = J(V S). It keeps a cover C of j iff
+the local test holds: for every c in C, j is not below V(C - {c}) v c_,
+where c_ is the unique lower cover of c; both joins are j's bit in cl. A
+set that is no antichain fails the test, at a member below another. The
+test is sound because (C - {c}) together with the irreducibles below c_
+refines C and misses c; it is complete because any cover that refines C
+and misses c joins below V(C - {c}) v c_. Reconstruction reads the graph
+as rules over subsets of its elements: {a} forces the downset of a, and a
+cover C of k forces k. `lattice._closed_under` flags the subsets closed
+under every rule at once, and `lattice._closure` turns the flags into the
 closure table cl[S], the least closed set above S. Each graph builds that
 table once, when it is first read: `closed_sets` returns its fixed points,
 `reconstruct` builds their lattice, and `closed_mask` and the joins of the
@@ -73,10 +73,11 @@ from .errors import (
 )
 from .lattice import (
     FiniteLattice,
+    _bitsets,
     _closed_under,
     _closure,
     _cover_edges,
-    _subset_table,
+    _ji_masks,
     build_from_closed_family,
     make_closed_family,
 )
@@ -99,8 +100,10 @@ def _all_minimal_covers(L: FiniteLattice,
     lower cover of c. It is sound because (C - {c}) together with the
     irreducibles below c_ refines C and misses c, and complete because a
     refining cover that misses c has its members below c under c_, so it
-    joins below V(C - {c}) v c_. c_ is the join of the irreducibles strictly
-    below c, so every join the test needs is one lookup in the subset table.
+    joins below V(C - {c}) v c_. A set that is no antichain fails the test
+    at a member c below another, as then V(C - {c}) = V C, so every subset
+    of J is tested. c_ is the join of the irreducibles strictly below c, so
+    every join the test needs is one mask cl[S] = J(V S).
     """
     key = ("mjc", caps.max_ji)
     if key in L._cache:
@@ -109,23 +112,19 @@ def _all_minimal_covers(L: FiniteLattice,
     m = len(ji)
     if m > caps.max_ji:
         raise CoverEnumerationCapExceeded(m, caps.max_ji)
-    idx = np.array(ji, dtype=np.intp)
-    rows = L.leq[idx]                         # rows[t, x]: ji[t] <= x
-    bit = np.int64(1) << np.arange(m, dtype=np.int64)
-    strict = rows[:, idx] & ~np.eye(m, dtype=bool)
-    under = (strict * bit[:, None]).sum(axis=0)   # irreducibles strictly below each
-    joinv = _subset_table(m, L.bottom, lambda i, t: L.join[t, ji[i]])
-    below = _subset_table(m, 0, lambda i, t: t | under[i])
-    size = _subset_table(m, 0, lambda i, t: t + 1)
-    masks = np.arange(1 << m, dtype=np.int64)
-    anti = masks[(below & masks) == 0]
-    anti = anti[np.argsort(size[anti], kind="stable")]
-    keep = rows[:, joinv[anti]]               # keep[t, a]: ji[t] <= V anti[a]
+    stats.add("subset_entries", 1 << m)
+    masks = _ji_masks(L.leq, ji)
+    cl = _closure(m, np.bincount(masks, minlength=1 << m) > 0)   # J(V S)
+    bit = 1 << np.arange(m, dtype=masks.dtype)
+    under = masks[list(ji)] ^ bit             # those strictly below each
+    sets = np.arange(1 << m)
+    sets = sets[np.argsort(np.bitwise_count(sets), kind="stable")]
+    keep = cl[sets]                           # bit t: ji[t] <= V sets[a]
     for i in range(m):
-        has = (anti & bit[i]) != 0
-        keep[:, has] &= ~rows[:, joinv[(anti[has] ^ bit[i]) | under[i]]]
+        has = (sets & bit[i]) != 0
+        keep[has] &= ~cl[(sets[has] ^ bit[i]) | under[i]]
     out = {j: [tuple(ji[a] for a in range(m) if mask >> a & 1)
-               for mask in anti[keep[t]].tolist()]
+               for mask in sets[(keep >> t & 1).astype(bool)].tolist()]
            for t, j in enumerate(ji)}
     L._cache[key] = out
     return out
@@ -255,10 +254,7 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
         raise BadODGraph(f"order not transitive at ({a},{b},{c})") from None
     if len(jp) != n:
         raise BadODGraph("jp flag count does not match element count")
-    packed = np.packbits(down, axis=1, bitorder="little")
-    width, raw = packed.shape[1], packed.tobytes()
-    down_masks = tuple(int.from_bytes(raw[b * width:(b + 1) * width], "little")
-                       for b in range(n))
+    down_masks = tuple(_bitsets(down))
     entries = set()
     for k, cov in mjc:
         c = tuple(sorted(set(cov)))

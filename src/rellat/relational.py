@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import stats
 from .errors import (
     DEFAULT_CAPS,
     BadDocument,
@@ -37,7 +38,7 @@ from .lattice import (
     FiniteLattice,
     _closed_under,
     _closure_lattice,
-    _subset_table,
+    _or_subsets,
     make_closed_family,
     set_label,
 )
@@ -476,12 +477,16 @@ class PCWitness:
     x2: int
 
 
-def _cap_split_pairs(space: UltraSpace, caps: Caps) -> None:
-    """Both completeness checks walk all 4^attrs pairs (X1, X2) of attribute
-    sets; refuse before walking when that exceeds caps.max_enum."""
-    pairs = 4 ** len(space.attrs)
-    if pairs > caps.max_enum:
-        raise EnumerationCapExceeded(pairs, caps.max_enum)
+def _check_caps(check: str, n_attrs: int, n_points: int, caps: Caps) -> None:
+    """Refuse past caps.max_enum, from the sizes alone and in the order the
+    check meets them, the 2^points, 2^attrs and 2^(attrs + points) entries
+    of `check bc`'s action table and its 4^attrs split pairs (check "bc"),
+    or the split pairs and then the p^2 point pairs of `check pc` ("pc")."""
+    needs = ((1 << n_points, 1 << n_attrs, 1 << (n_attrs + n_points),
+              4 ** n_attrs) if check == "bc" else (4 ** n_attrs, n_points ** 2))
+    for need in needs:
+        if need > caps.max_enum:
+            raise EnumerationCapExceeded(need, caps.max_enum)
 
 
 def is_pairwise_complete(space: UltraSpace,
@@ -495,10 +500,8 @@ def is_pairwise_complete(space: UltraSpace,
     ball[X1][f, h] and ball[X2][h, g]. Splits go a block of X2 values at a
     time, so memory stays O(p^2) and few points with many attributes do not
     pay one numpy round per split."""
-    _cap_split_pairs(space, caps)
     p = len(space.points)
-    if p * p > caps.max_enum:
-        raise EnumerationCapExceeded(p * p, caps.max_enum)
+    _check_caps("pc", len(space.attrs), p, caps)
     dist = np.array(space.dist, dtype=np.int64).reshape(p, p)
     xs = np.arange(1 << len(space.attrs), dtype=np.int64)
     step = max(1, (1 << 16) // max(1, p * p))   # X2 values per block
@@ -530,21 +533,20 @@ class BCWitness:
 
 def _act_table(space: UltraSpace, caps: Caps) -> np.ndarray:
     """table[x, t] = act(space, x, t) for every attribute mask x and point
-    mask t, as a (2^attrs, 2^points) int64 array. Each side, then the whole
-    table, must stay within caps.max_enum."""
-    p = len(space.points)
-    for m in (p, len(space.attrs), p + len(space.attrs)):
-        if 1 << m > caps.max_enum:
-            raise EnumerationCapExceeded(1 << m, caps.max_enum)
-    xs = np.arange(1 << len(space.attrs), dtype=np.int64)
-    dist = np.array(space.dist, dtype=np.int64).reshape(p, p)
-    bit = np.int64(1) << np.arange(p, dtype=np.int64)
-    # single[x, g]: the points within x of g; act(x, -) distributes over
-    # unions, so the table extends from singletons to every point set, for
-    # all x at once (one column per x until the transpose)
-    single = bit @ ((dist[None] & ~xs[:, None, None]) == 0)
-    return _subset_table(p, np.zeros_like(xs),
-                         lambda g, t: t | single[:, g]).T
+    mask t, as a (2^attrs, 2^points) int64 array, refused as `check bc` is
+    (`_check_caps`). Each point f ORed into single[d(f, g), g] and up over
+    the attribute sets gives the points within x of g; act(x, -) distributes
+    over unions, so single[:, g] ORed up from {g} is the table."""
+    n_attrs, p = len(space.attrs), len(space.points)
+    _check_caps("bc", n_attrs, p, caps)
+    stats.add("subset_entries", 1 << p)
+    dist = np.array(space.dist, dtype=np.intp).reshape(p, p)
+    pts = np.arange(p)
+    single = np.zeros((1 << n_attrs, p), dtype=np.int64)
+    np.bitwise_or.at(single, (dist, pts), np.int64(1) << pts[:, None])
+    table = np.zeros((1 << p, 1 << n_attrs), dtype=np.int64)
+    table[1 << pts] = _or_subsets(single, n_attrs).T
+    return _or_subsets(table, p).T
 
 
 def bc_identity_check(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> BCWitness | None:
@@ -558,7 +560,6 @@ def bc_identity_check(space: UltraSpace, caps: Caps = DEFAULT_CAPS) -> BCWitness
     its points. A round compares all X2 and all points for a block of X1
     values, at most 2^16 entries, as `is_pairwise_complete` blocks X2."""
     table = _act_table(space, caps)
-    _cap_split_pairs(space, caps)
     xs = np.arange(len(table))
     single = table[:, 1 << np.arange(len(space.points))]   # act(x, {g})
     step = max(1, (1 << 16) // max(1, single.size))       # X1 values per round

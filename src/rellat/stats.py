@@ -36,12 +36,12 @@ and, once per `lattice._search` call in the same way:
 
 Counters written by the duality and `check bc`'s action table:
 
-    subset_entries      the 2^m entries of each `lattice._subset_table`
-                        (joins, antichain flags and sizes over subsets of
-                        J(L), and `check bc`'s action table), and the 2^n
-                        entries of an od-graph's closure table, counted
-                        once per graph, when `closed_sets`, `closed_mask`
-                        or a cover property first reads it
+    subset_entries      2^m for each extraction's table of joins over
+                        the m irreducibles of L, 2^p for `check bc`'s
+                        action table over p points, and the 2^n entries
+                        of an od-graph's closure table, counted once per
+                        graph, when `closed_sets`, `closed_mask` or a
+                        cover property first reads it
 
 Counters written by lattice construction, one per build:
 

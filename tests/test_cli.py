@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -541,6 +542,27 @@ def test_check_bc_caps_the_whole_action_table(capsys):
     assert code == 3
     assert out["error"]["detail"] == \
         f"enumeration of {1 << 22} subsets exceeds the max_enum cap {1 << 20}"
+
+
+@pytest.mark.parametrize("verb, attrs, need", [
+    ("bc", 10, 1 << 1024),     # the 2^1024 point sets of 1,024 points
+    ("pc", 11, 4**11),         # the 4^11 split pairs of 2,048 points
+    ("bc", 21, 1 << 21),       # more points than the cap: the space's own count
+])
+def test_whole_hamming_space_is_refused_before_it_is_built(
+        capsys, monkeypatch, verb, attrs, need):
+    # within the cap on points, the check's caps are met before the
+    # p^2 point distances of the space are computed
+    from rellat import cli
+    if need != 1 << 21:
+        monkeypatch.setattr(cli, "hamming_space", None)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", verb, "--attrs", str(attrs), "--dom", "2")
+    assert time.perf_counter() - start < 5
+    assert code == 3
+    assert out["error"] == {
+        "type": "EnumerationCapExceeded",
+        "detail": f"enumeration of {need} subsets exceeds the max_enum cap {1 << 20}"}
 
 
 def test_bad_arguments_exit_2(capsys):

@@ -448,6 +448,10 @@ def test_cover_checks_close_a_fixed_number_of_masks(small_lattices):
 
     assert entries([build_countermodel()]) == 256
     assert entries([extract_od_graph(diamond(11))]) == 2048
+    # an extraction counts its 2^m subsets of the m irreducibles once
+    with stats.collect() as counters:
+        extract_od_graph(diamond(11))
+    assert counters["subset_entries"] == 2048
     census = [extract_od_graph(L) for L in small_lattices]
     assert entries(census) == 1312
     assert entries(census) == 0

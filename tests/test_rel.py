@@ -6,6 +6,7 @@ import random
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -533,6 +534,57 @@ def test_bc_witness_matches_row_by_row_walk(attrs, dom):
         assert (None if w is None else (w.x1, w.x2, w.t)) == want, idx
         failing += want is not None
     assert 0 < failing < 40
+
+
+def _act_spaces():
+    """H(2,2), eight seeded subspaces each of H(3,2) and H(4,2), and the
+    sections space of typed 3,2."""
+    yield hamming_space(Schema(("a", "b"), ("0", "1")))
+    rng = random.Random(35)
+    for attrs in ("abc", "abcd"):
+        full = hamming_space(Schema(tuple(attrs), ("0", "1")))
+        for _ in range(8):
+            yield subspace(full, sorted(rng.sample(range(len(full.points)),
+                                                   rng.randint(1, 8))))
+    yield sections_space(typed_map_from_fibers([3, 2]))
+
+
+def test_act_table_is_the_action_entry_by_entry():
+    # every (X, T) against the action read straight from the definition
+    for space in _act_spaces():
+        a, p = len(space.attrs), len(space.points)
+        table = relational._act_table(space, DEFAULT_CAPS)
+        assert table.shape == (1 << a, 1 << p) and table.dtype == np.int64
+        for x, t in itertools.product(range(1 << a), range(1 << p)):
+            got = oracles.act_points(space, x, {g for g in range(p) if t >> g & 1})
+            assert table[x, t] == sum(1 << f for f in got), (space.points, x, t)
+            assert table[x, t] == act(space, x, t)
+
+
+def test_check_caps_refuses_in_each_checks_order():
+    caps = Caps(max_enum=1 << 10)
+    for check, attrs, points, need in (
+            ("bc", 3, 11, 1 << 11),      # the point sets first
+            ("bc", 11, 0, 1 << 11),      # then the attribute sets
+            ("bc", 6, 5, 1 << 11),       # then the whole table
+            ("bc", 6, 4, 4 ** 6),        # then the split pairs
+            ("pc", 6, 40, 4 ** 6),       # pc: the split pairs first
+            ("pc", 5, 33, 33 * 33)):     # then the point pairs
+        with pytest.raises(EnumerationCapExceeded) as err:
+            relational._check_caps(check, attrs, points, caps)
+        assert (err.value.need, err.value.cap) == (need, 1 << 10), check
+    relational._check_caps("bc", 5, 5, caps)
+    relational._check_caps("pc", 5, 32, caps)
+    # the checks refuse what it refuses, with the same need
+    one_step = make_space(["a", "b", "c", "d", "e", "f"], ["p", "q"],
+                          [[0, 32], [32, 0]])
+    for check, run in (("bc", bc_identity_check), ("pc", is_pairwise_complete)):
+        with pytest.raises(EnumerationCapExceeded) as err:
+            run(one_step, Caps(max_enum=255))
+        assert err.value.need == (1 << 8 if check == "bc" else 4 ** 6)
+        with pytest.raises(EnumerationCapExceeded) as want:
+            relational._check_caps(check, 6, 2, Caps(max_enum=255))
+        assert want.value.need == err.value.need
 
 
 def test_bc_witness_past_the_first_round_of_x1():
