@@ -33,6 +33,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import io
 import itertools
 import json
 import string
@@ -123,23 +124,25 @@ def _load(path: str) -> dict:
 # laid out here instead: the document is dumped with "leq": null and split
 # at its one top-level line `\n  "leq": null` (a JSON string cannot hold a
 # raw newline, so no label can make another), and `_order_chunks` fills
-# the gap a block of rows at a time. `_dump` streams those blocks into the
-# file and its sha256 without building the matrix's text whole.
+# the gap a block of rows at a time, as uint8 arrays of the text's bytes.
+# `_dump` writes those same buffers to the file and its sha256, so the
+# matrix's text is never built whole, decoded or encoded again.
 
 
-def _json_chunks(doc) -> Iterator[str]:
+def _json_chunks(doc) -> Iterator:
     """doc as the json module writes it with indent=2 and sort_keys, in
-    pieces. A boolean numpy array as the top-level "leq" of a dict is an
-    order matrix, written as its rows of 0/1."""
+    pieces of bytes (ASCII, as the json module escapes every other
+    character). A boolean numpy array as the top-level "leq" of a dict is
+    an order matrix, written as its rows of 0/1."""
     leq = doc.get("leq") if isinstance(doc, dict) else None
     if not isinstance(leq, np.ndarray):
-        yield json.dumps(doc, indent=2, sort_keys=True)
+        yield json.dumps(doc, indent=2, sort_keys=True).encode("ascii")
         return
     text = json.dumps({**doc, "leq": None}, indent=2, sort_keys=True)
     head, tail = text.split('\n  "leq": null')
-    yield head + '\n  "leq": '
+    yield (head + '\n  "leq": ').encode("ascii")
     yield from _order_chunks(leq)
-    yield tail
+    yield tail.encode("ascii")
 
 
 def _row_layout(n: int) -> tuple[np.ndarray, slice]:
@@ -155,12 +158,13 @@ def _row_layout(n: int) -> tuple[np.ndarray, slice]:
             slice(len(head), len(head) + 9 * n, 9))
 
 
-def _order_chunks(leq: np.ndarray) -> Iterator[str]:
+def _order_chunks(leq: np.ndarray) -> Iterator:
     """An n-by-n boolean matrix as n rows of 0/1, a block of rows per chunk,
-    each block the row record repeated with its cells filled in."""
+    each block the row record repeated with its cells filled in, as a
+    C-contiguous uint8 array of the text's bytes."""
     n = len(leq)
     if not n:
-        yield "[]"
+        yield b"[]"
         return
     template, cells = _row_layout(n)
     for r0, r1 in _row_blocks(n, len(template)):
@@ -168,14 +172,15 @@ def _order_chunks(leq: np.ndarray) -> Iterator[str]:
         block[:, cells] += leq[r0:r1].view(np.uint8)
         if r0 == 0:
             block[0, 0] = ord("[")
-        yield block.tobytes().decode("ascii")
-    yield "\n  ]"
+        yield block
+    yield b"\n  ]"
 
 
 # A saved lattice is read back through `_lattice_document`. When its
 # top-level "leq" is laid out exactly as `_order_chunks` lays it out, the
-# rows are read as bytes straight into a boolean matrix and only the rest
-# goes through the json module; any other document, valid or not, goes
+# rows are read from the file a block at a time straight into a boolean
+# matrix, and only the rest goes through the json module, so the text of
+# the matrix is never held whole; any other document, valid or not, goes
 # through `_load` as before, so answers and error texts do not depend on
 # which way a file was read.
 
@@ -188,7 +193,7 @@ def _lattice_document(path: str) -> dict:
     """The lattice document at path, its "leq" a boolean matrix when the
     file holds the emitted layout, else as `_load` gives it."""
     with open(path, "rb") as fh:
-        doc = _direct_lattice_document(fh.read())
+        doc = _direct_lattice_document(fh)
     if doc is None:
         stats.add("lattice_docs_parsed", 1)
         return _load(path)
@@ -196,45 +201,66 @@ def _lattice_document(path: str) -> dict:
     return doc
 
 
-def _direct_lattice_document(data: bytes) -> dict | None:
-    """The document in data with its top-level "leq" as an n-by-n boolean
-    matrix, or None unless that value is byte for byte the `_row_layout`
-    records of n rows (n the document's own "n") and the rest, with `null`
-    in its place, parses as JSON with that `null` as the top-level "leq".
+def _find(fh, data: bytearray, pattern: bytes, start: int) -> int:
+    """Where pattern first lies in data at or after start, reading further
+    pieces of fh onto data until it shows up; -1 if the file ends first."""
+    while (at := data.find(pattern, start)) < 0:
+        if not (piece := fh.read(1 << 16)):
+            return -1
+        start = max(start, len(data) - len(pattern) + 1)
+        data += piece
+    return at
 
-    Every fixed byte of every record is compared with the layout, and
-    every cell must be 0 or 1, one block of rows at a time. The rest is
-    decoded as `_load` decodes it: its universal newlines can only turn a
-    carriage return into a newline, which JSON reads alike outside strings
-    and rejects alike inside them.
+
+def _direct_lattice_document(fh) -> dict | None:
+    """The document in the seekable binary file fh, from where it stands,
+    with its top-level "leq" as an n-by-n boolean matrix, or None unless
+    that value is byte for byte the `_row_layout` records of n rows (n the
+    document's own "n") and the rest, with `null` in its place, parses as
+    JSON with that `null` as the top-level "leq".
+
+    The head is read in pieces up to the end of the first record, which
+    gives n. The rows are then read again from their start, one block of
+    rows at a time into one buffer: every fixed byte is compared with the
+    layout, and every cell must be 0 or 1. The rest is decoded as `_load`
+    decodes it: its universal newlines can only turn a carriage return into
+    a newline, which JSON reads alike outside strings and rejects alike
+    inside them.
     """
-    key = data.find(b'"leq": [\n    [\n      ')
+    base, data = fh.tell(), bytearray()
+    key = _find(fh, data, b'"leq": [\n    [\n      ', 0)
     if key < 0:
         return None
     start = key + len(b'"leq": ')
-    first = data.find(b"\n    ]", start)
+    first = _find(fh, data, b"\n    ]", start)
     n, extra = divmod(first + 6 - start - 12, 9)    # a record: 9n + 12 bytes
     if first < 0 or extra or n < 1:
         return None
-    width = 9 * n + 12
-    end = start + n * width
-    if data[end:end + 4] != b"\n  ]":
+    head, width = bytes(data[:start]), 9 * n + 12
+    del data
+    # the file must hold n records and the closing before leq is made
+    if fh.seek(0, io.SEEK_END) < base + start + n * width + 4:
         return None
+    fh.seek(base + start)
     template, cells = _row_layout(n)
-    rows = np.frombuffer(data, dtype=np.uint8, count=end - start,
-                         offset=start).reshape(n, width)
+    blocks = _row_blocks(n, width)
+    buf = np.empty((blocks[0][1], width), dtype=np.uint8)
     leq = np.empty((n, n), dtype=bool)
-    for r0, r1 in _row_blocks(n, width):
-        block = rows[r0:r1]
+    for r0, r1 in blocks:
+        block = buf[:r1 - r0]
+        if fh.readinto(block) != block.size:
+            return None
         wrong = block != template
         wrong[0, 0] &= r0 > 0          # the first row's "[" was found above
         wrong[:, cells] = (block[:, cells] | 1) != ord("1")  # neither 0 nor 1
         if wrong.any():
             return None
         np.equal(block[:, cells], ord("1"), out=leq[r0:r1])
+    if fh.read(4) != b"\n  ]":
+        return None
     # `null` stands in for the rows; if it is the only `null` in the text,
     # the top-level "leq" being null means the rows were that value
-    head, tail = data[:start], data[end + 4:]
+    tail = fh.read()
     if b"null" in head or b"null" in tail:
         return None
     try:
@@ -249,18 +275,16 @@ def _direct_lattice_document(data: bytes) -> dict | None:
 
 
 def _print_json(doc: dict) -> None:
-    print("".join(_json_chunks(doc)))
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _dump(doc: dict, path: str) -> str:
-    """Write doc and return the sha256 of the text, chunk by chunk."""
+    """Write doc and return the sha256 of its bytes, chunk by chunk."""
     digest = hashlib.sha256()
-    with open(path, "w", encoding="utf-8") as fh:
-        for chunk in _json_chunks(doc):
+    with open(path, "wb") as fh:
+        for chunk in itertools.chain(_json_chunks(doc), [b"\n"]):
             fh.write(chunk)
-            digest.update(chunk.encode("utf-8"))
-        fh.write("\n")
-    digest.update(b"\n")
+            digest.update(chunk)
     return digest.hexdigest()
 
 

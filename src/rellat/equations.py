@@ -518,7 +518,8 @@ def check_inclusion(
     done = 0
     while done < samples:
         b = min(_CHUNK, samples - done)
-        cols = [c for c in rng.integers(0, n, size=(k, b), dtype=np.int64)]
+        # the int64 stream's values: below 2^32 both draw 32-bit words
+        cols = [c for c in rng.integers(0, n, size=(k, b), dtype=np.int32)]
         hit = _first_violation(L.meet, L.join, L.leq, sides, cols)
         if hit is not None:
             pos = int(hit[0])

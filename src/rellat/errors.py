@@ -2,7 +2,22 @@
 package."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+def _decimal(x: int) -> str:
+    """x in decimal wherever Python will write it (up to 4,300 digits by
+    default); past that 2^k for a power of two, else its leading digits,
+    so that no message about a huge count can fail to be written."""
+    try:
+        return str(x)
+    except ValueError:
+        k = x.bit_length() - 1
+        if x == 1 << k:
+            return f"2^{k}"
+        e = math.floor(math.log10(x))
+        return f"~{10 ** (math.log10(x) - e):.2f}e{e}"
 
 
 class RellatError(Exception):
@@ -41,7 +56,8 @@ class SizeCapExceeded(RellatError):
     def __init__(self, need: int, cap: int):
         self.need = need
         self.cap = cap
-        super().__init__(f"size {need} exceeds the max_lattice cap {cap}")
+        super().__init__(
+            f"size {_decimal(need)} exceeds the max_lattice cap {cap}")
 
 
 class EnumerationCapExceeded(RellatError):
@@ -53,7 +69,8 @@ class EnumerationCapExceeded(RellatError):
         super().__init__(self._message())
 
     def _message(self) -> str:
-        return f"enumeration of {self.need} subsets exceeds the max_enum cap {self.cap}"
+        return (f"enumeration of {_decimal(self.need)} subsets exceeds the "
+                f"max_enum cap {self.cap}")
 
 
 class CoverEnumerationCapExceeded(EnumerationCapExceeded):
@@ -77,7 +94,7 @@ class BudgetExceeded(RellatError):
         super().__init__(self._message())
 
     def _message(self) -> str:
-        return f"{self.need} exceeds the eval_budget cap {self.budget}"
+        return f"{_decimal(self.need)} exceeds the eval_budget cap {self.budget}"
 
 
 class SearchBudgetExceeded(BudgetExceeded):

@@ -1,8 +1,9 @@
 """Finite lattices: integer-indexed orders with eager meet/join tables.
 
 Elements are dense indices 0..n-1; the order is an n-by-n boolean matrix;
-meet/join are n-by-n int32 element tables computed (and validated) at build
-time. The covering relation that construction finds is kept as two index
+meet/join are n-by-n element tables computed (and validated) at build
+time, int16 up to 2^15 elements and int32 past that (`_element_dtype`).
+The covering relation that construction finds is kept as two index
 arrays, lo[k] < hi[k]; lower covers, atoms and join-irreducibles (elements
 with exactly one lower cover) are read off it.
 
@@ -95,19 +96,26 @@ search's stats counter. `_search` gives a level's candidates as its pool
 ANDed with bitset rows of the target lattice, one per test against an
 image already assigned.
 
-Memory: besides leq and the two int32 tables, a build holds the down-set
-bitsets, n^2/8 bytes, while it finds the covers. Every other n-by-n
-computation, and the order matrix of a wide closed family, runs in
-blocks of rows of at most about _BLOCK (2^20) entries, so temporaries
-stay within a few times 8 MB whatever n is; the meet check reads the
-order in blocks of columns of about _BLOCK / 4 entries. A build of closed
-sets holds cl and the mask -> element table, 2^u entries each
-(4 MB of int32 at u = 20, the most the default Caps.max_enum allows for
-closed families and action tables; for `build_R` 2^u is at most n^2),
-and gathers its tables in blocks of rows of about _BLOCK / 4 int32
-entries, so each temporary holds about 1 MB. On the J-mask route of
-`build_from_leq` the same holds with u = |J|, and the order is compared
-in those blocks, so no second order matrix is made.
+Memory: besides leq, n^2 bytes, and the two tables, 2n^2 bytes each up
+to 2^15 elements, a build holds the down-set bitsets, n^2/8 bytes, while
+it finds the covers. Every other n-by-n computation, and the order matrix
+of a wide closed family, runs in blocks of rows of at most about _BLOCK
+(2^20) entries, so temporaries stay within a few times 8 MB whatever n
+is; the meet check reads the order in blocks of columns of about
+_BLOCK / 4 entries. A build of closed sets holds cl, 2^u int32 masks, and
+the mask -> element table `pos`, 2^u int16 ids: 4 MB and 2 MB at u = 20,
+the most the default Caps.max_enum allows for closed families and action
+tables (for `build_R` 2^u is at most n^2). It gathers its tables in
+blocks of rows of about _BLOCK / 4 entries, so each temporary holds about
+1 MB of masks. On the J-mask route of `build_from_leq` the same holds
+with u = |J|, and the order is compared in those blocks, so no second
+order matrix is made.
+
+Table values are element ids, so arithmetic on them stays in the table's
+type: NumPy 2 keeps an int16 array int16 against a Python int. Every
+offset into a flattened table, and every key packed from table values, is
+therefore taken in np.intp or np.int64 (`_first_fault`,
+`equations._lookup`, `equations._classes`).
 """
 from __future__ import annotations
 
@@ -441,10 +449,11 @@ def _meet_table(le: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     for b in np.argsort(size, kind="stable").tolist():
         if covers[b]:
             height[b] = 1 + max(height[c] for c in covers[b])
-    # rank -> element, as int32 like the table it fills
-    order = np.argsort(height, kind="stable").astype(np.int32)
-    rank = np.empty(n, dtype=np.int32)
-    rank[order] = np.arange(n, dtype=np.int32)
+    # rank -> element, in the element type of the table it fills
+    dtype = _element_dtype(n)
+    order = np.argsort(height, kind="stable").astype(dtype)
+    rank = np.empty(n, dtype=dtype)
+    rank[order] = np.arange(n, dtype=dtype)
     by_height = [[] for _ in range(max(height) + 1)]
     for b in order.tolist():
         by_height[height[b]].append(b)
@@ -458,11 +467,11 @@ def _meet_table(le: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
                  for k in range(len(covers[upper[0]]))]
         levels.append((np.array(upper), slots))
 
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=dtype)
     for r0, r1 in _row_blocks(n, n):
         # cand[b, a - r0]: rank of the candidate meet of a and b
         below = le[:, r0:r1]
-        cand = np.empty((n, r1 - r0), dtype=np.int32)
+        cand = np.empty((n, r1 - r0), dtype=dtype)
         cand[minimal] = np.where(below[minimal], rank[minimal, None], -1)
         for upper, slots in levels:
             best = cand[slots[0]]
@@ -551,6 +560,12 @@ def build_from_closed_family(
     if (pair := _open_pair(members)) is not None:
         raise NotIntersectionClosed(pair)
     return build_from_leq(n, _containment(members), labels=labels, caps=caps)
+
+
+def _element_dtype(n: int) -> type:
+    """The narrowest integer type of an n-element lattice's tables, which
+    hold element ids 0..n-1 and, while they are built, -1."""
+    return np.int16 if n <= 1 << 15 else np.int32
 
 
 def _mask_dtype(u: int) -> type:
@@ -644,8 +659,9 @@ def _closure_tables(u: int, members, order: np.ndarray | None = None):
     full = (1 << u) - 1
     masks = np.asarray(members, dtype=_mask_dtype(u))
     n = len(masks)
-    ids = np.arange(n, dtype=np.int32)
-    pos = np.full(1 << u, -1, dtype=np.int32)   # mask -> element
+    dtype = _element_dtype(n)
+    ids = np.arange(n, dtype=dtype)
+    pos = np.full(1 << u, -1, dtype=dtype)      # mask -> element
     pos[masks] = ids
     if pos[full] < 0:
         return None
@@ -655,8 +671,8 @@ def _closure_tables(u: int, members, order: np.ndarray | None = None):
     if (cl < 0).any():                          # cl[S] is no member
         return None
     leq = np.empty((n, n), dtype=bool) if order is None else order
-    meet = np.empty((n, n), dtype=np.int32)
-    join = np.empty((n, n), dtype=np.int32)
+    meet = np.empty((n, n), dtype=dtype)
+    join = np.empty((n, n), dtype=dtype)
     for r0, r1 in _row_blocks(n, 4 * n):
         rows = masks[r0:r1, None]
         meet[r0:r1] = pos[rows & masks]
@@ -696,7 +712,7 @@ def sublattice_closure(
         ix = np.ix_(idx, idx)
     if len(idx) > caps.max_lattice:
         raise SizeCapExceeded(len(idx), caps.max_lattice)
-    pos = np.empty(L.n, dtype=L.meet.dtype)     # element of L -> position
+    pos = np.empty(L.n, dtype=_element_dtype(len(idx)))  # element -> position
     pos[idx] = np.arange(len(idx))
     leq = L.leq[ix]
     inclusion = tuple(idx.tolist())

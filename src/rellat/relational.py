@@ -38,6 +38,7 @@ from .lattice import (
     FiniteLattice,
     _closed_under,
     _closure_lattice,
+    _mask_dtype,
     _or_subsets,
     make_closed_family,
     set_label,
@@ -533,7 +534,8 @@ class BCWitness:
 
 def _act_table(space: UltraSpace, caps: Caps) -> np.ndarray:
     """table[x, t] = act(space, x, t) for every attribute mask x and point
-    mask t, as a (2^attrs, 2^points) int64 array, refused as `check bc` is
+    mask t, as a (2^attrs, 2^points) array of point masks in
+    `lattice._mask_dtype(points)`, refused as `check bc` is
     (`_check_caps`). Each point f ORed into single[d(f, g), g] and up over
     the attribute sets gives the points within x of g; act(x, -) distributes
     over unions, so single[:, g] ORed up from {g} is the table."""
@@ -541,10 +543,11 @@ def _act_table(space: UltraSpace, caps: Caps) -> np.ndarray:
     _check_caps("bc", n_attrs, p, caps)
     stats.add("subset_entries", 1 << p)
     dist = np.array(space.dist, dtype=np.intp).reshape(p, p)
-    pts = np.arange(p)
-    single = np.zeros((1 << n_attrs, p), dtype=np.int64)
-    np.bitwise_or.at(single, (dist, pts), np.int64(1) << pts[:, None])
-    table = np.zeros((1 << p, 1 << n_attrs), dtype=np.int64)
+    dtype = _mask_dtype(p)
+    pts = np.arange(p, dtype=dtype)
+    single = np.zeros((1 << n_attrs, p), dtype=dtype)
+    np.bitwise_or.at(single, (dist, pts), dtype(1) << pts[:, None])
+    table = np.zeros((1 << p, 1 << n_attrs), dtype=dtype)
     table[1 << pts] = _or_subsets(single, n_attrs).T
     return _or_subsets(table, p).T
 

@@ -4,9 +4,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +51,8 @@ from rellat.cli import (
     build_parser,
     main,
 )
+from rellat import cli, lattice
+from rellat.errors import SizeCapExceeded, _decimal
 from rellat.lattice import lattice_document
 from conftest import chain, diamond, pentagon_n5, wide_diamond
 
@@ -565,6 +573,45 @@ def test_whole_hamming_space_is_refused_before_it_is_built(
         "detail": f"enumeration of {need} subsets exceeds the max_enum cap {1 << 20}"}
 
 
+# Counts past the 4,300 digits Python writes in decimal: 2^32768, 2^100000
+# and 2^16384 point sets, and R(D,A)'s size bound for 100,000 values. Each
+# refusal is an exit-3 report, not a crash.
+HUGE_REFUSALS = [
+    ("build typed --fibers " + ",".join(["2"] * 15) + " --out t.json",
+     "2^32768"),
+    ("build typed --fibers 100000 --out t.json", "2^100000"),
+    ("build typed --fibers 4,4,4,4,4,4,4 --out t.json", "2^16384"),
+    ("check bc --attrs 14 --dom 2", "2^16384"),
+    ("check bc --attrs 1 --dom 100000", "2^100000"),
+    ("build rel --attrs 1 --dom 100000 --out r.json", "~9.99e30102"),
+]
+
+
+@pytest.mark.parametrize("line, need", HUGE_REFUSALS)
+def test_huge_refusals_exit_3_in_their_own_process(tmp_path, line, need):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "rellat.cli", *line.split()],
+                          cwd=tmp_path, env=env, capture_output=True, timeout=2)
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout)["error"] == (
+        {"type": "SizeCapExceeded",
+         "detail": f"size {need} exceeds the max_lattice cap 4096"}
+        if need.startswith("~") else
+        {"type": "EnumerationCapExceeded",
+         "detail": f"enumeration of {need} subsets exceeds the max_enum cap "
+                   f"{1 << 20}"})
+    assert proc.stderr.decode().startswith("budget exceeded: ")
+
+
+def test_huge_counts_are_written_in_full_while_python_can():
+    assert _decimal(1 << 1024) == str(1 << 1024)
+    assert _decimal(10 ** 4299) == str(10 ** 4299)
+    assert _decimal(1 << 16384) == "2^16384"
+    assert _decimal(3 ** 10000) == "~1.63e4771"
+    assert str(SizeCapExceeded((1 << 20000) + 1, 4096)) == \
+        "size ~3.98e6020 exceeds the max_lattice cap 4096"
+
+
 def test_bad_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["build", "rel", "--attrs", "2"])
@@ -900,7 +947,7 @@ def encoder_text(doc) -> str:
 
 
 def written_text(doc) -> str:
-    return "".join(_json_chunks(doc))
+    return b"".join(_json_chunks(doc)).decode("ascii")
 
 
 def assert_lattice_written_as_encoder(L, path):
@@ -1053,7 +1100,7 @@ def _same_lattice(L1, L2):
 def _assert_read_directly(text: str) -> dict:
     """The document read from text without the json module, which must
     match the json module's reading of it."""
-    doc = _direct_lattice_document(text.encode("utf-8"))
+    doc = _direct_lattice_document(io.BytesIO(text.encode("utf-8")))
     assert doc is not None
     want = json.loads(text)
     assert doc["leq"].dtype == bool
@@ -1119,7 +1166,7 @@ def _other_rows(text: str) -> str:
     """The rows of the dual of the document's order, laid out as the writer
     lays out a top-level matrix."""
     leq = np.array(json.loads(text)["leq"], dtype=bool).T
-    return "".join(_order_chunks(leq))
+    return b"".join(_order_chunks(leq)).decode("ascii")
 
 
 def _row_start(text: str, row: int) -> int:
@@ -1174,7 +1221,7 @@ def test_reader_falls_back_to_json(tmp_path, capsys, name):
     text = READER_FALLBACKS[name](written)
     path = tmp_path / "l.json"
     path.write_bytes(text.encode("utf-8"))
-    assert _direct_lattice_document(path.read_bytes()) is None
+    assert _direct_lattice_document(io.BytesIO(path.read_bytes())) is None
     argv = ["check", "eq", "--eq", "Dist", "--lattice", str(path)]
     stats_path = str(tmp_path / "stats.json")
     code, report, err = run(capsys, "--stats", stats_path, *argv)
@@ -1194,6 +1241,87 @@ def test_reader_falls_back_to_json(tmp_path, capsys, name):
     got = lattice_from_json(_lattice_document(str(path)))
     _same_lattice(got, want)
     assert code == (0 if report["result"]["verdict"] == "holds" else 1)
+
+
+def test_reader_holds_less_than_the_file(tmp_path):
+    """The rows are read a block at a time, so reading typed 5,2's 10 MB
+    document (1,062 elements) peaks below the file's size: the order
+    matrix, one block of rows and the rest of the document."""
+    path = tmp_path / "t52.json"
+    _dump(lattice_document(typed_R(typed_map_from_fibers([5, 2])).lattice),
+          str(path))
+    tracemalloc.start()
+    try:
+        doc = _lattice_document(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc["n"] == 1062 and doc["leq"].shape == (1062, 1062)
+    assert peak < path.stat().st_size
+
+
+def test_reader_refuses_rows_the_file_cannot_hold():
+    """A first row of 20,000 cells and no other: the file cannot hold
+    20,000 such rows, so the reader gives up before it makes a 400 MB
+    matrix, as the whole-file reader did."""
+    row = ",\n      ".join("0" * 20_000)
+    text = '{\n  "leq": [\n    [\n      ' + row + '\n    ]\n  ],\n  "n": 20000\n}\n'
+    tracemalloc.start()
+    try:
+        assert _direct_lattice_document(io.BytesIO(text.encode("ascii"))) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def _cut_rows(text: str, rows: int) -> str:
+    """The document with only its first `rows` rows of leq, the rest of it
+    kept, so its rows end before the cell count says."""
+    end = _row_start(text, rows)
+    return text[:end - 1] + text[text.index("\n  ]", end):]
+
+
+# Variants of R(2,2)'s document (26 rows of 246 bytes) read in blocks of 4
+# rows: each falls back to the json module, and its answer or error is the
+# json module's.
+BLOCK_FALLBACKS = {
+    "rows-end-mid-block": lambda t: _cut_rows(t, 6),
+    "rows-end-at-a-block": lambda t: _cut_rows(t, 8),
+    "cut-in-a-later-block": lambda t: t[:_row_start(t, 9) + 100],
+    "cut-in-a-record-end": lambda t: t[:_row_start(t, 13) + 243],
+    "cut-after-a-block": lambda t: t[:_row_start(t, 12)],
+    "cell-2-in-the-last-block": lambda t: _replace_in_row(t, 25, "0", "2"),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_FALLBACKS))
+def test_reader_falls_back_between_blocks(tmp_path, capsys, monkeypatch,
+                                           r22_file, name):
+    monkeypatch.setattr(lattice, "_BLOCK", 1000)
+    assert lattice._row_blocks(26, 9 * 26 + 12)[:2] == [(0, 4), (4, 8)]
+    with open(r22_file, encoding="utf-8") as fh:
+        written = fh.read()
+    doc = _assert_read_directly(written)
+    _same_lattice(lattice_from_json(doc), _load_lattice(r22_file, DEFAULT_CAPS))
+    path = tmp_path / "l.json"
+    path.write_bytes(BLOCK_FALLBACKS[name](written).encode("utf-8"))
+    assert _direct_lattice_document(io.BytesIO(path.read_bytes())) is None
+    stats_path = str(tmp_path / "stats.json")
+    code, report, err = run(capsys, "--stats", stats_path, "check", "eq",
+                            "--eq", "Dist", "--lattice", str(path))
+    with open(stats_path) as fh:
+        assert json.load(fh).get("lattice_docs_parsed") == 1
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lattice_from_json(json.load(fh))
+        except ValueError as e:
+            assert (code, report) == (2, None)
+            assert err == f"error: {path} is not a JSON document: {e}\n"
+        except RellatError as e:
+            assert (code, report, err) == (2, None, f"error: {e}\n")
+        else:
+            raise AssertionError(f"{name} reads as a lattice")
 
 
 def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,

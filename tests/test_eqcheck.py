@@ -549,6 +549,19 @@ def test_sample_matches_separate_folds(monkeypatch, chunk):
             L, CATALOG[name], 3000, seed, chunk)
 
 
+def test_int32_draws_are_the_int64_stream():
+    """A sampled scan draws int32 columns; they are the values, and leave
+    the generator in the state, of the int64 draws, so sampled witnesses
+    and evaluation counts are those of int64 draws."""
+    for n in [*range(1, 4097), 1 << 15, (1 << 16) + 1, 10**6, (1 << 31) - 1]:
+        for seed in (0, n):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            wide = a.integers(0, n, size=(3, 40), dtype=np.int64)
+            narrow = b.integers(0, n, size=(3, 40), dtype=np.int32)
+            assert np.array_equal(wide, narrow), n
+            assert a.bit_generator.state == b.bit_generator.state, n
+
+
 def test_sampled_results_are_pinned(monkeypatch):
     """Verdicts, witnesses and counts on lattices of up to 6 elements and
     ten random lattices, whole and in rounds of 97 draws, digested."""

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rellat import (
+    CATALOG,
     Caps,
     ClosedFamily,
     EnumerationCapExceeded,
@@ -31,17 +32,20 @@ from rellat import (
     build_countermodel,
     build_from_closed_family,
     build_from_leq,
+    check_inclusion,
     closure_system_R,
     enumerate_frames,
     extract_od_graph,
     find_embedding,
     find_isomorphism,
+    FiniteLattice,
     frame_queries,
     lattice_from_json,
     lattice_to_json,
     l_of_frame,
     lattices_of_order,
     make_closed_family,
+    od_graph_to_json,
     random_lattice,
     reconstruct,
     sections_space,
@@ -1325,3 +1329,77 @@ def test_absorption_laws(seed, i, j):
     assert int(L.join[a, int(L.meet[a, b])]) == a
     assert int(L.join[a, a]) == a
     assert int(L.meet[a, b]) == int(L.meet[b, a])
+
+
+# -- int16 element tables ----------------------------------------------------------
+
+
+def test_element_dtype_is_int16_up_to_two_to_the_fifteen():
+    # ids 0..n-1 and the -1 of a table being built fit int16 up to 2^15
+    assert lattice._element_dtype(1) is np.int16
+    assert lattice._element_dtype(1 << 15) is np.int16
+    assert lattice._element_dtype((1 << 15) + 1) is np.int32
+
+
+def _with_int32_tables(L):
+    """L with its meet and join tables as int32, the type they had before
+    int16 tables, and a cache of its own."""
+    return FiniteLattice(L.n, L.leq, L.meet.astype(np.int32),
+                         L.join.astype(np.int32), L.bottom, L.top, L.labels,
+                         L.lo, L.hi)
+
+
+@pytest.fixture(scope="module")
+def int16_lattices():
+    """Typed 4,2 (278 elements) and R(2,3) (530): n^2 > 32,767, so an
+    offset a * n + b taken in int16 would overflow."""
+    return [typed_R(typed_map_from_fibers([4, 2])).lattice, _r23()]
+
+
+def test_int16_tables_on_both_build_routes(int16_lattices):
+    for L in int16_lattices:
+        assert L.n ** 2 > np.iinfo(np.int16).max
+        # the candidate-meet route, forced by a max_enum below 2^|J|
+        wide = build_from_leq(L.n, L.leq, labels=L.labels, caps=Caps(max_enum=1))
+        for M in (L, wide, lattice_from_json(lattice_to_json(L))):
+            assert M.meet.dtype == M.join.dtype == np.int16
+            assert np.array_equal(M.meet, L.meet)
+            assert np.array_equal(M.join, L.join)
+        assert lattice._first_fault(L.leq, L.meet, L.lo, L.hi, L.n) == L.n
+
+
+def test_int16_tables_give_the_int32_answers(int16_lattices):
+    """Scans, extraction, sublattices, orbits and isomorphism search on the
+    int16 tables give what the same lattice gives with int32 tables, and,
+    where one is cheap, what the oracle gives."""
+    for L in int16_lattices:
+        wide = _with_int32_tables(L)
+        for name in ("RL1", "SymPC", "Dist", "VarRL1"):
+            inc = CATALOG[name]
+            assert check_inclusion(L, inc) == check_inclusion(wide, inc), name
+        for name, seed in (("RL1", 3), ("Unjp", 3), ("Dist", 1)):
+            res = check_inclusion(L, CATALOG[name], mode="sample",
+                                  samples=200_000, seed=seed)
+            assert (res.verdict, res.witness, res.evaluations) == \
+                oracles.sampled_scan(L, CATALOG[name], 200_000, seed), name
+        assert od_graph_to_json(extract_od_graph(L)) == \
+            od_graph_to_json(extract_od_graph(wide))
+        rng = random.Random(L.n)
+        for seed in ([rng.randrange(L.n) for _ in range(k)]
+                     for k in (1, 2, 2, 3, 3, 4)):
+            sub, incl = sublattice_closure(L, seed)
+            assert incl == oracles.sublattice_closure(L, seed)
+            assert incl == sublattice_closure(wide, seed)[1]
+            assert sub.meet.dtype == np.int16
+        minima = lattice.orbit_minima(L)
+        assert len(minima) == 32
+        assert np.array_equal(minima, lattice.orbit_minima(wide))
+        other = relabeled(L, 5)
+        phi = find_isomorphism(L, other)
+        assert phi is not None and phi == find_isomorphism(wide, other)
+        assert np.array_equal(other.leq[np.ix_(phi, phi)], L.leq)
+    t42 = int16_lattices[0]
+    for name in ("RL1", "Dist"):
+        res = check_inclusion(t42, CATALOG[name])
+        assert (res.verdict, res.witness, res.evaluations) == \
+            oracles.plain_scan(t42, CATALOG[name]), name

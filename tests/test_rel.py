@@ -554,7 +554,7 @@ def test_act_table_is_the_action_entry_by_entry():
     for space in _act_spaces():
         a, p = len(space.attrs), len(space.points)
         table = relational._act_table(space, DEFAULT_CAPS)
-        assert table.shape == (1 << a, 1 << p) and table.dtype == np.int64
+        assert table.shape == (1 << a, 1 << p) and table.dtype == np.int32
         for x, t in itertools.product(range(1 << a), range(1 << p)):
             got = oracles.act_points(space, x, {g for g in range(p) if t >> g & 1})
             assert table[x, t] == sum(1 << f for f in got), (space.points, x, t)
