@@ -110,12 +110,6 @@ def _coded_posets(m: int, caps: Caps = DEFAULT_CAPS
     return seen, code
 
 
-def _inner_posets(m: int, caps: Caps = DEFAULT_CAPS) -> set[frozenset]:
-    """All partial orders on m labeled points, as a set of frozensets of
-    strict pairs added in orientation order."""
-    return _coded_posets(m, caps)[0]
-
-
 @functools.cache
 def _relabelings(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The m! relabelings of m points as rows, and what each ordered pair

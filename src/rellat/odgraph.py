@@ -17,13 +17,13 @@ for every element, and join-prime elements carry nothing else.
 
 Both directions of the duality work on tables indexed by the 2^m subsets
 of m items. Extraction flags L's masks J(x) among the subsets of J(L);
-their `lattice._closure` is cl[S] = J(V S). It keeps a cover C of j iff
-the local test holds: for every c in C, j is not below V(C - {c}) v c_,
-where c_ is the unique lower cover of c; both joins are j's bit in cl. A
-set that is no antichain fails the test, at a member below another. The
-test is sound because (C - {c}) together with the irreducibles below c_
-refines C and misses c; it is complete because any cover that refines C
-and misses c joins below V(C - {c}) v c_. Reconstruction reads the graph
+their `lattice._closure` is cl[S] = J(V S), whose entries decide the
+local test of `_all_minimal_covers` for every subset at once. The graph
+is read off J(x) and that closure alone: the masks J(j) of the
+irreducibles are its down-sets, the kept sets its covers, and j is
+join-prime iff its only minimal cover is the trivial one. So extraction
+builds the graph without checking it again; `make_od_graph` validates
+graphs from outside (documents, fixtures). Reconstruction reads the graph
 as rules over subsets of its elements: {a} forces the downset of a, and a
 cover C of k forces k. `lattice._closed_under` flags the subsets closed
 under every rule at once, and `lattice._closure` turns the flags into the
@@ -87,10 +87,11 @@ from .relational import make_space
 # -- minimal join-covers -----------------------------------------------------
 
 
-def _all_minimal_covers(L: FiniteLattice,
-                        caps: Caps) -> dict[int, list[tuple[int, ...]]]:
-    """Minimal join-covers of every join-irreducible, as sorted tuples of
-    lattice elements, in order of size, then subset mask.
+def _all_minimal_covers(L: FiniteLattice, caps: Caps) -> tuple[
+        tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The join-irreducibles ji, ascending, their J-masks (bit a of the t-th
+    set iff ji[a] <= ji[t]), and per position t the minimal join-covers of
+    ji[t] as sorted position tuples, by size, then subset mask.
 
     A cover C of j is minimal when every antichain cover refining C (each
     member below some member of C) contains C. The local test (Freese,
@@ -116,28 +117,29 @@ def _all_minimal_covers(L: FiniteLattice,
     masks = _ji_masks(L.leq, ji)
     cl = _closure(m, np.bincount(masks, minlength=1 << m) > 0)   # J(V S)
     bit = 1 << np.arange(m, dtype=masks.dtype)
-    under = masks[list(ji)] ^ bit             # those strictly below each
+    down = masks[list(ji)]
+    under = down ^ bit                        # those strictly below each
     sets = np.arange(1 << m)
     sets = sets[np.argsort(np.bitwise_count(sets), kind="stable")]
     keep = cl[sets]                           # bit t: ji[t] <= V sets[a]
     for i in range(m):
         has = (sets & bit[i]) != 0
         keep[has] &= ~cl[(sets[has] ^ bit[i]) | under[i]]
-    out = {j: [tuple(ji[a] for a in range(m) if mask >> a & 1)
-               for mask in sets[(keep >> t & 1).astype(bool)].tolist()]
-           for t, j in enumerate(ji)}
-    L._cache[key] = out
+    covers = tuple(tuple(tuple(a for a in range(m) if mask >> a & 1)
+                         for mask in sets[(keep >> t & 1).astype(bool)].tolist())
+                   for t in range(m))
+    out = L._cache[key] = (ji, tuple(down.tolist()), covers)
     return out
 
 
 def minimal_join_covers(L: FiniteLattice, j: int,
                         caps: Caps = DEFAULT_CAPS) -> list[tuple[int, ...]]:
-    """All minimal join-covers of a join-irreducible, sorted by size then
-    element order. The trivial cover (j,) is always present."""
-    covers = _all_minimal_covers(L, caps)
-    if j not in covers:
+    """All minimal join-covers of a join-irreducible, sorted by size, then
+    subset mask (colex element order). The trivial cover (j,) is present."""
+    ji, _, covers = _all_minimal_covers(L, caps)
+    if j not in ji:
         raise ValueError(f"element {j} is not join-irreducible")
-    return covers[j]
+    return [tuple(ji[a] for a in cov) for cov in covers[ji.index(j)]]
 
 
 # -- the graph ----------------------------------------------------------------
@@ -287,18 +289,16 @@ def make_od_graph(elems: Sequence[str], leq_pairs: Iterable[tuple[int, int]],
 
 
 def extract_od_graph(L: FiniteLattice, caps: Caps = DEFAULT_CAPS) -> ODGraph:
-    """Join-irreducibles, their induced order, primeness, and all minimal
-    join-covers, with cover members renamed to graph positions."""
-    ji = L.join_irreducibles()
-    jp_set = set(L.join_primes())
-    pos = {j: t for t, j in enumerate(ji)}
-    covers = _all_minimal_covers(L, caps)
-    pairs = [(pos[a], pos[b]) for a in ji for b in ji
-             if a != b and L.leq[a, b]]
-    mjc = [(pos[j], tuple(pos[c] for c in cov))
-           for j in ji for cov in covers[j]]
-    return make_od_graph(
-        [L.label(j) for j in ji], pairs, [j in jp_set for j in ji], mjc)
+    """The graph of L read off `_all_minimal_covers`: its J-masks are the
+    down-sets, and j is join-prime iff its only minimal cover is (j,).
+    Labels come from outside, so repeated ones raise BadODGraph."""
+    ji, down, covers = _all_minimal_covers(L, caps)
+    elems = tuple(str(L.label(j)) for j in ji)
+    if len(set(elems)) != len(elems):
+        raise BadODGraph("duplicate element labels")
+    mjc = tuple(sorted((t, c) for t, own in enumerate(covers) for c in own))
+    return ODGraph(elems=elems, down_masks=down,
+                   jp=tuple(len(own) == 1 for own in covers), mjc=mjc)
 
 
 def od_graph_to_json(g: ODGraph) -> dict:

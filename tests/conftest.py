@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rellat import (
+    FiniteLattice,
     Schema,
     all_lattices_upto,
     build_countermodel,
@@ -67,6 +68,14 @@ def boolean_cube(k):
 def chain(k):
     leq = np.array([[i <= j for j in range(k)] for i in range(k)])
     return build_from_leq(k, leq, labels=[str(i) for i in range(k)])
+
+
+def with_int32_tables(L):
+    """L with its meet and join tables as int32, the type they had before
+    int16 tables, and a cache of its own."""
+    return FiniteLattice(L.n, L.leq, L.meet.astype(np.int32),
+                         L.join.astype(np.int32), L.bottom, L.top, L.labels,
+                         L.lo, L.hi)
 
 
 @pytest.fixture

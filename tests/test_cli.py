@@ -187,6 +187,24 @@ def test_odgraph_chain(tmp_path, capsys, r22_file):
     assert all(v["holds"] for v in doc["result"]["properties"].values())
 
 
+def test_odgraph_extract_refuses_irreducibles_sharing_a_label(tmp_path, capsys):
+    # the square's atoms are its irreducibles: labels they share are bad
+    # input (exit 2, no graph written); bottom and top may share one
+    leq = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+    for labels, want in ((["0", "a", "a", "1"], 2), (["e", "a", "b", "e"], 0)):
+        src, out = tmp_path / "sq.json", tmp_path / "g.json"
+        src.write_text(json.dumps({"n": 4, "leq": leq, "labels": labels}))
+        code, _, err = run(capsys, "odgraph", "extract", "--lattice",
+                           str(src), "--out", str(out))
+        assert code == want, labels
+        if want:
+            assert err == "error: duplicate element labels\n"
+            assert not out.exists()
+        else:
+            assert json.loads(out.read_text())["elems"] == ["a", "b"]
+            out.unlink()
+
+
 def test_odgraph_props_failure_exit(capsys, cm_files):
     _, gr = cm_files
     code, doc, _ = run(capsys, "odgraph", "props", "--odgraph", gr)

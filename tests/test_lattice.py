@@ -38,7 +38,6 @@ from rellat import (
     extract_od_graph,
     find_embedding,
     find_isomorphism,
-    FiniteLattice,
     frame_queries,
     lattice_from_json,
     lattice_to_json,
@@ -64,6 +63,7 @@ from conftest import (
     diamond_m3,
     leq_from_covers,
     pentagon_n5,
+    with_int32_tables,
 )
 import oracles
 
@@ -1189,7 +1189,7 @@ def test_lattice_counts_frozen():
 def test_batched_canonical_keys_match_reference(m):
     """All orders on m <= 4 points, a seeded 300 of the 4231 on 5: the key
     of each order's orbit."""
-    rels = sorted(lattgen._inner_posets(m), key=sorted)
+    rels = sorted(lattgen._coded_posets(m)[0], key=sorted)
     if m == 5:
         rels = random.Random(0).sample(rels, 300)
     got = [tuple(divmod(j, m) for j in
@@ -1218,7 +1218,7 @@ def test_orbits_partition_labelled_orders(m):
     assert set().union(*orbits) == {code(r) for r in oracles.inner_posets(m)}
     owner = {c: i for i, orbit in enumerate(orbits) for c in orbit}
     firsts = {}
-    for rel in lattgen._inner_posets(m):
+    for rel in lattgen._coded_posets(m)[0]:
         firsts.setdefault(owner[code(rel)], rel)
     assert list(firsts.values()) == list(reps.values())
 
@@ -1227,7 +1227,7 @@ def test_orbits_partition_labelled_orders(m):
 def test_inner_posets_iterate_like_the_orientation_walk(m):
     """Same orders, and the same set iteration order, which picks each
     class's representative."""
-    assert list(lattgen._inner_posets(m)) == list(oracles.inner_posets(m))
+    assert list(lattgen._coded_posets(m)[0]) == list(oracles.inner_posets(m))
 
 
 def test_census_representatives_are_pinned():
@@ -1341,14 +1341,6 @@ def test_element_dtype_is_int16_up_to_two_to_the_fifteen():
     assert lattice._element_dtype((1 << 15) + 1) is np.int32
 
 
-def _with_int32_tables(L):
-    """L with its meet and join tables as int32, the type they had before
-    int16 tables, and a cache of its own."""
-    return FiniteLattice(L.n, L.leq, L.meet.astype(np.int32),
-                         L.join.astype(np.int32), L.bottom, L.top, L.labels,
-                         L.lo, L.hi)
-
-
 @pytest.fixture(scope="module")
 def int16_lattices():
     """Typed 4,2 (278 elements) and R(2,3) (530): n^2 > 32,767, so an
@@ -1373,7 +1365,7 @@ def test_int16_tables_give_the_int32_answers(int16_lattices):
     int16 tables give what the same lattice gives with int32 tables, and,
     where one is cheap, what the oracle gives."""
     for L in int16_lattices:
-        wide = _with_int32_tables(L)
+        wide = with_int32_tables(L)
         for name in ("RL1", "SymPC", "Dist", "VarRL1"):
             inc = CATALOG[name]
             assert check_inclusion(L, inc) == check_inclusion(wide, inc), name

@@ -17,11 +17,13 @@ from rellat import (
     ODGraph,
     PROPERTY_IDS,
     PartitionEnumerationCapExceeded,
+    Schema,
     SizeCapExceeded,
     UltraSpace,
     UnknownProperty,
     all_lattices_upto,
     build_countermodel,
+    build_R,
     build_from_leq,
     check_inclusion,
     check_property,
@@ -38,11 +40,13 @@ from rellat import (
     reconstruct,
     semidirect,
     sublattice_closure,
+    typed_R,
+    typed_map_from_fibers,
     ultrametric_representability,
 )
 from rellat import lattice, odgraph, stats
 from conftest import (boolean_cube, chain, diamond, diamond_m3, pentagon_n5,
-                      wide_diamond)
+                      wide_diamond, with_int32_tables)
 import oracles
 
 
@@ -248,14 +252,55 @@ def test_graph_json_round_trip(g22):
     assert od_graph_from_json(od_graph_to_json(g22)) == g22
 
 
-def test_graph_order_is_the_lattice_order(small_lattices, cm_lattice):
+@pytest.fixture(scope="module")
+def extraction_corpus(small_lattices, cm_lattice):
+    """The census, 300 seeded random lattices, R(2,3), typed 4,2, M_11, the
+    countermodel lattice, and R(2,3) and typed 4,2 with int32 tables."""
+    big = [build_R(Schema(("a", "b"), ("0", "1", "2"))).lattice,
+           typed_R(typed_map_from_fibers([4, 2])).lattice]
+    return [*small_lattices,
+            *(random_lattice(s, max_size=12) for s in range(300)),
+            *big, diamond(11), cm_lattice, *map(with_int32_tables, big)]
+
+
+def test_graph_order_is_the_lattice_order(extraction_corpus):
     # le(a, b) iff ji[a] <= ji[b] in the source lattice
-    for L in [*small_lattices, cm_lattice]:
+    for i, L in enumerate(extraction_corpus):
         g = extract_od_graph(L)
         ji = L.join_irreducibles()
         for a in range(g.n):
             for b in range(g.n):
-                assert g.le(a, b) == bool(L.leq[ji[a], ji[b]]), (L.n, a, b)
+                assert g.le(a, b) == bool(L.leq[ji[a], ji[b]]), (i, a, b)
+
+
+def test_extracted_graphs_pass_the_validator(extraction_corpus):
+    """Extraction builds its graph unchecked: the validator for graphs from
+    outside returns it unchanged, and its primeness flags are those of the
+    lattice's own ideal test."""
+    for i, L in enumerate(extraction_corpus):
+        g = extract_od_graph(L)
+        assert make_od_graph(g.elems, g.leq_pairs, g.jp, g.mjc) == g, i
+        primes = set(L.join_primes())
+        assert g.jp == tuple(j in primes for j in L.join_irreducibles()), i
+
+
+def test_extraction_refuses_irreducibles_sharing_a_label(b2):
+    # labels come from outside, and are compared as the graph writes them,
+    # so 1 and "1" are one label; bottom and top are not irreducibles, so
+    # they may share one
+    for labels in (["0", "a", "a", "1"], ["0", 1, "1", "1"]):
+        with pytest.raises(BadODGraph, match="^duplicate element labels$"):
+            extract_od_graph(build_from_leq(4, b2.leq, labels=labels))
+    g = extract_od_graph(build_from_leq(4, b2.leq, labels=["e", "a", "b", "e"]))
+    assert g.elems == ("a", "b") and g == make_od_graph(
+        ["a", "b"], [], [True, True], [(0, (0,)), (1, (1,))])
+
+
+def test_extraction_writes_int_labels_as_strings(small_lattices):
+    for L in small_lattices:
+        g = extract_od_graph(build_from_leq(L.n, L.leq, labels=list(range(L.n))))
+        assert g.elems == tuple(map(str, L.join_irreducibles()))
+        assert g == extract_od_graph(build_from_leq(L.n, L.leq))
 
 
 
