@@ -205,7 +205,11 @@ class Caps:
     candidate with the assigned images have down-sets and up-sets at least
     as large as those of the generators' joins and meets); an image given
     to a world by p_morphism_search, once it passes the forward, back and
-    surjectivity cuts; a seed tried by `rellat search sublattice`. The
+    surjectivity cuts (a p-morphism search that is refused, because the
+    target's relations do not commute where the source's do, takes no
+    node and answers None under any cap, as a surjective p-morphism
+    preserves commutation: Blackburn, de Rijke and Venema, Modal Logic,
+    2001, Thm 3.14); a seed tried by `rellat search sublattice`. The
     automorphism searches behind an exhaustive scan's orbit minima
     (`lattice.orbit_minima`) have a budget of their own, n + |J|^2 nodes,
     and keep the orbits found when it runs out, so no cap changes a scan.

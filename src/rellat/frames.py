@@ -10,7 +10,9 @@ block maps onto exactly one target block (forward preservation keeps its
 images inside one block, the back condition makes them fill it). The
 p-morphism search runs on the backtracking core of the lattice searches,
 `lattice._least_assignment`; its cuts are computed per level from the
-images already assigned, so it keeps no state between levels.
+images already assigned, so it keeps no state between levels. A target
+whose relations do not commute where the source's do is refused before
+the search starts, as no surjective p-morphism reaches it.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import stats
 from .errors import (
     DEFAULT_CAPS,
     BadFrame,
@@ -128,24 +131,40 @@ class S5Witness:
 
 def is_s5n_frame(f: Frame) -> S5Witness | None:
     """None when confluence holds: for i != j, x Ri y and x Rj z admit w
-    with y Rj w and z Ri w.
+    with y Rj w and z Ri w, that is the composite Ri;Rj lies in Rj;Ri.
 
     A Frame stores partitions, so its relations are equivalences by
-    construction; raw edge lists are checked by `frame_from_edges`.
+    construction; raw edge lists are checked by `frame_from_edges`. For
+    equivalences Ri;Rj lies in Rj;Ri iff its converse Rj;Ri lies in Ri;Rj,
+    so confluence fails at (i, j) iff it fails at (j, i): the pairs i < j
+    decide it, and the least failing pair has i < j.
     """
-    for i in range(f.n_rels):
-        for j in range(f.n_rels):
-            if i != j:
-                xyz = _confluence_witness(f.rels[i], f.rels[j])
-                if xyz is not None:
-                    return S5Witness("confluence", (i, j), xyz)
+    for i, j in itertools.combinations(range(f.n_rels), 2):
+        if not _commute(f.rels[i], f.rels[j]):
+            return S5Witness("confluence", (i, j),
+                             _confluence_witness(f.rels[i], f.rels[j]))
     return None
 
 
+def _commute(ri: Sequence[int], rj: Sequence[int]) -> bool:
+    """Whether the equivalences Ri and Rj commute, decided on block types.
+
+    They commute iff each block of their join is a rectangle: every Ri-block
+    inside it meets every Rj-block inside it. So they commute iff any two
+    Ri-blocks meet the same Rj-blocks or disjoint ones, that is iff the
+    distinct sets of Rj-blocks met by an Ri-block, whose union is every
+    Rj-block, add up to the Rj-block count.
+    """
+    met: dict[int, set[int]] = {}          # Ri-block -> Rj-blocks it meets
+    for a, b in zip(ri, rj):
+        met.setdefault(a, set()).add(b)
+    return sum(map(len, set(map(frozenset, met.values())))) == len(set(rj))
+
+
 def _confluence_witness(ri: Sequence[int], rj: Sequence[int]
-                        ) -> tuple[int, int, int] | None:
+                        ) -> tuple[int, int, int]:
     """The least (x, y, z) with x Ri y and x Rj z but no w with y Rj w and
-    z Ri w, decided on block types instead of worlds.
+    z Ri w, for relations that do not commute (`_commute`).
 
     meet holds the (Ri-block, Rj-block) pairs that share a world, so a w
     exists iff (Ri-block of z, Rj-block of y) is in meet. A world x of type
@@ -161,8 +180,6 @@ def _confluence_witness(ri: Sequence[int], rj: Sequence[int]
         met_by_j.setdefault(b, set()).add(a)
     failing = {(a, b) for a, b in meet
                if any(not met_by_j[b] <= met_by_j[d] for d in met_by_i[a])}
-    if not failing:
-        return None
     n = len(ri)
     x = next(x for x in range(n) if (ri[x], rj[x]) in failing)
     return next((x, y, z) for y in range(n) if ri[y] == ri[x]
@@ -236,8 +253,23 @@ def l_of_frame(f: Frame, caps: Caps = DEFAULT_CAPS) -> SdLattice:
 
 def p_morphism_search(src: Frame, dst: Frame,
                       caps: Caps = DEFAULT_CAPS) -> list[int] | None:
-    """The lexicographically least surjective p-morphism, or None when the
-    exhaustive search finishes empty.
+    """The lexicographically least surjective p-morphism, or None when no
+    map exists.
+
+    A surjective p-morphism carries commuting relations onto commuting ones
+    (Blackburn, de Rijke and Venema, Modal Logic, 2001, Thm 3.14, with the
+    Sahlqvist correspondent of <i><j>p -> <j><i>p), and the universal
+    product frames are commutative (Gabbay, Kurucz, Wolter and
+    Zakharyaschev, Many-Dimensional Modal Logics, 2003). Say y Ri x Rj z
+    holds in dst: lift x to some x' through the surjection, take y' Ri x'
+    and x' Rj z' over y and z by the back condition, find w with
+    y' Rj w Ri z' as the source commutes, and push it forward:
+    y Rj f(w) Ri z. So the search is refused, None before any node, when
+    for some pair i < j the target's Ri and Rj do not commute and the
+    source's do; for equivalences one inclusion of the two composites
+    gives the other, so the pairs i < j suffice. The target is tested
+    first, and the source only where the target fails; a refusal adds 1
+    to the `pmorphism_refused` stat and none to `pmorphism_nodes`.
 
     Relations are partitions, so f is a p-morphism iff, for every relation,
     each source block maps onto exactly one target block. Worlds get images
@@ -262,6 +294,11 @@ def p_morphism_search(src: Frame, dst: Frame,
     """
     if src.n_rels != dst.n_rels:
         raise BadFrame("frames carry different relation counts")
+    if any(not _commute(dst.rels[i], dst.rels[j])
+           and _commute(src.rels[i], src.rels[j])
+           for i, j in itertools.combinations(range(dst.n_rels), 2)):
+        stats.add("pmorphism_refused", 1)
+        return None
     ns, nd = src.n_worlds, dst.n_worlds
     # per relation: the target block of each target world, that block's
     # size and the largest size, the worlds sorted by source block, and per

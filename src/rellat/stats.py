@@ -28,6 +28,13 @@ SearchBudgetExceeded, which then counts the node past the cap:
     pmorphism_nodes     images given to worlds in `frames.p_morphism_search`,
                         counted after its cuts
 
+and, by `frames.p_morphism_search` itself, in place of the core's count:
+
+    pmorphism_refused   searches refused before the core runs, so they add
+                        no pmorphism_nodes: some pair of relations commutes
+                        in the source frame and not in the target, so no
+                        surjective p-morphism exists
+
 and, once per `lattice._search` call in the same way:
 
     search_rows         pair-count and join-dominance rows its memo built

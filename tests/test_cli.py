@@ -923,6 +923,25 @@ def test_search_pmorphism(tmp_path, capsys):
                "--dst", bad)[0] == 1
 
 
+def test_search_pmorphism_refusal_is_no_budget_error(tmp_path, capsys):
+    # the 3x3 product commutes and the target does not: the search is
+    # refused before its first node, so a budget of 1 answers "no map"
+    # (exit 1) where backtracking ran out of budget (exit 3)
+    prod3 = str(tmp_path / "prod3.json")
+    frame = str(tmp_path / "frame.json")
+    run(capsys, "build", "product", "--components", "3", "--n", "2",
+        "--out", prod3)
+    run(capsys, "build", "frame", "--rels", "0,0,1;0,1,1", "--out", frame)
+    code, doc, _ = run(capsys, "search", "pmorphism", "--src", prod3,
+                       "--dst", frame, "--budget", "1")
+    assert code == 1
+    assert doc["result"] == {"found": False, "mapping": None}
+    code, doc, _ = run(capsys, "search", "pmorphism", "--src", prod3,
+                       "--dst", prod3, "--budget", "1")
+    assert code == 3
+    assert doc["error"]["type"] == "SearchBudgetExceeded"
+
+
 def test_search_pmorphism_from_long_source(tmp_path, capsys):
     # 1,100 worlds: one stack entry each, no deep recursion
     src = str(tmp_path / "long.json")
@@ -1346,9 +1365,11 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
                                                                  capsys,
                                                                  r22_file):
     prod, two = str(tmp_path / "prod.json"), str(tmp_path / "two.json")
+    bad = str(tmp_path / "bad.json")
     assert main(["build", "product", "--components", "2", "--n", "2",
                  "--out", prod]) == 0
     assert main(["build", "frame", "--rels", "0,0;0,1", "--out", two]) == 0
+    assert main(["build", "frame", "--rels", "0,0,1;0,1,1", "--out", bad]) == 0
     capsys.readouterr()
     graph = tmp_path / "graph.json"
     graph.write_text(json.dumps(GRAPH))
@@ -1361,6 +1382,9 @@ def test_stats_count_searches_and_reads_beside_identical_output(tmp_path,
               "search_rows"}, {"search_nodes": 7, "search_rows": 33}),
             (["search", "pmorphism", "--src", prod, "--dst", two],
              {"pmorphism_nodes"}, {}),
+            # a target whose relations do not commute is refused unsearched
+            (["search", "pmorphism", "--src", prod, "--dst", bad],
+             {"pmorphism_refused"}, {"pmorphism_refused": 1}),
             (["odgraph", "extract", "--lattice", r22_file, "--out", "OUT"],
              {"lattice_docs_direct", "order_builds", "subset_entries"}, {}),
             (["odgraph", "props", "--odgraph", str(graph)],

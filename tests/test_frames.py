@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -346,18 +347,121 @@ def test_p_morphisms_from_product_satisfy_definition():
 
 def test_frame_census_pmorphism_nodes():
     # the benchmark's frames census: the 14 full initial frames of at most
-    # three worlds from P22, the 117 four-world ones from P33
+    # three worlds from P22, the 117 four-world ones from P33. The products
+    # commute, so the targets whose relations do not are refused before any
+    # node: 6 of the 14 and 84 of the 117. Backtracking proved those empty
+    # in 54 of the 58 nodes and 5,472 of the 5,526
     census = {n: [f for f in enumerate_frames(n, 2)
                   if frame_queries(f) == {"initial": True, "full": True}]
               for n in (1, 2, 3, 4)}
-    for prod, targets, want in (
+    for prod, targets, nodes, refused in (
             (universal_product(["0", "1"], 2),
-             census[1] + census[2] + census[3], 58),
-            (universal_product(["0", "1", "2"], 2), census[4], 5526)):
+             census[1] + census[2] + census[3], 4, 6),
+            (universal_product(["0", "1", "2"], 2), census[4], 54, 84)):
         with stats.collect() as counters:
             for f in targets:
                 p_morphism_search(prod, f)
-        assert counters["pmorphism_nodes"] == want
+        assert counters == {"pmorphism_nodes": nodes,
+                            "pmorphism_refused": refused}
+
+
+def _commuting(f, i, j):
+    return oracles.confluent(f.rels[i], f.rels[j])
+
+
+def _search_against_oracle(src, dst):
+    """p_morphism_search(src, dst), held to the brute-force oracle; a
+    search is refused, with no node, exactly when some pair of relations
+    commutes in src and not in dst. Returns (map, refused)."""
+    with stats.collect() as counters:
+        got = p_morphism_search(src, dst)
+    assert got == oracles.least_pmorphism(src, dst), (src.rels, dst.rels)
+    refused = any(_commuting(src, i, j) and not _commuting(dst, i, j)
+                  for i in range(dst.n_rels) for j in range(i + 1, dst.n_rels))
+    assert counters.get("pmorphism_refused", 0) == refused
+    assert ("pmorphism_nodes" in counters) != refused
+    return got, refused
+
+
+def _relabelled(f, perm):
+    """f with world k of the copy being world perm[k] of f."""
+    return make_frame([f.worlds[w] for w in perm],
+                      [[rel[w] for w in perm] for rel in f.rels])
+
+
+def test_p_morphism_refusal_on_three_relation_frames():
+    # sources of 5-6 worlds: a quarter preimages of the target with blocks
+    # split, a quarter three nested partitions (which commute pairwise),
+    # a quarter a 2x3 grid with a third relation nested in one side (which
+    # commute too), and a quarter random partitions, mostly not commuting
+    rng = random.Random(40)
+    targets = [f for n in (1, 2, 3) for f in enumerate_frames(n, 3)]
+    found = refused = kept = 0
+    for k in range(80):
+        ns, dst = 5 + k % 2, rng.choice(targets)
+        parts = all_partitions(ns)
+        if k % 4 == 0:
+            g = list(range(dst.n_worlds))
+            g += [rng.randrange(dst.n_worlds) for _ in range(ns - len(g))]
+            rng.shuffle(g)
+            rels = [[2 * rel[g[w]] + (rng.random() < 0.1) for w in range(ns)]
+                    for rel in dst.rels]
+        elif k % 4 == 1:
+            fine = rng.choice(parts)
+            coarse = [rng.randrange(2) for _ in range(max(fine) + 1)]
+            chain = [list(range(ns)), list(fine),
+                     [coarse[b] for b in fine], [0] * ns]
+            rels = [rng.choice(chain) for _ in range(3)]
+        elif k % 4 == 2:
+            cells = [(w % 2, w // 2) for w in range(6)]
+            rels = [[c[1] for c in cells], [c[0] for c in cells],
+                    [c[rng.randrange(2)] for c in cells]]
+        else:
+            rels = [rng.choice(parts) for _ in range(3)]
+        src = make_frame([f"w{i}" for i in range(len(rels[0]))], rels)
+        got, was_refused = _search_against_oracle(src, dst)
+        found += got is not None
+        refused += was_refused
+        # a pair that commutes in neither frame leaves the search to run
+        kept += not was_refused and any(
+            not _commuting(src, i, j) and not _commuting(dst, i, j)
+            for i in range(3) for j in range(i + 1, 3))
+    assert found >= 5 and refused >= 10 and kept >= 10, (found, refused, kept)
+
+
+def test_p_morphism_refusal_from_p22_onto_small_census_frames():
+    # P22 onto every full initial frame of at most four worlds
+    prod = universal_product(["0", "1"], 2)
+    targets = [f for n in (1, 2, 3, 4) for f in enumerate_frames(n, 2)
+               if frame_queries(f) == {"initial": True, "full": True}]
+    assert len(targets) == 131
+    outcomes = Counter(_search_against_oracle(prod, f)[1] for f in targets)
+    assert outcomes == {True: 90, False: 41}
+
+
+def test_p_morphism_existence_and_refusal_under_relabelling():
+    # relabelled copies of source and target keep whether a map exists
+    # and whether the search is refused; the least map itself moves
+    rng = random.Random(41)
+    prods = [universal_product(["0", "1"], 2),
+             universal_product(["0", "1", "2"], 2)]
+    targets = [f for n in (2, 3, 4) for f in enumerate_frames(n, 2)
+               if frame_queries(f) == {"initial": True, "full": True}]
+    for k in range(60):
+        src = prods[k % 2] if k % 3 else make_frame(
+            [f"w{i}" for i in range(6)],
+            [rng.choice(all_partitions(6)) for _ in range(2)])
+        dst = rng.choice(targets)
+        answers = set()
+        for _ in range(3):
+            with stats.collect() as counters:
+                m = p_morphism_search(src, dst)
+            answers.add((m is None, counters.get("pmorphism_refused", 0)))
+            src = _relabelled(src, rng.sample(range(src.n_worlds),
+                                              src.n_worlds))
+            dst = _relabelled(dst, rng.sample(range(dst.n_worlds),
+                                              dst.n_worlds))
+        assert len(answers) == 1, (src.rels, dst.rels)
 
 
 def test_p_morphism_of_long_source_needs_no_deep_recursion():
